@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import PairwiseMRF, StrengthTable, compute_strengths
+from .models import PairwiseMRF, compute_strengths
 
 _REL_TOL = 1e-14
 _MAX_SOLVE = 100000
@@ -81,38 +81,41 @@ def bound_variation(kind: str, strengths, log_eps: float) -> float:
 
 
 class _EdgeTerms:
-    """Flat predecessor structure over directed edges.
+    """Per-directed-edge strengths plus the non-backtracking relation: term i
+    says segment seg[i] receives a contribution driven by edge feed[i]."""
 
-    For edge f = (u -> t), the predecessors are the edges (v -> u) with
-    v != t; term i says segment term_seg[i] receives a contribution driven
-    by edge term_feed[i].
-    """
+    def __init__(self, model: PairwiseMRF, strengths=None):
+        if strengths is None:
+            strengths = compute_strengths(model)
+        self.num_nodes = model.num_nodes
+        self.n_dir = model.num_directed
+        self.dst = np.array([e.dst for e in model.directed_edges()], dtype=int)
+        self.dd, self.d2 = strengths.directed_arrays()
+        self.seg, self.feed = model.non_backtracking_pairs()
 
-    def __init__(self, model: PairwiseMRF, strengths: StrengthTable):
-        directed = model.directed_edges()
-        self.n_dir = len(directed)
-        self.dst = np.array([e.dst for e in directed], dtype=int)
-        self.dd = np.array([strengths.directed_product(t, s)
-                            for t, s in directed])
-        self.d2 = np.array([strengths.pair(t, s) ** 2 for t, s in directed])
-        seg = []
-        feed = []
-        for f, (u, _) in enumerate(directed):
-            for g, (_, w) in enumerate(directed):
-                if w == u and g != (f ^ 1):
-                    seg.append(f)
-                    feed.append(g)
-        self.term_seg = np.array(seg, dtype=int)
-        self.term_feed = np.array(feed, dtype=int)
+    def node_bounds(self, strength: np.ndarray, z) -> np.ndarray:
+        """Assemble per-node bounds: each incoming edge contributes the
+        squared contraction at its own eps. Values below 1e-9 collapse to
+        exactly 0."""
+        t = np.exp(-z) if np.ndim(z) else np.full(self.n_dir, math.exp(-z))
+        contrib = 2.0 * (np.log(strength + t) - np.log1p(strength * t))
+        # astype: bincount over no edges returns integers.
+        out = np.bincount(self.dst, weights=contrib,
+                          minlength=self.num_nodes).astype(float, copy=False)
+        out[out < _ZERO_EPS] = 0.0
+        return out
 
 
 class _Recursion:
-    def __init__(self, terms: _EdgeTerms, coeff: float, strength: np.ndarray):
+    """One error recursion over the relation: the doubled-log form in
+    d*d_star, or (improved) the single-log form in squared edge strength."""
+
+    def __init__(self, terms: _EdgeTerms, improved: bool):
         self.n = terms.n_dir
-        self.seg = terms.term_seg
-        self.feed = terms.term_feed
-        self.coeff = coeff
-        self.v = strength[self.feed] if self.feed.size else np.empty(0)
+        self.seg = terms.seg
+        self.feed = terms.feed
+        self.coeff, strength = (1.0, terms.d2) if improved else (2.0, terms.dd)
+        self.v = strength[self.feed]
 
     def sums_scalar(self, z: float) -> np.ndarray:
         t = math.exp(-z)
@@ -120,7 +123,7 @@ class _Recursion:
         return np.bincount(self.seg, weights=vals, minlength=self.n)
 
     def sums_vector(self, z: np.ndarray) -> np.ndarray:
-        t = np.exp(-z[self.feed]) if self.feed.size else np.empty(0)
+        t = np.exp(-z[self.feed])
         vals = self.coeff * (np.log(self.v + t) - np.log1p(self.v * t))
         return np.bincount(self.seg, weights=vals, minlength=self.n)
 
@@ -168,6 +171,8 @@ def _solve_nonuniform(rec: _Recursion, n: Optional[int]) -> np.ndarray:
     non-increasing componentwise.
     """
     z = rec.saturated()
+    if rec.n == 0:
+        return z
     if n is None:
         for _ in range(_MAX_SOLVE):
             znew = rec.sums_vector(z)
@@ -183,54 +188,31 @@ def _solve_nonuniform(rec: _Recursion, n: Optional[int]) -> np.ndarray:
     return z
 
 
-def _node_bounds(model: PairwiseMRF, terms: _EdgeTerms, strength: np.ndarray,
-                 z) -> np.ndarray:
-    """Assemble per-node bounds: each incoming edge contributes the squared
-    contraction at its own eps. Values below 1e-9 collapse to exactly 0."""
-    t = np.exp(-z) if np.ndim(z) else np.full(terms.n_dir, math.exp(-z))
-    contrib = 2.0 * (np.log(strength + t) - np.log1p(strength * t))
-    out = np.bincount(terms.dst, weights=contrib, minlength=model.num_nodes)
-    out[out < _ZERO_EPS] = 0.0
-    return out
-
-
-def _prepared(model, strengths):
-    if strengths is None:
-        strengths = compute_strengths(model)
-    return strengths, _EdgeTerms(model, strengths)
-
-
 # -- node-level bounds -----------------------------------------------------
 
 
 def uniform_distance_bound(model: PairwiseMRF, strengths=None):
     """Per-node log-distance bound from the doubled-log recursion with the
     combined strength d*d_star. Returns (bounds, eps_star)."""
-    if model.num_directed == 0:
-        return np.zeros(model.num_nodes), 1.0
-    strengths, terms = _prepared(model, strengths)
-    z = _solve_uniform(_Recursion(terms, 2.0, terms.dd))
-    return _node_bounds(model, terms, terms.dd, z), math.exp(z)
+    terms = _EdgeTerms(model, strengths)
+    z = _solve_uniform(_Recursion(terms, improved=False))
+    return terms.node_bounds(terms.dd, z), math.exp(z)
 
 
 def improved_uniform_distance_bound(model: PairwiseMRF, strengths=None):
     """Same node assembly, but eps_star comes from the single-log recursion
     in squared edge strength, which has a higher zero threshold."""
-    if model.num_directed == 0:
-        return np.zeros(model.num_nodes), 1.0
-    strengths, terms = _prepared(model, strengths)
-    z = _solve_uniform(_Recursion(terms, 1.0, terms.d2))
-    return _node_bounds(model, terms, terms.dd, z), math.exp(z)
+    terms = _EdgeTerms(model, strengths)
+    z = _solve_uniform(_Recursion(terms, improved=True))
+    return terms.node_bounds(terms.dd, z), math.exp(z)
 
 
 def ihler_uniform_distance_bound(model: PairwiseMRF, strengths=None):
     """Dynamic-range recursion end to end: the single-log eps fixed point
     assembled with the squared edge strength."""
-    if model.num_directed == 0:
-        return np.zeros(model.num_nodes), 1.0
-    strengths, terms = _prepared(model, strengths)
-    z = _solve_uniform(_Recursion(terms, 1.0, terms.d2))
-    return _node_bounds(model, terms, terms.d2, z), math.exp(z)
+    terms = _EdgeTerms(model, strengths)
+    z = _solve_uniform(_Recursion(terms, improved=True))
+    return terms.node_bounds(terms.d2, z), math.exp(z)
 
 
 def nonuniform_distance_bound(model: PairwiseMRF, strengths=None,
@@ -242,24 +224,16 @@ def nonuniform_distance_bound(model: PairwiseMRF, strengths=None,
     recursion to the single-log squared-strength form. Returns
     (bounds, per-directed-edge eps array).
     """
-    if model.num_directed == 0:
-        return np.zeros(model.num_nodes), np.empty(0)
-    strengths, terms = _prepared(model, strengths)
-    if improved:
-        rec = _Recursion(terms, 1.0, terms.d2)
-    else:
-        rec = _Recursion(terms, 2.0, terms.dd)
-    z = _solve_nonuniform(rec, n)
-    return _node_bounds(model, terms, terms.dd, z), np.exp(z)
+    terms = _EdgeTerms(model, strengths)
+    z = _solve_nonuniform(_Recursion(terms, improved), n)
+    return terms.node_bounds(terms.dd, z), np.exp(z)
 
 
 def ihler_nonuniform_distance_bound(model: PairwiseMRF, strengths=None,
                                     n: Optional[int] = None):
-    if model.num_directed == 0:
-        return np.zeros(model.num_nodes), np.empty(0)
-    strengths, terms = _prepared(model, strengths)
-    z = _solve_nonuniform(_Recursion(terms, 1.0, terms.d2), n)
-    return _node_bounds(model, terms, terms.d2, z), np.exp(z)
+    terms = _EdgeTerms(model, strengths)
+    z = _solve_nonuniform(_Recursion(terms, improved=True), n)
+    return terms.node_bounds(terms.d2, z), np.exp(z)
 
 
 # -- empirical distance ----------------------------------------------------

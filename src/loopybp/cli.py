@@ -66,6 +66,11 @@ def _parse_float(text: str) -> float:
         raise UsageError(f"not a number: {text!r}") from None
 
 
+def _at_least(value, low, flag):
+    if value is not None and value < low:
+        raise UsageError(f"{flag} must be at least {low}")
+
+
 def _load_topology(args):
     if args.graph is not None and args.generate is not None:
         raise UsageError("give either --graph or --generate, not both")
@@ -111,6 +116,9 @@ def _parse_methods(spec: str) -> list:
 
 def cmd_bounds(args) -> int:
     methods = _parse_methods(args.methods)
+    _at_least(args.nudb_iters, 1, "--nudb-iters")
+    if "true_distance" in methods:
+        _at_least(args.true_runs, 2, "--true-runs")
     topo = _load_topology(args)
     if args.eta is not None:
         etas = _parse_eta_range(args.eta)
@@ -153,6 +161,7 @@ def _fmt_witness(witness) -> str:
 
 
 def cmd_converge(args) -> int:
+    _at_least(args.depth, 1, "--depth")
     model = _load_model(args)
     conditions = args.condition or list(CONDITION_NAMES)
     strengths = compute_strengths(model)
@@ -171,6 +180,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_run(args) -> int:
+    _at_least(args.max_iters, 1, "--max-iters")
     model = _load_model(args)
     if args.schedule == "sync":
         result = run_synchronous(model, init=args.init,

@@ -422,12 +422,11 @@ def run_residual_scheduled(model: PairwiseMRF, max_updates=20000, tol=1e-9,
     else:
         raise ValueError(f"unknown init {init!r}")
 
-    dd = np.array([strengths.directed_product(t, s) for t, s in directed])
-    dependents = [[] for _ in range(n_dir)]
-    for e, (_, s) in enumerate(directed):
-        for f, (t2, _) in enumerate(directed):
-            if t2 == s and f != (e ^ 1):
-                dependents[e].append(f)
+    dd, _ = strengths.directed_arrays()
+    seg, feed = model.non_backtracking_pairs()
+    dependents = [[] for _ in range(n_dir)]  # dependents[e]: edges e feeds
+    for f, e in zip(seg.tolist(), feed.tolist()):
+        dependents[e].append(f)
 
     total = 0
     for e in range(n_dir):

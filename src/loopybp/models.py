@@ -145,6 +145,32 @@ class PairwiseMRF:
             raise ModelError(f"no edge between {src} and {dst}") from None
         return 2 * m if src == lo else 2 * m + 1
 
+    def non_backtracking_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Hashimoto's non-backtracking relation over directed edges.
+
+        Directed edge g = (v -> u) feeds f = (u -> t) when v != t. Returns
+        index arrays (seg, feed), one entry per pair with feed[i] feeding
+        seg[i], sorted by (seg, feed). Weighted by edge strength this is the
+        interaction matrix of Mooij & Kappen, "Sufficient conditions for
+        convergence of the sum-product algorithm" (IEEE Trans. IT 2007).
+        Built in O(sum of squared degrees).
+        """
+        ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        src = ends.ravel()
+        dst = ends[:, ::-1].ravel()
+        # Edges entering each node, in index order (stable sort).
+        entering = np.argsort(dst, kind="stable")
+        count = np.bincount(dst, minlength=self.num_nodes)
+        first = np.cumsum(count) - count
+        # Row f lists every edge entering src[f]; then f's reverse is dropped.
+        width = count[src]
+        seg = np.repeat(np.arange(self.num_directed), width)
+        offset = np.arange(seg.size) - np.repeat(np.cumsum(width) - width,
+                                                 width)
+        feed = entering[first[src[seg]] + offset]
+        keep = feed != (seg ^ 1)
+        return seg[keep], feed[keep]
+
     def edge_matrix(self, t, s) -> np.ndarray:
         """Edge potential with rows indexed by states of t, columns by s."""
         lo, hi = min(t, s), max(t, s)
@@ -266,10 +292,6 @@ class StrengthTable:
         np.maximum(self.d_star_row, 1.0, out=self.d_star_row)
         np.maximum(self.d_star_col, 1.0, out=self.d_star_col)
 
-    @classmethod
-    def from_model(cls, model: PairwiseMRF) -> "StrengthTable":
-        return cls(model)
-
     def _edge(self, i, j) -> int:
         key = (min(i, j), max(i, j))
         try:
@@ -291,6 +313,14 @@ class StrengthTable:
 
     def weight(self, i, j) -> float:
         return float(self.n_strength[self._edge(i, j)])
+
+    def directed_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``directed_product`` and ``pair ** 2`` for every directed edge, in
+        ``model.directed_edges()`` order."""
+        star = np.column_stack((self.d_star_row, self.d_star_col)).ravel()
+        # Python's float power, bit-equal to pair(t, s) ** 2; d * d is not.
+        squared = [d ** 2 for d in self.d_pair.tolist()]
+        return np.repeat(self.d_pair, 2) * star, np.repeat(squared, 2)
 
 
 def compute_strengths(model: PairwiseMRF) -> StrengthTable:

@@ -116,6 +116,32 @@ def update_once(cards, node_pots, edge_mats, adjacency, messages, t, s):
     return [x / z for x in out]
 
 
+def non_backtracking_pairs(directed):
+    """Every pair (f, g) of directed-edge indices where g = (v, u) feeds
+    f = (u, t) with v != t, by a double loop over all pairs of edges.
+
+    directed: list of (src, dst) tuples, one per directed edge.
+    """
+    pairs = []
+    for f, (u, t) in enumerate(directed):
+        for g, (v, w) in enumerate(directed):
+            if w == u and v != t:
+                pairs.append((f, g))
+    return pairs
+
+
+def interaction_matrix(directed, weight):
+    """Nested-list matrix: row (i, j) holds weight(p, i) in column (p, i) for
+    every p adjacent to i except j."""
+    n = len(directed)
+    mat = [[0.0] * n for _ in range(n)]
+    for f, (i, j) in enumerate(directed):
+        for g, (p, q) in enumerate(directed):
+            if q == i and p != j:
+                mat[f][g] = weight(p, i)
+    return mat
+
+
 def count_saw_walks(adjacency, root):
     """Number of self-avoiding walks from root, counting the empty walk."""
 

@@ -190,6 +190,19 @@ def test_usage_errors_exit_two(capsys):
     assert main(["fixed-points", "--eta", "0.7"]) == 2
     assert main(["fixed-points", "--eta", "0.7", "--degree", "4", "--k", "3"]) == 2
     capsys.readouterr()
+    for argv in (
+            ["run", "--generate", "complete:4", "--eta", "0.6",
+             "--max-iters", "0"],
+            ["converge", "--generate", "torus:3x3", "--eta", "0.6",
+             "--depth", "0"],
+            ["bounds", "--generate", "complete:4", "--eta", "0.6",
+             "--nudb-iters", "0"],
+            ["bounds", "--generate", "complete:4", "--eta", "0.6",
+             "--methods", "true,udb", "--true-runs", "1"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error:"), argv
 
 
 def test_argparse_rejects_unknown_condition():

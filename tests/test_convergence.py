@@ -6,6 +6,7 @@ import pytest
 import oracles
 from loopybp import (
     PairwiseMRF,
+    build_generator,
     chain_graph,
     complete_graph,
     compute_strengths,
@@ -17,7 +18,9 @@ from loopybp import (
     interaction_matrix,
     k4_minus_edge,
     nonuniform_condition,
+    parse_graph_file,
     partial_graph_ordering_check,
+    random_tree,
     rate_metric,
     spectral_radius,
     torus_graph,
@@ -132,6 +135,57 @@ def test_interaction_matrix_structure():
     assert np.allclose(im.matrix.sum(axis=1), 3 * w, atol=1e-12)
     rho = spectral_radius(im.matrix)
     assert rho == pytest.approx(3 * w, abs=1e-9)
+
+
+def _mixed_card_graph_file(path):
+    # Cardinalities 2 to 4, asymmetric potentials, one edge given hi-lo.
+    rng = np.random.default_rng(7)
+    cards = [2, 3, 2, 4, 3]
+    lines = ["nodes 5", "card 1 3", "card 3 4", "card 4 3"]
+    for i, j in ((0, 1), (1, 2), (3, 2), (3, 4), (4, 0), (1, 3)):
+        vals = rng.uniform(0.2, 3.0, size=cards[i] * cards[j])
+        lines.append(f"edge {i} {j} " + " ".join(f"{v:.6f}" for v in vals))
+    path.write_text("\n".join(lines) + "\n")
+    return parse_graph_file(path)
+
+
+def _shuffled_reversed_torus():
+    # Edges listed in shuffled order, each as (hi, lo), with random
+    # potentials so that the weights differ per edge.
+    rng = np.random.default_rng(3)
+    edges = [(j, i) for i, j in torus_graph(4, 4, 0.6).edges]
+    edges = [edges[k] for k in rng.permutation(len(edges))]
+    pots = {e: rng.uniform(0.2, 3.0, size=(2, 2)) for e in edges}
+    return PairwiseMRF(16, edges, edge_potentials=pots)
+
+
+@pytest.mark.parametrize("kind", ["complete:4", "k4minus", "grid:3x3",
+                                  "torus:3x3", "tree", "mixed-card-file",
+                                  "shuffled-reversed"])
+def test_non_backtracking_relation_matches_double_loop(kind, tmp_path):
+    if kind == "tree":
+        m = random_tree(9, 0.7, seed=2)
+    elif kind == "mixed-card-file":
+        m = _mixed_card_graph_file(tmp_path / "mixed.graph")
+    elif kind == "shuffled-reversed":
+        m = _shuffled_reversed_torus()
+    else:
+        m = build_generator(kind, 0.7)
+    directed = [tuple(e) for e in m.directed_edges()]
+    pairs = oracles.non_backtracking_pairs(directed)
+    seg, feed = m.non_backtracking_pairs()
+    assert list(zip(seg.tolist(), feed.tolist())) == pairs
+    st = compute_strengths(m)
+    expected = oracles.interaction_matrix(directed, st.weight)
+    assert np.array_equal(interaction_matrix(m, st).matrix, np.array(expected))
+    # The uniform certificate sums over the same relation.
+    sums = [0.0] * len(directed)
+    for f, g in pairs:
+        dd = st.directed_product(*directed[g])
+        sums[f] += (dd - 1.0) / (dd + 1.0)
+    verdict = uniform_condition(st)
+    assert verdict.statistic == pytest.approx(max(sums), rel=1e-14)
+    assert verdict.witness == directed[sums.index(max(sums))]
 
 
 def test_interaction_matrix_tree_radius_is_conservative():

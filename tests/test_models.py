@@ -157,6 +157,20 @@ def test_strength_table_directed_views():
         table.pair(0, 99)
 
 
+def test_strength_table_directed_arrays_match_scalar_views():
+    # Asymmetric potentials, mixed cardinality, one edge given hi-lo.
+    rng = np.random.default_rng(5)
+    cards = [2, 3, 4, 2]
+    edges = [(0, 1), (2, 1), (2, 3), (3, 0)]
+    pots = {(i, j): rng.uniform(0.2, 3.0, size=(cards[i], cards[j]))
+            for i, j in edges}
+    table = compute_strengths(PairwiseMRF(4, edges, cards, edge_potentials=pots))
+    dd, d2 = table.directed_arrays()
+    directed = table.model.directed_edges()
+    assert dd.tolist() == [table.directed_product(t, s) for t, s in directed]
+    assert d2.tolist() == [table.pair(t, s) ** 2 for t, s in directed]
+
+
 def test_graph_text_roundtrip():
     m = PairwiseMRF(3, [(0, 1), (1, 2)], cardinality=[2, 3, 2],
                     node_potentials=[[1.0, 2.0], [0.5, 1.0, 1.5], [1.0, 1.0]],
