@@ -181,6 +181,7 @@ def cmd_converge(args) -> int:
 
 def cmd_run(args) -> int:
     _at_least(args.max_iters, 1, "--max-iters")
+    _at_least(args.max_updates, 1, "--max-updates")
     model = _load_model(args)
     if args.schedule == "sync":
         result = run_synchronous(model, init=args.init,

@@ -2,9 +2,13 @@
 
 Synchronous sweeps run all directed edges against a snapshot of the previous
 iteration; the residual scheduler recomputes one message at a time, ordered by
-a contraction bound on how much each pending message can still move. Both
-share the message layout below, which pads mixed cardinalities to a common
-width so a whole batch of runs can be advanced with a few array operations.
+a contraction bound on how much each pending message can still move.
+
+Synchronous runs, restart batches and the multi-start probe go through one
+batch kernel. Its layout pads mixed cardinalities to a common width and
+gathers each node's incoming messages through a padded in-edge table, so a
+sweep over a whole batch of runs costs a few dozen array operations whatever
+the graph's size.
 """
 
 from __future__ import annotations
@@ -121,6 +125,16 @@ class ScheduleTrace:
 
 
 class _Layout:
+    """A model in the padded log-space form the batch kernel works on.
+
+    A batch of runs holds its messages in one (runs, n_dir, kmax) array.
+    State slots past an edge target's cardinality hold ``_NEG``, so a run's
+    padded slots never change. ``in_edges[v]`` lists the directed edges into
+    node v in ascending order, padded with the index n_dir of an all-zero
+    slot; a node's log-product of incoming messages is then the sum of its
+    gathered rows, added in that order.
+    """
+
     def __init__(self, model: PairwiseMRF):
         self.model = model
         directed = model.directed_edges()
@@ -132,16 +146,19 @@ class _Layout:
         self.dst = np.array([e.dst for e in directed], dtype=int)
         self.rev = np.arange(n_dir) ^ 1  # canonical order pairs 2m, 2m+1
 
-        self.combined = np.full((n_dir, kmax, kmax), _NEG)
+        combined = np.full((n_dir, kmax, kmax), _NEG)
         for e, (t, s) in enumerate(directed):
             mat = model.edge_matrix(t, s)
             kt, ks = model.cards[t], model.cards[s]
-            self.combined[e, :kt, :ks] = (np.log(mat)
-                                          + np.log(model.node_pot[t])[:, None])
+            combined[e, :kt, :ks] = (np.log(mat)
+                                     + np.log(model.node_pot[t])[:, None])
+        # sender_rows[i][e]: log weight of sender state i over e's target states
+        self.sender_rows = [combined[:, i, :].copy() for i in range(kmax)]
 
         self.mask = np.zeros((n_dir, kmax), dtype=bool)
         for e in range(n_dir):
             self.mask[e, :model.cards[self.dst[e]]] = True
+        self.padded = not bool(self.mask.all())
 
         self.node_mask = np.zeros((model.num_nodes, kmax), dtype=bool)
         self.log_node = np.full((model.num_nodes, kmax), _NEG)
@@ -149,8 +166,13 @@ class _Layout:
             self.node_mask[v, :model.cards[v]] = True
             self.log_node[v, :model.cards[v]] = np.log(model.node_pot[v])
 
-        self.incidence = np.zeros((model.num_nodes, n_dir))
-        self.incidence[self.dst, np.arange(n_dir)] = 1.0
+        degree = np.bincount(self.dst, minlength=model.num_nodes)
+        order = np.argsort(self.dst, kind="stable")
+        slot = np.arange(n_dir) - (np.cumsum(degree) - degree)[self.dst[order]]
+        width = max(int(degree.max(initial=0)), 1)
+        self.in_edges = np.full((model.num_nodes, width), n_dir)
+        self.in_edges[self.dst[order], slot] = order
+        self.in_padded = bool((degree < width).any())
 
 
 def _uniform_logm(layout: _Layout, runs: int) -> np.ndarray:
@@ -187,21 +209,54 @@ def _logm_from_messages(layout: _Layout, messages: MessageSet) -> np.ndarray:
     return logm
 
 
+def _node_sums(layout: _Layout, logm: np.ndarray) -> np.ndarray:
+    """(runs, V, kmax) sums of each node's incoming log-messages."""
+    if layout.in_padded:
+        zero = np.zeros((logm.shape[0], 1, layout.kmax))
+        logm = np.concatenate((logm, zero), axis=1)
+    cols = layout.in_edges.T
+    total = logm[:, cols[0]]
+    for col in cols[1:]:
+        total += logm[:, col]
+    return total
+
+
 def _sweep_batch(layout: _Layout, logm: np.ndarray) -> np.ndarray:
-    """One synchronous update of every directed edge, for a whole batch."""
-    at_node = np.einsum("ve,rek->rvk", layout.incidence, logm)
-    excl = at_node[:, layout.src, :] - logm[:, layout.rev, :]
-    stacked = layout.combined[None] + excl[:, :, :, None]
-    peak = stacked.max(axis=2)
-    new = peak + np.log(np.exp(stacked - peak[:, :, None, :]).sum(axis=2))
-    new = np.where(layout.mask[None], new, _NEG)
-    peak = new.max(axis=2, keepdims=True)
-    norm = peak + np.log(np.exp(new - peak).sum(axis=2, keepdims=True))
-    return np.where(layout.mask[None], new - norm, _NEG)
+    """One synchronous update of every directed edge, for a whole batch.
+
+    The reductions over sender and target states are written out one state
+    at a time: on arrays this small a ufunc call costs far less than a
+    numpy reduction over one axis of a 3-D or 4-D array. The sums add states
+    in ascending order, which is also numpy's order below eight states.
+    """
+    at_node = _node_sums(layout, logm)
+    excl = at_node[:, layout.src] - logm[:, layout.rev]
+    terms = [row[None] + excl[:, :, i, None]
+             for i, row in enumerate(layout.sender_rows)]
+    peak = terms[0]
+    for term in terms[1:]:
+        peak = np.maximum(peak, term)
+    total = np.exp(terms[0] - peak)
+    for term in terms[1:]:
+        total += np.exp(term - peak)
+    new = peak + np.log(total)
+    if layout.padded:
+        new = np.where(layout.mask[None], new, _NEG)
+    peak = new[:, :, 0]
+    for j in range(1, layout.kmax):
+        peak = np.maximum(peak, new[:, :, j])
+    scaled = np.exp(new - peak[:, :, None])
+    total = scaled[:, :, 0]
+    for j in range(1, layout.kmax):
+        total = total + scaled[:, :, j]
+    new -= (peak + np.log(total))[:, :, None]
+    if layout.padded:
+        new = np.where(layout.mask[None], new, _NEG)
+    return new
 
 
 def _beliefs_batch(layout: _Layout, logm: np.ndarray) -> np.ndarray:
-    at_node = np.einsum("ve,rek->rvk", layout.incidence, logm)
+    at_node = _node_sums(layout, logm)
     logb = np.where(layout.node_mask[None], at_node + layout.log_node[None], _NEG)
     peak = logb.max(axis=2, keepdims=True)
     probs = np.exp(logb - peak)
@@ -216,7 +271,8 @@ def _run_batch(layout: _Layout, logm0: np.ndarray, max_iters: int, tol: float,
     Convergence compares against the previous iterate, oscillation against
     the one before that; the smaller lag wins when both match. Each run's
     message state is snapshotted at its own detection point while the rest
-    of the batch keeps going.
+    of the batch keeps going. ``changes[r]`` holds run r's largest change per
+    sweep, one entry per iteration it ran.
 
     Callers that only care whether a run settles (the multi-start agreement
     probe, fixed-point collection) pass ``detect_oscillation=False``: on
@@ -228,38 +284,36 @@ def _run_batch(layout: _Layout, logm0: np.ndarray, max_iters: int, tol: float,
     status = np.zeros(runs, dtype=int)  # 0 running, 1 converged, 2 oscillating, 3 budget
     iters = np.zeros(runs, dtype=int)
     snap = logm0.copy()
-    changes: list[list[float]] = [[] for _ in range(runs)]
-    mask3 = layout.mask[None]
+    rows = []  # rows[it - 1]: every run's largest change at sweep it
 
+    # Padded slots hold _NEG in every iterate, so their differences are 0
+    # and need no mask in the change statistics.
     prev2 = None
     cur = logm0
     for it in range(1, max_iters + 1):
         new = _sweep_batch(layout, cur)
-        d1 = np.where(mask3, np.abs(new - cur), 0.0).max(axis=(1, 2))
-        if prev2 is None or not detect_oscillation:
-            d2 = np.full(runs, np.inf)
-        else:
-            d2 = np.where(mask3, np.abs(new - prev2), 0.0).max(axis=(1, 2))
-        active = status == 0
-        for r in np.nonzero(active)[0]:
-            changes[r].append(float(d1[r]))
-        done_conv = active & (d1 < tol)
-        done_osc = active & ~done_conv & (d2 < tol)
-        for r in np.nonzero(done_conv | done_osc)[0]:
-            snap[r] = new[r]
-            iters[r] = it
-        status[done_conv] = 1
-        status[done_osc] = 2
+        d1 = np.abs(new - cur).reshape(runs, -1).max(axis=1)
+        rows.append(d1)
+        outcome = np.where(d1 < tol, 1, 0)
+        if prev2 is not None and detect_oscillation:
+            d2 = np.abs(new - prev2).reshape(runs, -1).max(axis=1)
+            outcome[(outcome == 0) & (d2 < tol)] = 2
+        done = (status == 0) & (outcome != 0)
+        if done.any():
+            status[done] = outcome[done]
+            iters[done] = it
+            snap[done] = new[done]
+            if status.all():
+                break
         prev2 = cur
         cur = new
-        if not np.any(status == 0):
-            break
 
     leftover = status == 0
     status[leftover] = 3
     iters[leftover] = max_iters
-    for r in np.nonzero(leftover)[0]:
-        snap[r] = cur[r]
+    snap[leftover] = cur[leftover]
+    table = np.array(rows)
+    changes = [table[:iters[r], r] for r in range(runs)]
     return status, iters, snap, changes
 
 
@@ -402,10 +456,13 @@ def run_residual_scheduled(model: PairwiseMRF, max_updates=20000, tol=1e-9,
     the edges it influences. Stops when the top priority falls below ``tol``
     (status ``converged``; every pending message is certified to move less
     than that) or when the update budget, which includes the initial sweep,
-    is exhausted (status ``max_iters``).
+    is exhausted (status ``max_iters``). A budget smaller than the initial
+    sweep cuts that sweep short.
 
     Returns (RunResult, ScheduleTrace).
     """
+    if max_updates < 1:
+        raise ValueError("max_updates must be at least 1")
     if model.num_directed == 0:
         return _trivial_result(model), ScheduleTrace([], 0)
     if strengths is None:
@@ -428,10 +485,9 @@ def run_residual_scheduled(model: PairwiseMRF, max_updates=20000, tol=1e-9,
     for f, e in zip(seg.tolist(), feed.tolist()):
         dependents[e].append(f)
 
-    total = 0
-    for e in range(n_dir):
+    total = min(n_dir, max_updates)
+    for e in range(total):
         msgs.vectors[e] = update_message(model, msgs, directed[e])
-        total += 1
 
     acc = np.full(n_dir, np.inf)
     prio = 2.0 * np.log(dd)
@@ -457,7 +513,7 @@ def run_residual_scheduled(model: PairwiseMRF, max_updates=20000, tol=1e-9,
             acc[f] += realized
             prio[f] = _log_contraction(dd[f], acc[f])
     else:
-        if float(prio.max()) < tol:
+        if total >= n_dir and float(prio.max()) < tol:
             status = "converged"
 
     result = RunResult(status, None, total, msgs, np.array(changes),

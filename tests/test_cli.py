@@ -59,6 +59,14 @@ def test_run_residual_trace(tmp_path, capsys):
     assert len(lines) > 1
 
 
+def test_run_residual_budget_counts_initial_sweep(capsys):
+    # cycle:5 has 10 directed edges; a budget of 3 stops the initial sweep.
+    code, out = run_cli(capsys, "run", "--generate", "cycle:5", "--eta", "0.6",
+                        "--schedule", "residual", "--max-updates", "3")
+    assert code == 0
+    assert out.splitlines()[1] == "max_iters,3,"
+
+
 def test_trace_requires_residual_schedule(capsys):
     code = main(["run", "--generate", "complete:4", "--eta", "0.6",
                  "--trace", "unused.csv"])
@@ -193,6 +201,8 @@ def test_usage_errors_exit_two(capsys):
     for argv in (
             ["run", "--generate", "complete:4", "--eta", "0.6",
              "--max-iters", "0"],
+            ["run", "--generate", "cycle:5", "--eta", "0.6",
+             "--schedule", "residual", "--max-updates", "0"],
             ["converge", "--generate", "torus:3x3", "--eta", "0.6",
              "--depth", "0"],
             ["bounds", "--generate", "complete:4", "--eta", "0.6",

@@ -5,13 +5,16 @@ import oracles
 from loopybp import (
     MessageSet,
     PairwiseMRF,
+    build_generator,
     chain_graph,
     complete_graph,
     compute_beliefs,
     compute_pairwise_beliefs,
     compute_strengths,
+    cycle_graph,
     empirical_convergent,
     grid_graph,
+    parse_graph_text,
     residual_priority,
     run_residual_scheduled,
     run_synchronous,
@@ -20,6 +23,8 @@ from loopybp import (
     update_message,
     with_uniform_binary,
 )
+from loopybp.engine import (_NEG, _beliefs_batch, _Layout, _random_logm,
+                            _run_batch, _sweep_batch)
 
 # Paramagnetic-regime fixed point of the 4-regular torus at eta=0.7,
 # pinned by one-dimensional root finding (see test_uniform).
@@ -244,3 +249,153 @@ def test_grid_random_inits_share_one_point_below_threshold():
     for r in runs[1:]:
         for v in range(9):
             assert np.allclose(r.beliefs[v], base[v], atol=1e-8)
+
+
+def test_residual_budget_includes_initial_sweep():
+    m = cycle_graph(5, 0.6)
+    result, trace = run_residual_scheduled(m, max_updates=3)
+    assert result.status == "max_iters"
+    assert result.iterations == 3
+    assert trace.total_updates == 3 and trace.entries == []
+    with pytest.raises(ValueError):
+        run_residual_scheduled(m, max_updates=0)
+
+
+# -- the batch kernel against the dense incidence form it replaced ---------
+
+
+def _incidence(layout):
+    inc = np.zeros((layout.model.num_nodes, layout.n_dir))
+    inc[layout.dst, np.arange(layout.n_dir)] = 1.0
+    return inc
+
+
+def dense_sweep(layout, logm):
+    at_node = np.einsum("ve,rek->rvk", _incidence(layout), logm)
+    excl = at_node[:, layout.src, :] - logm[:, layout.rev, :]
+    combined = np.stack(layout.sender_rows, axis=1)
+    stacked = combined[None] + excl[:, :, :, None]
+    peak = stacked.max(axis=2)
+    new = peak + np.log(np.exp(stacked - peak[:, :, None, :]).sum(axis=2))
+    new = np.where(layout.mask[None], new, _NEG)
+    peak = new.max(axis=2, keepdims=True)
+    norm = peak + np.log(np.exp(new - peak).sum(axis=2, keepdims=True))
+    return np.where(layout.mask[None], new - norm, _NEG)
+
+
+def dense_beliefs(layout, logm):
+    at_node = np.einsum("ve,rek->rvk", _incidence(layout), logm)
+    logb = np.where(layout.node_mask[None], at_node + layout.log_node[None], _NEG)
+    peak = logb.max(axis=2, keepdims=True)
+    probs = np.exp(logb - peak)
+    probs = np.where(layout.node_mask[None], probs, 0.0)
+    return probs / probs.sum(axis=2, keepdims=True)
+
+
+def looped_run_batch(layout, logm0, max_iters, tol, detect_oscillation=True):
+    runs = logm0.shape[0]
+    status = np.zeros(runs, dtype=int)
+    iters = np.zeros(runs, dtype=int)
+    snap = logm0.copy()
+    changes = [[] for _ in range(runs)]
+    mask3 = layout.mask[None]
+    prev2 = None
+    cur = logm0
+    for it in range(1, max_iters + 1):
+        new = dense_sweep(layout, cur)
+        d1 = np.where(mask3, np.abs(new - cur), 0.0).max(axis=(1, 2))
+        if prev2 is None or not detect_oscillation:
+            d2 = np.full(runs, np.inf)
+        else:
+            d2 = np.where(mask3, np.abs(new - prev2), 0.0).max(axis=(1, 2))
+        active = status == 0
+        for r in np.nonzero(active)[0]:
+            changes[r].append(float(d1[r]))
+        done_conv = active & (d1 < tol)
+        done_osc = active & ~done_conv & (d2 < tol)
+        for r in np.nonzero(done_conv | done_osc)[0]:
+            snap[r] = new[r]
+            iters[r] = it
+        status[done_conv] = 1
+        status[done_osc] = 2
+        prev2 = cur
+        cur = new
+        if not np.any(status == 0):
+            break
+    leftover = status == 0
+    status[leftover] = 3
+    iters[leftover] = max_iters
+    for r in np.nonzero(leftover)[0]:
+        snap[r] = cur[r]
+    return status, iters, snap, changes
+
+
+def _mixed_card_grid(rows=4, cols=4, seed=5):
+    # Asymmetric potentials, about a third of the nodes with three states.
+    rng = np.random.default_rng(seed)
+    n = rows * cols
+    cards = [3 if rng.uniform() < 0.35 else 2 for _ in range(n)]
+    lines = [f"nodes {n}"]
+    lines += [f"card {v} {c}" for v, c in enumerate(cards) if c != 2]
+    lines += ["node {} {}".format(v, " ".join(
+        repr(float(x)) for x in rng.lognormal(0.0, 0.5, size=c)))
+        for v, c in enumerate(cards)]
+    for v in range(n):
+        r, c = divmod(v, cols)
+        for u in ([v + 1] if c + 1 < cols else []) + \
+                 ([v + cols] if r + 1 < rows else []):
+            vals = rng.lognormal(0.0, 0.5, size=cards[v] * cards[u])
+            lines.append(f"edge {v} {u} " + " ".join(repr(float(x)) for x in vals))
+    return parse_graph_text("\n".join(lines) + "\n")
+
+
+def _with_isolated_node():
+    rng = np.random.default_rng(9)
+    edges = [(0, 1), (1, 2), (2, 0), (2, 3)]
+    return PairwiseMRF(5, edges,
+                       node_potentials=rng.uniform(0.3, 2.0, size=(5, 2)),
+                       edge_potentials={e: rng.uniform(0.3, 2.0, size=(2, 2))
+                                        for e in edges})
+
+
+KERNEL_MODELS = {
+    "complete:4": lambda: build_generator("complete:4", 0.7),
+    "k4minus": lambda: build_generator("k4minus", 0.7),
+    "grid:3x3": lambda: build_generator("grid:3x3", 0.7),
+    "torus:3x3": lambda: build_generator("torus:3x3", 0.7),
+    "mixed-card": _mixed_card_grid,
+    "isolated-node": _with_isolated_node,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_MODELS))
+def test_sweep_and_beliefs_match_dense_kernel(kind):
+    m = KERNEL_MODELS[kind]()
+    layout = _Layout(m)
+    if kind == "mixed-card":
+        assert layout.kmax == 3 and layout.padded
+    logm = _random_logm(layout, range(4))
+    ref = logm.copy()
+    for _ in range(300):
+        logm = _sweep_batch(layout, logm)
+        ref = dense_sweep(layout, ref)
+        assert np.array_equal(logm, ref)
+        assert np.array_equal(_beliefs_batch(layout, logm),
+                              dense_beliefs(layout, ref))
+
+
+@pytest.mark.parametrize("kind, eta, detect, budget, outcome", [
+    ("grid:3x3", 0.6, True, 400, 1), ("mixed-card", None, False, 400, 1),
+    ("torus:3x3", 0.3, True, 400, 2), ("complete:4", 0.9, True, 3, 3)])
+def test_run_batch_matches_looped_bookkeeping(kind, eta, detect, budget,
+                                              outcome):
+    m = build_generator(kind, eta) if eta is not None else _mixed_card_grid()
+    layout = _Layout(m)
+    logm0 = _random_logm(layout, range(6))
+    got = _run_batch(layout, logm0, budget, 1e-10, detect_oscillation=detect)
+    want = looped_run_batch(layout, logm0, budget, 1e-10, detect)
+    assert np.all(want[0] == outcome)
+    for a, b in zip(got[:3], want[:3]):
+        assert np.array_equal(a, b)
+    for a, b in zip(got[3], want[3]):
+        assert np.array_equal(a, np.array(b))
