@@ -4,7 +4,8 @@ Subcommands wrap the library modules: ``bounds`` sweeps distance bounds to
 CSV, ``converge`` evaluates certificates and critical values, ``run``
 executes a single message-passing run, ``fixed-points`` and ``accuracy``
 print the scalar dynamics and interval tables. Exit codes: 0 success, 2
-usage problems, 3 graph file problems, 4 enumeration or convergence budget
+usage problems, 3 graph file or model problems (including potentials the
+strength measures cannot represent), 4 enumeration or convergence budget
 failures.
 """
 
@@ -18,8 +19,8 @@ from .accuracy import (ConvergenceFailure, EnumerationLimitError,
 from .bounds import BOUND_KEYS, bound_report
 from .convergence import CONDITION_NAMES, critical_eta, evaluate_condition
 from .engine import run_residual_scheduled, run_synchronous
-from .models import (GraphFormatError, build_generator, compute_strengths,
-                     parse_graph_file, with_uniform_binary)
+from .models import (GraphFormatError, ModelError, build_generator,
+                     compute_strengths, parse_graph_file, with_uniform_binary)
 from .uniform import fixed_points, uniform_belief
 
 
@@ -330,7 +331,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except GraphFormatError as exc:
+    except (GraphFormatError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -9,10 +9,21 @@ batch kernel. Its layout pads mixed cardinalities to a common width and
 gathers each node's incoming messages through a padded in-edge table, so a
 sweep over a whole batch of runs costs a few dozen array operations whatever
 the graph's size.
+
+The residual scheduler does not use that kernel: the kernel normalizes in
+log space, while a scheduled update must be ``update_message``'s
+linear-space arithmetic so that its pop log does not depend on the route.
+It builds per-edge tables once (log base matrices, in-edge lists, the logs
+of the stored messages, dependents with their strengths) and keeps the
+pending edges in a binary heap with lazy invalidation, so a pop costs a few
+small array operations and O(log n) heap work instead of a scan of every
+edge.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,11 +46,9 @@ class MessageSet:
         self.model = model
         if len(vectors) != model.num_directed:
             raise ModelError("wrong number of message vectors")
-        self.vectors = []
-        for e, (_, dst) in enumerate(model.directed_edges()):
-            vec = np.asarray(vectors[e], dtype=float)
-            _check_message(vec, model.cards[dst])
-            self.vectors.append(vec)
+        self.vectors = [np.asarray(v, dtype=float) for v in vectors]
+        _check_messages(self.vectors,
+                        [model.cards[d] for _, d in model.directed_edges()])
 
     @classmethod
     def uniform(cls, model: PairwiseMRF) -> "MessageSet":
@@ -59,7 +68,7 @@ class MessageSet:
 
     def set(self, src, dst, vec) -> None:
         vec = np.asarray(vec, dtype=float)
-        _check_message(vec, self.model.cards[dst])
+        _check_messages([vec], [self.model.cards[dst]])
         self.vectors[self.model.directed_index(src, dst)] = vec
 
     def copy(self) -> "MessageSet":
@@ -73,12 +82,19 @@ class MessageSet:
         return worst
 
 
-def _check_message(vec, card):
-    if vec.shape != (card,):
-        raise ModelError(f"message has length {vec.shape}, expected {card}")
-    if np.any(vec <= 0.0) or not np.all(np.isfinite(vec)):
+def _check_messages(vecs, cards):
+    """Validate message vectors against their target cardinalities: shapes
+    one by one, then the values of all vectors in one flat array."""
+    for vec, card in zip(vecs, cards):
+        if vec.shape != (card,):
+            raise ModelError(f"message has length {vec.shape}, expected {card}")
+    if not vecs:
+        return
+    flat = np.concatenate(vecs)
+    if np.any(flat <= 0.0) or not np.all(np.isfinite(flat)):
         raise ModelError("message entries must be strictly positive")
-    if abs(float(vec.sum()) - 1.0) > 1e-12:
+    starts = np.cumsum(cards) - cards
+    if np.any(np.abs(np.add.reduceat(flat, starts) - 1.0) > 1e-12):
         raise ModelError("message must sum to 1")
 
 
@@ -148,10 +164,8 @@ class _Layout:
 
         combined = np.full((n_dir, kmax, kmax), _NEG)
         for e, (t, s) in enumerate(directed):
-            mat = model.edge_matrix(t, s)
             kt, ks = model.cards[t], model.cards[s]
-            combined[e, :kt, :ks] = (np.log(mat)
-                                     + np.log(model.node_pot[t])[:, None])
+            combined[e, :kt, :ks] = _log_weights(model, t, s)
         # sender_rows[i][e]: log weight of sender state i over e's target states
         self.sender_rows = [combined[:, i, :].copy() for i in range(kmax)]
 
@@ -330,15 +344,25 @@ def update_message(model: PairwiseMRF, messages: MessageSet, edge) -> np.ndarray
     potential, and the product of the sender's other incoming messages.
     """
     t, s = edge
-    logw = (np.log(model.edge_matrix(t, s))
-            + np.log(model.node_pot[t])[:, None])
+    logw = _log_weights(model, t, s)
     for u in model.neighbors(t):
         if u != s:
             logw = logw + np.log(messages.get(u, t))[:, None]
+    return _normalized_message(logw, t, s)
+
+
+def _log_weights(model: PairwiseMRF, t, s) -> np.ndarray:
+    """log psi_ts + log phi_t, rows indexed by the sender t's states."""
+    return np.log(model.edge_matrix(t, s)) + np.log(model.node_pot[t])[:, None]
+
+
+def _normalized_message(logw, t, s) -> np.ndarray:
+    """Sum the (sender states, target states) log weights over the sender
+    and normalize in linear space."""
     peak = logw.max()
     summed = np.exp(logw - peak).sum(axis=0)
     total = summed.sum()
-    if total <= 0.0 or not np.isfinite(total):
+    if total <= 0.0 or not math.isfinite(total):
         raise ModelError(f"message {t}->{s} degenerated during normalization")
     return summed / total
 
@@ -419,15 +443,16 @@ def run_synchronous(model: PairwiseMRF, init="uniform", max_iters=2000,
 # -- residual scheduling ---------------------------------------------------
 
 
-def _log_contraction(dd: float, incoming: float) -> float:
+def _log_contraction(dd, incoming):
     """Log of the squared-ratio cap on an update whose incoming messages have
-    accumulated ``incoming`` of log-scale change since it last ran.
+    accumulated ``incoming`` of log-scale change since it last ran;
+    elementwise over arrays.
 
     Written through exp(-incoming) so that a saturated (infinite) accumulator
     cleanly yields the cap 2*log(dd).
     """
     t = np.exp(-incoming)
-    return float(2.0 * (np.log(dd + t) - np.log1p(dd * t)))
+    return 2.0 * (np.log(dd + t) - np.log1p(dd * t))
 
 
 def residual_priority(strengths: StrengthTable, edge, estimates) -> float:
@@ -441,7 +466,7 @@ def residual_priority(strengths: StrengthTable, edge, estimates) -> float:
         if est < 0.0:
             raise ValueError("estimates must be non-negative")
         total += float(est)
-    return _log_contraction(strengths.directed_product(t, s), total)
+    return float(_log_contraction(strengths.directed_product(t, s), total))
 
 
 def run_residual_scheduled(model: PairwiseMRF, max_updates=20000, tol=1e-9,
@@ -458,6 +483,11 @@ def run_residual_scheduled(model: PairwiseMRF, max_updates=20000, tol=1e-9,
     than that) or when the update budget, which includes the initial sweep,
     is exhausted (status ``max_iters``). A budget smaller than the initial
     sweep cuts that sweep short.
+
+    Every update is ``update_message``'s arithmetic, in the same order, on
+    tables built once. The edges wait in a binary heap keyed (-priority,
+    edge); an entry is live while its key is the edge's current priority,
+    so the top live entry is the highest priority with the lowest index.
 
     Returns (RunResult, ScheduleTrace).
     """
@@ -481,39 +511,68 @@ def run_residual_scheduled(model: PairwiseMRF, max_updates=20000, tol=1e-9,
 
     dd, _ = strengths.directed_arrays()
     seg, feed = model.non_backtracking_pairs()
-    dependents = [[] for _ in range(n_dir)]  # dependents[e]: edges e feeds
-    for f, e in zip(seg.tolist(), feed.tolist()):
-        dependents[e].append(f)
+    ins = [[] for _ in range(n_dir)]  # ins[f]: the edges feeding f
+    deps = [[] for _ in range(n_dir)]  # deps[g]: the edges g feeds
+    for f, g in zip(seg.tolist(), feed.tolist()):
+        ins[f].append(g)
+        deps[g].append(f)
+    for gs in ins:  # update_message adds them in model.neighbors order
+        gs.sort(key=lambda g: directed[g].src)
+    deps_at = [np.array(fs, dtype=np.intp) for fs in deps]
+    dd_deps = [dd[fs] for fs in deps_at]
+    base = [_log_weights(model, t, s) for t, s in directed]
+    vectors = msgs.vectors
+    # logs[e]: log of the stored message e, as a column.
+    logs = [np.log(v)[:, None] for v in vectors]
+
+    def recompute(e):
+        logw = base[e]
+        for g in ins[e]:
+            logw = logw + logs[g]
+        return _normalized_message(logw, *directed[e])
 
     total = min(n_dir, max_updates)
     for e in range(total):
-        msgs.vectors[e] = update_message(model, msgs, directed[e])
+        vectors[e] = recompute(e)
+        logs[e] = np.log(vectors[e])[:, None]
 
     acc = np.full(n_dir, np.inf)
-    prio = 2.0 * np.log(dd)
+    prio = (2.0 * np.log(dd)).tolist()
+    heap = [(-p, e) for e, p in enumerate(prio)]
+    heapq.heapify(heap)
     entries = []
     changes = []
     status = "max_iters"
     while total < max_updates:
-        e = int(np.argmax(prio))
-        top = float(prio[e])
+        key, e = heap[0]
+        if key != -prio[e]:
+            heapq.heappop(heap)
+            continue
+        top = -key
         if top < tol:
             status = "converged"
             break
-        old = msgs.vectors[e]
-        new = update_message(model, msgs, directed[e])
-        realized = float(np.max(np.abs(np.log(new) - np.log(old))))
-        msgs.vectors[e] = new
+        heapq.heapreplace(heap, (-0.0, e))
+        new = recompute(e)
+        new_log = np.log(new)[:, None]
+        realized = float(np.abs(new_log - logs[e]).max())
+        vectors[e] = new
+        logs[e] = new_log
         total += 1
         entries.append((directed[e], top, realized))
         changes.append(realized)
         acc[e] = 0.0
         prio[e] = 0.0
-        for f in dependents[e]:
-            acc[f] += realized
-            prio[f] = _log_contraction(dd[f], acc[f])
+        if deps[e]:
+            at = deps_at[e]
+            pending = acc[at] + realized
+            acc[at] = pending
+            fresh = _log_contraction(dd_deps[e], pending)
+            for f, p in zip(deps[e], fresh.tolist()):
+                prio[f] = p
+                heapq.heappush(heap, (-p, f))
     else:
-        if total >= n_dir and float(prio.max()) < tol:
+        if total >= n_dir and max(prio) < tol:
             status = "converged"
 
     result = RunResult(status, None, total, msgs, np.array(changes),

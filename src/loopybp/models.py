@@ -9,7 +9,6 @@ certificates) consumes the strength measures computed here.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -194,11 +193,39 @@ class PairwiseMRF:
 # -- strength measures -----------------------------------------------------
 
 
-def _log_cross_ratios(mat):
-    """log(mat[a,c] + mat[b,d] - mat[b,c] - mat[a,d]) over every quadruple."""
-    logm = np.log(np.asarray(mat, dtype=float))
-    return (logm[:, None, :, None] + logm[None, :, None, :]
-            - logm[None, :, :, None] - logm[:, None, None, :])
+def _measures(stack) -> np.ndarray:
+    """Every strength measure of a (B, a, b) stack of potentials at once.
+
+    Returns a (6, B) array whose rows are, per potential: d (the pairwise
+    strength), the raw dynamic range, the row and column summed strengths,
+    sigma and N. Each row is the elementwise formula of the measure's
+    one-matrix function below, which calls this with B = 1.
+    """
+    stack = _as_positive_array(stack, "edge potential")
+    count = stack.shape[0]
+    # log(M[a,c] M[b,d] / (M[b,c] M[a,d])) over every quadruple, per matrix.
+    logm = np.log(stack)
+    cross = (logm[:, :, None, :, None] + logm[:, None, :, None, :]
+             - logm[:, None, :, :, None] - logm[:, :, None, None, :])
+    top = cross.reshape(count, -1).max(axis=1)
+    flat = stack.reshape(count, -1)
+    rows = stack.sum(axis=2)
+    cols = stack.sum(axis=1)
+    sigma = 1.0 - np.exp(-top)
+    root = np.sqrt(1.0 - sigma)
+    return np.stack((
+        np.exp(0.25 * top),
+        np.sqrt(flat.max(axis=1) / flat.min(axis=1)),
+        np.sqrt(rows.max(axis=1) / rows.min(axis=1)),
+        np.sqrt(cols.max(axis=1) / cols.min(axis=1)),
+        sigma,
+        (1.0 - root) / (1.0 + root),
+    ))
+
+
+def _measure(edge_potential, row) -> float:
+    mat = np.asarray(edge_potential, dtype=float)
+    return float(_measures(mat[None])[row, 0])
 
 
 def potential_strength(edge_potential) -> float:
@@ -208,14 +235,12 @@ def potential_strength(edge_potential) -> float:
     row or column rescaling cancels inside the ratio, so d is the strength
     of the hardest non-separable core of the potential.
     """
-    mat = _as_positive_array(edge_potential, "edge potential")
-    return float(np.exp(0.25 * _log_cross_ratios(mat).max()))
+    return _measure(edge_potential, 0)
 
 
 def plain_strength(edge_potential) -> float:
     """Raw dynamic range sqrt(max / min); diagnostic, not scale invariant."""
-    mat = _as_positive_array(edge_potential, "edge potential")
-    return math.sqrt(float(mat.max()) / float(mat.min()))
+    return _measure(edge_potential, 1)
 
 
 def marginal_strength(edge_potential, axis) -> float:
@@ -224,17 +249,14 @@ def marginal_strength(edge_potential, axis) -> float:
     axis names the summed-out index exactly as in numpy: axis=1 sums columns,
     leaving a function of the row variable.
     """
-    mat = _as_positive_array(edge_potential, "edge potential")
     if axis not in (0, 1):
         raise ValueError("axis must be 0 or 1")
-    sums = mat.sum(axis=axis)
-    return math.sqrt(float(sums.max()) / float(sums.min()))
+    return _measure(edge_potential, 2 if axis == 1 else 3)
 
 
 def heskes_strength(edge_potential) -> float:
     """sigma in [0, 1): one minus the reciprocal of the largest cross ratio."""
-    mat = _as_positive_array(edge_potential, "edge potential")
-    return float(1.0 - np.exp(-_log_cross_ratios(mat).max()))
+    return _measure(edge_potential, 4)
 
 
 def mooij_strength(edge_potential) -> float:
@@ -243,9 +265,7 @@ def mooij_strength(edge_potential) -> float:
     Identically equal to (d*d - 1)/(d*d + 1) with d = potential_strength,
     which the tests cross-check.
     """
-    sigma = heskes_strength(edge_potential)
-    root = math.sqrt(1.0 - sigma)
-    return (1.0 - root) / (1.0 + root)
+    return _measure(edge_potential, 5)
 
 
 class StrengthTable:
@@ -253,25 +273,21 @@ class StrengthTable:
 
     Arrays are aligned with ``model.edges``. ``d_star_row[m]`` is the summed
     strength for messages sent by the lower-numbered endpoint of edge m,
-    ``d_star_col[m]`` for the opposite direction.
+    ``d_star_col[m]`` for the opposite direction. Edges whose potentials
+    share a shape are measured in one batched call.
     """
 
     def __init__(self, model: PairwiseMRF):
         self.model = model
-        e = len(model.edges)
-        self.d_pair = np.ones(e)
-        self.d_plain = np.ones(e)
-        self.d_star_row = np.ones(e)
-        self.d_star_col = np.ones(e)
-        self.sigma = np.zeros(e)
-        self.n_strength = np.zeros(e)
+        table = np.empty((6, len(model.edges)))
+        by_shape: dict[tuple, list[int]] = {}
         for m, mat in enumerate(model.edge_pot):
-            self.d_pair[m] = potential_strength(mat)
-            self.d_plain[m] = plain_strength(mat)
-            self.d_star_row[m] = marginal_strength(mat, axis=1)
-            self.d_star_col[m] = marginal_strength(mat, axis=0)
-            self.sigma[m] = heskes_strength(mat)
-            self.n_strength[m] = mooij_strength(mat)
+            by_shape.setdefault(mat.shape, []).append(m)
+        for group in by_shape.values():
+            table[:, group] = _measures(
+                np.stack([model.edge_pot[m] for m in group]))
+        (self.d_pair, self.d_plain, self.d_star_row, self.d_star_col,
+         self.sigma, self.n_strength) = table
         self._check()
 
     def _check(self):

@@ -229,6 +229,20 @@ def test_parse_failure_exit_three(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["converge"], ["bounds"], ["run", "--schedule", "residual"]])
+def test_model_error_exit_three(tmp_path, capsys, argv):
+    # Cross ratio 1e24: sigma = 1 - 1e-24 rounds to 1.0, which the strength
+    # table rejects.
+    path = tmp_path / "strong.graph"
+    path.write_text("nodes 3\nedge 0 1 1e12 1 1 1e12\n")
+    assert main([*argv, "--graph", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
 def test_numeric_budget_exit_four(tmp_path, capsys):
     assert main(["accuracy", "--generate", "chain:25", "--eta", "0.6",
                  "--node", "0"]) == 4

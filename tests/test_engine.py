@@ -4,6 +4,7 @@ import pytest
 import oracles
 from loopybp import (
     MessageSet,
+    ModelError,
     PairwiseMRF,
     build_generator,
     chain_graph,
@@ -399,3 +400,131 @@ def test_run_batch_matches_looped_bookkeeping(kind, eta, detect, budget,
         assert np.array_equal(a, b)
     for a, b in zip(got[3], want[3]):
         assert np.array_equal(a, np.array(b))
+
+
+# -- the residual scheduler against the argmax loop it replaced ------------
+
+
+def argmax_residual(model, max_updates, tol, init, seed=None):
+    """The scheduler as a linear argmax over priorities, recomputing every
+    message with update_message; returns (status, total, entries, msgs)."""
+    directed = model.directed_edges()
+    n_dir = len(directed)
+    if init == "uniform":
+        msgs = MessageSet.uniform(model)
+    else:
+        msgs = MessageSet.random(model, seed)
+    dd, _ = compute_strengths(model).directed_arrays()
+    dependents = [[] for _ in range(n_dir)]
+    for f in range(n_dir):
+        t, s = directed[f]
+        for u in model.neighbors(t):
+            if u != s:
+                dependents[model.directed_index(u, t)].append(f)
+
+    def contraction(d, incoming):
+        x = np.exp(-incoming)
+        return float(2.0 * (np.log(d + x) - np.log1p(d * x)))
+
+    total = min(n_dir, max_updates)
+    for e in range(total):
+        msgs.vectors[e] = update_message(model, msgs, directed[e])
+    acc = np.full(n_dir, np.inf)
+    prio = 2.0 * np.log(dd)
+    entries = []
+    status = "max_iters"
+    while total < max_updates:
+        e = int(np.argmax(prio))
+        top = float(prio[e])
+        if top < tol:
+            status = "converged"
+            break
+        old = msgs.vectors[e]
+        new = update_message(model, msgs, directed[e])
+        realized = float(np.max(np.abs(np.log(new) - np.log(old))))
+        msgs.vectors[e] = new
+        total += 1
+        entries.append((directed[e], top, realized))
+        acc[e] = 0.0
+        prio[e] = 0.0
+        for f in dependents[e]:
+            acc[f] += realized
+            prio[f] = contraction(dd[f], acc[f])
+    else:
+        if total >= n_dir and float(prio.max()) < tol:
+            status = "converged"
+    return status, total, entries, msgs
+
+
+def _shuffled_edges(model, seed=8):
+    order = np.random.default_rng(seed).permutation(len(model.edges))
+    edges = [model.edges[m] for m in order]
+    return PairwiseMRF(model.num_nodes, edges, model.cards, model.node_pot,
+                       {e: model.edge_pot[m] for e, m in zip(edges, order)})
+
+
+RESIDUAL_CASES = {
+    # Glass-style: asymmetric log-normal potentials, mixed cardinality.
+    "glass-6x6": (lambda: _mixed_card_grid(6, 6, seed=21),
+                  dict(init="random", seed=4)),
+    "glass-6x6-uniform": (lambda: _mixed_card_grid(6, 6, seed=21),
+                          dict(init="uniform")),
+    # Edge indices out of neighbour order: the in-edges must still be added
+    # in model.neighbors order.
+    "glass-6x6-shuffled": (lambda: _shuffled_edges(_mixed_card_grid(6, 6, 21)),
+                           dict(init="random", seed=4)),
+    **{f"{kind}-random": (lambda kind=kind: build_generator(kind, 0.7),
+                          dict(init="random", seed=3))
+       for kind in ("complete:4", "k4minus", "grid:3x3", "torus:3x3")},
+    # Zero tolerance: once every edge has run, all priorities tie at 0 and
+    # the lowest index wins every pop.
+    "torus-tol0": (lambda: build_generator("torus:3x3", 0.7),
+                   dict(init="uniform", tol=0.0, max_updates=120)),
+    "chain-tol0": (lambda: chain_graph(4, 0.7),
+                   dict(init="random", seed=1, tol=0.0, max_updates=60)),
+    # The budget ends inside the initial sweep.
+    "inside-sweep": (lambda: _mixed_card_grid(6, 6, seed=21),
+                     dict(init="random", seed=2, max_updates=17)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESIDUAL_CASES))
+def test_residual_scheduler_matches_argmax_loop(case):
+    build, opts = RESIDUAL_CASES[case]
+    m = build()
+    max_updates = opts.get("max_updates", 20000)
+    tol = opts.get("tol", 1e-9)
+    result, trace = run_residual_scheduled(
+        m, max_updates=max_updates, tol=tol, init=opts["init"],
+        seed=opts.get("seed"))
+    status, total, entries, msgs = argmax_residual(
+        m, max_updates, tol, opts["init"], opts.get("seed"))
+    assert trace.entries == entries
+    assert (result.status, result.iterations, trace.total_updates) == \
+        (status, total, total)
+    for got, want in zip(result.messages.vectors, msgs.vectors):
+        assert np.array_equal(got, want)
+    if case.endswith("tol0"):
+        assert entries[-1][1] == 0.0 and status == "max_iters"
+    if case == "inside-sweep":
+        assert total == 17 and entries == []
+
+
+# -- MessageSet validation -------------------------------------------------
+
+
+@pytest.mark.parametrize("fault, message", [
+    ([0.2, 0.3, 0.5], "message has length (3,), expected 2"),
+    ([0.0, 1.0], "message entries must be strictly positive"),
+    ([np.inf, 0.5], "message entries must be strictly positive"),
+    ([0.5, 0.5 + 1e-9], "message must sum to 1"),
+])
+def test_message_set_rejects_one_faulty_vector(fault, message):
+    m = _mixed_card_grid()
+    vecs = [v.copy() for v in MessageSet.uniform(m).vectors]
+    e = next(e for e, (_, d) in enumerate(m.directed_edges())
+             if e > 3 and m.cards[d] == 2)
+    vecs[e] = np.array(fault)
+    with pytest.raises(ModelError) as info:
+        MessageSet(m, vecs)
+    assert str(info.value) == message

@@ -171,6 +171,66 @@ def test_strength_table_directed_arrays_match_scalar_views():
     assert d2.tolist() == [table.pair(t, s) ** 2 for t, s in directed]
 
 
+def looped_strengths(model):
+    """The strength table as one scalar computation per edge: d, raw range,
+    row and column summed strengths, sigma and N, clamped as the table
+    clamps them."""
+    e = len(model.edges)
+    out = [np.ones(e), np.ones(e), np.ones(e), np.ones(e), np.zeros(e),
+           np.zeros(e)]
+    for m, mat in enumerate(model.edge_pot):
+        logm = np.log(mat)
+        cross = (logm[:, None, :, None] + logm[None, :, None, :]
+                 - logm[None, :, :, None] - logm[:, None, None, :])
+        rows, cols = mat.sum(axis=1), mat.sum(axis=0)
+        sigma = float(1.0 - np.exp(-cross.max()))
+        root = math.sqrt(1.0 - sigma)
+        out[0][m] = float(np.exp(0.25 * cross.max()))
+        out[1][m] = math.sqrt(float(mat.max()) / float(mat.min()))
+        out[2][m] = math.sqrt(float(rows.max()) / float(rows.min()))
+        out[3][m] = math.sqrt(float(cols.max()) / float(cols.min()))
+        out[4][m] = sigma
+        out[5][m] = (1.0 - root) / (1.0 + root)
+    for k in (0, 2, 3):
+        np.maximum(out[k], 1.0, out=out[k])
+    return out
+
+
+def _mixed_shape_model():
+    # Cards chosen so the edges carry 2x2, 2x3, 3x2, 3x3 and 4x9
+    # potentials, with shapes interleaved along the edge list.
+    rng = np.random.default_rng(12)
+    cards = [2, 3, 2, 3, 4, 9, 2, 3]
+    edges = [(0, 1), (1, 2), (0, 2), (1, 3), (2, 6), (3, 7), (4, 5), (6, 7),
+             (0, 6), (2, 3)]
+    pots = {(i, j): rng.lognormal(0.0, 1.0, size=(cards[i], cards[j]))
+            for i, j in edges}
+    return PairwiseMRF(8, edges, cards, edge_potentials=pots)
+
+
+@pytest.mark.parametrize("build", [
+    _mixed_shape_model,
+    lambda: PairwiseMRF(3, []),
+    lambda: torus_graph(3, 3, 0.8),
+])
+def test_strength_table_matches_per_edge_loop(build):
+    m = build()
+    table = compute_strengths(m)
+    got = [table.d_pair, table.d_plain, table.d_star_row, table.d_star_col,
+           table.sigma, table.n_strength]
+    for a, b in zip(got, looped_strengths(m)):
+        assert a.shape == (len(m.edges),)
+        assert np.array_equal(a, b)
+    for mat in m.edge_pot:
+        one = [potential_strength(mat), plain_strength(mat),
+               marginal_strength(mat, 1), marginal_strength(mat, 0),
+               heskes_strength(mat), mooij_strength(mat)]
+        want = looped_strengths(PairwiseMRF(2, [(0, 1)], list(mat.shape),
+                                            edge_potentials={(0, 1): mat}))
+        # No measure falls below 1, so the clamping changes nothing here.
+        assert one == [float(w[0]) for w in want]
+
+
 def test_graph_text_roundtrip():
     m = PairwiseMRF(3, [(0, 1), (1, 2)], cardinality=[2, 3, 2],
                     node_potentials=[[1.0, 2.0], [0.5, 1.0, 1.5], [1.0, 1.0]],
