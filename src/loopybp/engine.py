@@ -14,15 +14,13 @@ The residual scheduler does not use that kernel: the kernel normalizes in
 log space, while a scheduled update must be ``update_message``'s
 linear-space arithmetic so that its pop log does not depend on the route.
 It builds per-edge tables once (log base matrices, in-edge lists, the logs
-of the stored messages, dependents with their strengths) and keeps the
-pending edges in a binary heap with lazy invalidation, so a pop costs a few
-small array operations and O(log n) heap work instead of a scan of every
-edge.
+of the stored messages, dependents as index arrays) and keeps the
+priorities in one array, so a pop costs an argmax and a few small array
+operations.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -485,9 +483,7 @@ def run_residual_scheduled(model: PairwiseMRF, max_updates=20000, tol=1e-9,
     sweep cuts that sweep short.
 
     Every update is ``update_message``'s arithmetic, in the same order, on
-    tables built once. The edges wait in a binary heap keyed (-priority,
-    edge); an entry is live while its key is the edge's current priority,
-    so the top live entry is the highest priority with the lowest index.
+    tables built once.
 
     Returns (RunResult, ScheduleTrace).
     """
@@ -518,8 +514,7 @@ def run_residual_scheduled(model: PairwiseMRF, max_updates=20000, tol=1e-9,
         deps[g].append(f)
     for gs in ins:  # update_message adds them in model.neighbors order
         gs.sort(key=lambda g: directed[g].src)
-    deps_at = [np.array(fs, dtype=np.intp) for fs in deps]
-    dd_deps = [dd[fs] for fs in deps_at]
+    deps = [np.array(fs, dtype=np.intp) for fs in deps]
     base = [_log_weights(model, t, s) for t, s in directed]
     vectors = msgs.vectors
     # logs[e]: log of the stored message e, as a column.
@@ -537,22 +532,16 @@ def run_residual_scheduled(model: PairwiseMRF, max_updates=20000, tol=1e-9,
         logs[e] = np.log(vectors[e])[:, None]
 
     acc = np.full(n_dir, np.inf)
-    prio = (2.0 * np.log(dd)).tolist()
-    heap = [(-p, e) for e, p in enumerate(prio)]
-    heapq.heapify(heap)
+    prio = 2.0 * np.log(dd)
     entries = []
     changes = []
     status = "max_iters"
     while total < max_updates:
-        key, e = heap[0]
-        if key != -prio[e]:
-            heapq.heappop(heap)
-            continue
-        top = -key
+        e = int(np.argmax(prio))
+        top = float(prio[e])
         if top < tol:
             status = "converged"
             break
-        heapq.heapreplace(heap, (-0.0, e))
         new = recompute(e)
         new_log = np.log(new)[:, None]
         realized = float(np.abs(new_log - logs[e]).max())
@@ -563,16 +552,11 @@ def run_residual_scheduled(model: PairwiseMRF, max_updates=20000, tol=1e-9,
         changes.append(realized)
         acc[e] = 0.0
         prio[e] = 0.0
-        if deps[e]:
-            at = deps_at[e]
-            pending = acc[at] + realized
-            acc[at] = pending
-            fresh = _log_contraction(dd_deps[e], pending)
-            for f, p in zip(deps[e], fresh.tolist()):
-                prio[f] = p
-                heapq.heappush(heap, (-p, f))
+        at = deps[e]
+        acc[at] += realized
+        prio[at] = _log_contraction(dd[at], acc[at])
     else:
-        if total >= n_dir and max(prio) < tol:
+        if total >= n_dir and float(prio.max()) < tol:
             status = "converged"
 
     result = RunResult(status, None, total, msgs, np.array(changes),

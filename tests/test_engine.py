@@ -485,6 +485,13 @@ RESIDUAL_CASES = {
     # The budget ends inside the initial sweep.
     "inside-sweep": (lambda: _mixed_card_grid(6, 6, seed=21),
                      dict(init="random", seed=2, max_updates=17)),
+    # A separable potential with row sums 1e200 and 1e-200: d_star = inf,
+    # so a dependent's cap is log1p(inf * 0) = NaN, and the first NaN
+    # priority must be popped as the argmax loop pops it.
+    "nan-priority": (lambda: PairwiseMRF(3, [(0, 1), (1, 2)], edge_potentials={
+        (0, 1): [[1.0, 2.0], [2.0, 1.0]],
+        (1, 2): [[1e200, 1e200], [1e-200, 1e-200]]}),
+        dict(init="random", seed=1)),
 }
 
 
@@ -499,7 +506,10 @@ def test_residual_scheduler_matches_argmax_loop(case):
         seed=opts.get("seed"))
     status, total, entries, msgs = argmax_residual(
         m, max_updates, tol, opts["init"], opts.get("seed"))
-    assert trace.entries == entries
+    assert [(e, r) for e, _, r in trace.entries] == \
+        [(e, r) for e, _, r in entries]
+    assert np.array_equal([p for _, p, _ in trace.entries],
+                          [p for _, p, _ in entries], equal_nan=True)
     assert (result.status, result.iterations, trace.total_updates) == \
         (status, total, total)
     for got, want in zip(result.messages.vectors, msgs.vectors):
@@ -508,6 +518,8 @@ def test_residual_scheduler_matches_argmax_loop(case):
         assert entries[-1][1] == 0.0 and status == "max_iters"
     if case == "inside-sweep":
         assert total == 17 and entries == []
+    if case == "nan-priority":
+        assert np.isnan(entries[2][1]) and status == "converged"
 
 
 # -- MessageSet validation -------------------------------------------------
