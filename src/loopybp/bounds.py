@@ -37,13 +37,9 @@ def delta1(d_pair: float, d_star: float, dE: float) -> float:
 
 
 def delta2(d_pair: float, dE: float) -> float:
-    """Squared-ratio cap using the edge strength alone (squared inside)."""
-    if d_pair < 1.0 or dE < 1.0:
-        raise ValueError("strength and error range must be at least 1")
-    d2 = d_pair * d_pair
-    if math.isinf(dE):
-        return d2 * d2
-    return ((d2 * dE + 1.0) / (d2 + dE)) ** 2
+    """Squared-ratio cap using the edge strength alone (squared inside):
+    delta1 with the edge strength in place of the summed strength."""
+    return delta1(d_pair, d_pair, dE)
 
 
 _VARIATION_KINDS = {
@@ -93,6 +89,13 @@ class _EdgeTerms:
         self.dd, self.d2 = strengths.directed_arrays()
         self.seg, self.feed = model.non_backtracking_pairs()
 
+    def recursion(self, improved: bool) -> _Recursion:
+        """The doubled-log recursion in d*d_star, or (improved) the
+        single-log one in squared edge strength."""
+        coeff, strength = (1.0, self.d2) if improved else (2.0, self.dd)
+        return _Recursion(self.n_dir, self.seg, self.feed, coeff,
+                          strength[self.feed])
+
     def node_bounds(self, strength: np.ndarray, z) -> np.ndarray:
         """Assemble per-node bounds: each incoming edge contributes the
         squared contraction at its own eps. Values below 1e-9 collapse to
@@ -107,28 +110,19 @@ class _EdgeTerms:
 
 
 class _Recursion:
-    """One error recursion over the relation: the doubled-log form in
-    d*d_star, or (improved) the single-log form in squared edge strength."""
+    """One error recursion on n values: term i adds
+    coeff * (log(v[i] + t) - log1p(v[i] * t)), with t = exp(-z[feed[i]]),
+    to segment seg[i]."""
 
-    def __init__(self, terms: _EdgeTerms, improved: bool):
-        self.n = terms.n_dir
-        self.seg = terms.seg
-        self.feed = terms.feed
-        self.coeff, strength = (1.0, terms.d2) if improved else (2.0, terms.dd)
-        self.v = strength[self.feed]
+    def __init__(self, n: int, seg: np.ndarray, feed: np.ndarray,
+                 coeff: float, v: np.ndarray):
+        self.n, self.seg, self.feed, self.coeff, self.v = n, seg, feed, coeff, v
 
-    def sums_scalar(self, z: float) -> np.ndarray:
-        t = math.exp(-z)
+    def sums(self, z) -> np.ndarray:
+        """Segment sums at one shared z (a float) or at per-value z (an
+        array). z = inf is the saturated initialization: t = 0."""
+        t = math.exp(-z) if isinstance(z, float) else np.exp(-z[self.feed])
         vals = self.coeff * (np.log(self.v + t) - np.log1p(self.v * t))
-        return np.bincount(self.seg, weights=vals, minlength=self.n)
-
-    def sums_vector(self, z: np.ndarray) -> np.ndarray:
-        t = np.exp(-z[self.feed])
-        vals = self.coeff * (np.log(self.v + t) - np.log1p(self.v * t))
-        return np.bincount(self.seg, weights=vals, minlength=self.n)
-
-    def saturated(self) -> np.ndarray:
-        vals = self.coeff * np.log(self.v)
         return np.bincount(self.seg, weights=vals, minlength=self.n)
 
 
@@ -144,17 +138,17 @@ def _solve_uniform(rec: _Recursion) -> float:
     """
     if rec.n == 0:
         return 0.0
-    top = float(rec.saturated().max())
+    top = float(rec.sums(math.inf).max())
     if top <= 0.0:
         return 0.0
     z = math.log1p(1e-6)
     for _ in range(20):
-        z = float(rec.sums_scalar(z).max())
+        z = float(rec.sums(z).max())
     if z <= math.log1p(_ZERO_EPS):
         return 0.0
     z = top
     for _ in range(_MAX_SOLVE):
-        znew = float(rec.sums_scalar(z).max())
+        znew = float(rec.sums(z).max())
         if abs(znew - z) <= _REL_TOL * max(1.0, z):
             z = znew
             break
@@ -170,12 +164,12 @@ def _solve_nonuniform(rec: _Recursion, n: Optional[int]) -> np.ndarray:
     Step 1 is the saturated initialization, so the sequence is monotone
     non-increasing componentwise.
     """
-    z = rec.saturated()
+    z = rec.sums(math.inf)
     if rec.n == 0:
         return z
     if n is None:
         for _ in range(_MAX_SOLVE):
-            znew = rec.sums_vector(z)
+            znew = rec.sums(z)
             if float(np.max(np.abs(znew - z))) <= _REL_TOL * max(1.0, float(z.max())):
                 z = znew
                 break
@@ -184,7 +178,7 @@ def _solve_nonuniform(rec: _Recursion, n: Optional[int]) -> np.ndarray:
         if n < 1:
             raise ValueError("n must be at least 1")
         for _ in range(n - 1):
-            z = rec.sums_vector(z)
+            z = rec.sums(z)
     return z
 
 
@@ -195,7 +189,7 @@ def uniform_distance_bound(model: PairwiseMRF, strengths=None):
     """Per-node log-distance bound from the doubled-log recursion with the
     combined strength d*d_star. Returns (bounds, eps_star)."""
     terms = _EdgeTerms(model, strengths)
-    z = _solve_uniform(_Recursion(terms, improved=False))
+    z = _solve_uniform(terms.recursion(improved=False))
     return terms.node_bounds(terms.dd, z), math.exp(z)
 
 
@@ -203,7 +197,7 @@ def improved_uniform_distance_bound(model: PairwiseMRF, strengths=None):
     """Same node assembly, but eps_star comes from the single-log recursion
     in squared edge strength, which has a higher zero threshold."""
     terms = _EdgeTerms(model, strengths)
-    z = _solve_uniform(_Recursion(terms, improved=True))
+    z = _solve_uniform(terms.recursion(improved=True))
     return terms.node_bounds(terms.dd, z), math.exp(z)
 
 
@@ -211,7 +205,7 @@ def ihler_uniform_distance_bound(model: PairwiseMRF, strengths=None):
     """Dynamic-range recursion end to end: the single-log eps fixed point
     assembled with the squared edge strength."""
     terms = _EdgeTerms(model, strengths)
-    z = _solve_uniform(_Recursion(terms, improved=True))
+    z = _solve_uniform(terms.recursion(improved=True))
     return terms.node_bounds(terms.d2, z), math.exp(z)
 
 
@@ -225,14 +219,14 @@ def nonuniform_distance_bound(model: PairwiseMRF, strengths=None,
     (bounds, per-directed-edge eps array).
     """
     terms = _EdgeTerms(model, strengths)
-    z = _solve_nonuniform(_Recursion(terms, improved), n)
+    z = _solve_nonuniform(terms.recursion(improved), n)
     return terms.node_bounds(terms.dd, z), np.exp(z)
 
 
 def ihler_nonuniform_distance_bound(model: PairwiseMRF, strengths=None,
                                     n: Optional[int] = None):
     terms = _EdgeTerms(model, strengths)
-    z = _solve_nonuniform(_Recursion(terms, improved=True), n)
+    z = _solve_nonuniform(terms.recursion(improved=True), n)
     return terms.node_bounds(terms.d2, z), np.exp(z)
 
 

@@ -12,6 +12,7 @@ failures.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .accuracy import (ConvergenceFailure, EnumerationLimitError,
@@ -163,6 +164,8 @@ def _fmt_witness(witness) -> str:
 
 def cmd_converge(args) -> int:
     _at_least(args.depth, 1, "--depth")
+    if not 0.0 < args.tol < math.inf:
+        raise UsageError("--tol must be finite and positive")
     model = _load_model(args)
     conditions = args.condition or list(CONDITION_NAMES)
     strengths = compute_strengths(model)
@@ -292,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--critical", action="store_true",
                    help="also bisect the critical eta per condition")
     p.add_argument("--tol", type=float, default=1e-4,
-                   help="bisection tolerance for --critical")
+                   help="bisection tolerance for --critical, positive")
     p.set_defaults(func=cmd_converge)
 
     p = subs.add_parser("run", help="execute one message-passing run")
@@ -331,10 +334,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GraphFormatError, ModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (GraphFormatError, ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (EnumerationLimitError, ConvergenceFailure) as exc:

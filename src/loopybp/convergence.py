@@ -8,6 +8,7 @@ potential strengths, which is what makes the critical-eta bisection valid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -258,6 +259,31 @@ def evaluate_condition(model: PairwiseMRF, condition: str, strengths=None,
     raise ValueError(f"unknown condition {condition!r}")
 
 
+def _bisect(pred, lo, hi, tol) -> float:
+    """Threshold of a predicate that holds below it and fails above it.
+
+    Returns lo when pred fails there and hi when it holds there; otherwise
+    halves the bracket while it is wider than tol and returns its midpoint.
+    The halving also stops once the midpoint rounds to an end, since a
+    bracket of two adjacent floats cannot shrink.
+    """
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
+    if not pred(lo):
+        return lo
+    if pred(hi):
+        return hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def critical_eta(model: PairwiseMRF, condition: str, tol=1e-4,
                  N: Optional[int] = None, lo=0.5, hi=0.9999) -> float:
     """Bisect the eta at which the certificate flips, on the model's
@@ -267,17 +293,7 @@ def critical_eta(model: PairwiseMRF, condition: str, tol=1e-4,
         probe = with_uniform_binary(model, eta)
         return evaluate_condition(probe, condition, N=N).holds
 
-    if not holds(lo):
-        return lo
-    if holds(hi):
-        return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(holds, lo, hi, tol)
 
 
 def partial_graph_ordering_check(model_small: PairwiseMRF,

@@ -27,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from .convergence import _bisect
 from .models import (DirectedEdge, ModelError, PairwiseMRF, StrengthTable,
                      compute_strengths, with_uniform_binary)
 
@@ -604,14 +605,4 @@ def empirical_critical_eta(model: PairwiseMRF, lo=0.5, hi=0.99, tol=1e-3,
         return empirical_convergent(with_uniform_binary(model, eta), runs,
                                     max_iters, run_tol, agree_tol, base_seed)
 
-    if not agreed(lo):
-        return lo
-    if agreed(hi):
-        return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if agreed(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(agreed, lo, hi, tol)

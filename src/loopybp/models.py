@@ -193,13 +193,15 @@ class PairwiseMRF:
 # -- strength measures -----------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _measures(stack) -> np.ndarray:
     """Every strength measure of a (B, a, b) stack of potentials at once.
 
     Returns a (6, B) array whose rows are, per potential: d (the pairwise
     strength), the raw dynamic range, the row and column summed strengths,
     sigma and N. Each row is the elementwise formula of the measure's
-    one-matrix function below, which calls this with B = 1.
+    one-matrix function below, which calls this with B = 1. A measure too
+    large for a float reads inf or NaN, without a warning.
     """
     stack = _as_positive_array(stack, "edge potential")
     count = stack.shape[0]
@@ -288,9 +290,11 @@ class StrengthTable:
                 np.stack([model.edge_pot[m] for m in group]))
         (self.d_pair, self.d_plain, self.d_star_row, self.d_star_col,
          self.sigma, self.n_strength) = table
-        self._check()
+        self._check(table)
 
-    def _check(self):
+    def _check(self, table):
+        if not np.isfinite(table).all():
+            raise ModelError("a strength measure overflows a float")
         slack = 1.0 + 1e-9
         if np.any(self.d_pair < 1.0 - 1e-12):
             raise ModelError("pairwise strength below 1")

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+
+from .bounds import _Recursion, _solve_uniform
 
 GRID_POINTS = 10000
 _ROOT_TOL = 1e-12
@@ -23,6 +26,15 @@ def _validate_abk(a, b, k):
         raise ValueError("potential entries must be positive")
     if k < 1:
         raise ValueError("incoming count k must be at least 1")
+
+
+def _interior(x, a, b, k) -> np.ndarray:
+    """Checked inputs of the scalar map: x as an array inside (0, 1)."""
+    _validate_abk(a, b, k)
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0.0) or np.any(x >= 1.0):
+        raise ValueError("x must lie in (0, 1)")
+    return x
 
 
 @dataclass
@@ -49,10 +61,7 @@ def scalar_update(x, a, b, k):
 
     Accepts scalars or arrays; x must lie strictly inside (0, 1).
     """
-    _validate_abk(a, b, k)
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0) or np.any(x >= 1.0):
-        raise ValueError("x must lie in (0, 1)")
+    x = _interior(x, a, b, k)
     xk = x ** k
     yk = (1.0 - x) ** k
     out = (a * xk + b * yk) / ((a + b) * (xk + yk))
@@ -61,10 +70,7 @@ def scalar_update(x, a, b, k):
 
 def scalar_derivative(x, a, b, k):
     """Analytic F'(x) by the quotient rule."""
-    _validate_abk(a, b, k)
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0) or np.any(x >= 1.0):
-        raise ValueError("x must lie in (0, 1)")
+    x = _interior(x, a, b, k)
     xk1 = x ** (k - 1)
     yk1 = (1.0 - x) ** (k - 1)
     num = a * x * xk1 + b * (1.0 - x) * yk1
@@ -100,17 +106,17 @@ class FixedPointSet:
     slope_at_half: float
 
 
-def _scan_roots(g, tol):
-    """Sign-scan g on a dense interior grid, bisect each bracket."""
-    xs = np.linspace(0.0, 1.0, GRID_POINTS + 2)[1:-1]
-    vals = g(xs)
+def _sign_roots(g, xs, vals, tol) -> list:
+    """Roots of g from its values ``vals`` on the ascending grid ``xs``:
+    exact zeros on the grid, then a bisection of each sign change down to
+    tol; roots closer than 1e-9 are merged."""
     roots = [float(xs[i]) for i in np.nonzero(vals == 0.0)[0]]
     for i in np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]:
         lo, hi = float(xs[i]), float(xs[i + 1])
         glo = float(vals[i])
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
-            gmid = float(g(np.asarray(mid)))
+            gmid = float(g(mid))
             if gmid == 0.0:
                 lo = hi = mid
                 break
@@ -134,8 +140,11 @@ def fixed_points(a, b, k, tol=_ROOT_TOL) -> FixedPointSet:
     the symmetry point are outside what a sign scan can see.
     """
     _validate_abk(a, b, k)
-    fixed = _scan_roots(lambda x: x - scalar_update(x, a, b, k), tol)
-    quasi_all = _scan_roots(lambda x: 1.0 - x - scalar_update(x, a, b, k), tol)
+    xs = np.linspace(0.0, 1.0, GRID_POINTS + 2)[1:-1]
+    fixed, quasi_all = (
+        _sign_roots(g, xs, g(xs), tol)
+        for g in (lambda x: x - scalar_update(x, a, b, k),
+                  lambda x: 1.0 - x - scalar_update(x, a, b, k)))
     quasi = [q for q in quasi_all
              if all(abs(q - f) > 1e-9 for f in fixed)]
     stability = [bool(abs(scalar_derivative(f, a, b, k)) < 1.0)
@@ -174,59 +183,25 @@ def true_error_variation(a, b, k, M, log_E) -> float:
 
 def error_variation_zeros(a, b, k, M, grid=2000, tol=_ROOT_TOL) -> list:
     """Nonzero crossings of G(log E) inside its domain, by sign scan."""
-    top = math.log(1.0 / M)
-    ls = np.linspace(0.0, top, grid + 1)[1:-1]
-    vals = np.array([true_error_variation(a, b, k, M, l) for l in ls])
-    roots = [float(ls[i]) for i in np.nonzero(vals == 0.0)[0]]
-    for i in np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]:
-        lo, hi = float(ls[i]), float(ls[i + 1])
-        glo = float(vals[i])
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            gmid = true_error_variation(a, b, k, M, mid)
-            if gmid == 0.0:
-                lo = hi = mid
-                break
-            if (glo < 0.0) == (gmid < 0.0):
-                lo, glo = mid, gmid
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
-    return sorted(roots)
+    g = partial(true_error_variation, a, b, k, M)
+    ls = np.linspace(0.0, math.log(1.0 / M), grid + 1)[1:-1]
+    return _sign_roots(g, ls, np.array([g(l) for l in ls]), tol)
 
 
 def udb_completely_uniform(d_pair, degree) -> float:
     """Belief-level distance bound specialized to one strength and one
-    degree: single-log eps recursion with degree-1 terms, assembled over
-    the full degree. Scalar twin of the graph-level machinery.
+    degree: the graph solver's single-log eps recursion on one segment fed
+    by degree-1 equal terms, assembled over the full degree.
     """
     if d_pair < 1.0:
         raise ValueError("strength must be at least 1")
     if degree < 2:
         raise ValueError("degree must be at least 2")
     d2 = d_pair * d_pair
-    k = degree - 1
-
-    def step(z):
-        t = math.exp(-z)
-        return k * (math.log(d2 + t) - math.log1p(d2 * t))
-
-    saturated = k * math.log(d2)
-    if saturated <= 0.0:
-        return 0.0
-    z = math.log1p(1e-6)
-    for _ in range(20):
-        z = step(z)
-    if z <= math.log1p(1e-9):
-        return 0.0
-    z = saturated
-    for _ in range(100000):
-        znew = step(z)
-        if abs(znew - z) <= 1e-12 * max(1.0, z):
-            z = znew
-            break
-        z = znew
-    if z <= math.log1p(1e-9):
+    one_segment = np.zeros(degree - 1, dtype=int)
+    z = _solve_uniform(_Recursion(1, one_segment, one_segment, 1.0,
+                                  np.full(degree - 1, d2)))
+    if z == 0.0:
         return 0.0
     t = math.exp(-z)
     return degree * (math.log(d2 + t) - math.log1p(d2 * t))

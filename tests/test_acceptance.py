@@ -15,8 +15,8 @@ from loopybp.accuracy import ConvergenceFailure, exact_marginals, saw_accuracy
 from loopybp.bounds import (delta1, delta2, improved_uniform_distance_bound,
                             ihler_uniform_distance_bound, true_distance,
                             uniform_distance_bound)
-from loopybp.convergence import (condition_ordering_report, critical_eta,
-                                 partial_graph_ordering_check)
+from loopybp.convergence import (_bisect, condition_ordering_report,
+                                 critical_eta, partial_graph_ordering_check)
 from loopybp.engine import (MessageSet, empirical_critical_eta,
                             run_residual_scheduled, run_synchronous,
                             update_message)
@@ -59,14 +59,7 @@ def _bound_zero_critical(build, bound_fn, lo=0.5, hi=0.99, tol=1e-3):
         node_bounds, _ = bound_fn(build(eta))
         return float(np.max(node_bounds)) <= 1e-12
 
-    assert zero(lo) and not zero(hi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if zero(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(zero, lo, hi, tol)
 
 
 def test_criterion_1_certified_criticals():

@@ -190,6 +190,15 @@ def test_accuracy_intervals_contain_exact(capsys):
         assert float(lower) - 1e-12 <= float(belief) <= float(upper) + 1e-12
 
 
+def test_critical_with_tolerance_below_float_spacing(capsys):
+    code, out = run_cli(capsys, "converge", "--generate", "complete:4",
+                        "--eta", "0.6", "--condition", "uniform",
+                        "--critical", "--tol", "1e-300")
+    assert code == 0
+    assert float(out.strip().splitlines()[-1].split(",")[1]) == \
+        pytest.approx(25 / 34, abs=1e-12)
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["bounds", "--generate", "complete:4", "--eta", "0.6",
                  "--methods", ""]) == 2
@@ -208,7 +217,10 @@ def test_usage_errors_exit_two(capsys):
             ["bounds", "--generate", "complete:4", "--eta", "0.6",
              "--nudb-iters", "0"],
             ["bounds", "--generate", "complete:4", "--eta", "0.6",
-             "--methods", "true,udb", "--true-runs", "1"]):
+             "--methods", "true,udb", "--true-runs", "1"],
+            *(["converge", "--generate", "torus:3x3", "--eta", "0.6",
+               "--critical", "--tol", tol]
+              for tol in ("0", "-1", "nan", "inf"))):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv
@@ -229,18 +241,25 @@ def test_parse_failure_exit_three(tmp_path, capsys):
     capsys.readouterr()
 
 
+# A numpy warning on the way to the error would reach stderr before it.
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", [
     ["converge"], ["bounds"], ["run", "--schedule", "residual"]])
 def test_model_error_exit_three(tmp_path, capsys, argv):
-    # Cross ratio 1e24: sigma = 1 - 1e-24 rounds to 1.0, which the strength
-    # table rejects.
     path = tmp_path / "strong.graph"
-    path.write_text("nodes 3\nedge 0 1 1e12 1 1 1e12\n")
-    assert main([*argv, "--graph", str(path)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:")
-    assert "Traceback" not in captured.err
+    for text in (
+            # Cross ratio 1e24: sigma = 1 - 1e-24 rounds to 1.0, which the
+            # strength table rejects.
+            "nodes 3\nedge 0 1 1e12 1 1 1e12\n",
+            # Row sums 2e200 and 2e-200: their ratio overflows, so the
+            # summed strength would be inf.
+            "nodes 3\nedge 0 1 1 2 2 1\nedge 1 2 1e200 1e200 1e-200 1e-200\n"):
+        path.write_text(text)
+        assert main([*argv, "--graph", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1, captured.err
 
 
 def test_numeric_budget_exit_four(tmp_path, capsys):

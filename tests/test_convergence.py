@@ -75,6 +75,46 @@ def test_analytic_uniform_criticals():
         2 / 3, abs=5e-4)
 
 
+def _threshold_loop(model, condition, tol=1e-4, lo=0.5, hi=0.9999):
+    """The bisection loop critical_eta had before it called the shared
+    helper, kept as the reference its digits must match."""
+
+    def holds(eta):
+        return evaluate_condition(with_uniform_binary(model, eta),
+                                  condition).holds
+
+    if not holds(lo):
+        return lo
+    if holds(hi):
+        return hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("kind", ["complete:4", "k4minus", "grid:3x3",
+                                  "torus:3x3"])
+def test_critical_eta_matches_threshold_loop(kind):
+    model = build_generator(kind, 0.7)
+    for condition in CONDITION_NAMES:
+        assert critical_eta(model, condition) == \
+            _threshold_loop(model, condition), condition
+
+
+def test_critical_eta_rejects_tolerance_it_cannot_reach():
+    model = complete_graph(4, 0.7)
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            critical_eta(model, "uniform", tol=tol)
+    # Below the float spacing the bracket ends as two adjacent floats.
+    assert critical_eta(model, "uniform", tol=1e-300) == pytest.approx(
+        25 / 34, abs=1e-15)
+
+
 def test_saw_statistic_closed_forms():
     """Walk sums over the self-avoiding tree with closure terminals collapse
     to small polynomials in the interaction weight on the K4 family."""

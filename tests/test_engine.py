@@ -14,6 +14,7 @@ from loopybp import (
     compute_strengths,
     cycle_graph,
     empirical_convergent,
+    empirical_critical_eta,
     grid_graph,
     parse_graph_text,
     residual_priority,
@@ -184,6 +185,11 @@ def test_empirical_convergent_flips_with_eta():
     topo = complete_graph(4, 0.9)
     assert empirical_convergent(with_uniform_binary(topo, 0.6))
     assert not empirical_convergent(with_uniform_binary(topo, 0.9))
+
+
+def test_empirical_critical_eta_rejects_zero_tolerance():
+    with pytest.raises(ValueError):
+        empirical_critical_eta(complete_graph(4, 0.7), tol=0.0)
 
 
 def test_residual_matches_synchronous():
@@ -485,13 +491,6 @@ RESIDUAL_CASES = {
     # The budget ends inside the initial sweep.
     "inside-sweep": (lambda: _mixed_card_grid(6, 6, seed=21),
                      dict(init="random", seed=2, max_updates=17)),
-    # A separable potential with row sums 1e200 and 1e-200: d_star = inf,
-    # so a dependent's cap is log1p(inf * 0) = NaN, and the first NaN
-    # priority must be popped as the argmax loop pops it.
-    "nan-priority": (lambda: PairwiseMRF(3, [(0, 1), (1, 2)], edge_potentials={
-        (0, 1): [[1.0, 2.0], [2.0, 1.0]],
-        (1, 2): [[1e200, 1e200], [1e-200, 1e-200]]}),
-        dict(init="random", seed=1)),
 }
 
 
@@ -509,7 +508,7 @@ def test_residual_scheduler_matches_argmax_loop(case):
     assert [(e, r) for e, _, r in trace.entries] == \
         [(e, r) for e, _, r in entries]
     assert np.array_equal([p for _, p, _ in trace.entries],
-                          [p for _, p, _ in entries], equal_nan=True)
+                          [p for _, p, _ in entries])
     assert (result.status, result.iterations, trace.total_updates) == \
         (status, total, total)
     for got, want in zip(result.messages.vectors, msgs.vectors):
@@ -518,8 +517,17 @@ def test_residual_scheduler_matches_argmax_loop(case):
         assert entries[-1][1] == 0.0 and status == "max_iters"
     if case == "inside-sweep":
         assert total == 17 and entries == []
-    if case == "nan-priority":
-        assert np.isnan(entries[2][1]) and status == "converged"
+
+
+def test_residual_scheduler_rejects_overflowing_strengths():
+    # A separable potential with row sums 2e200 and 2e-200: their ratio
+    # overflows, so d_star would be inf and a dependent's cap
+    # log1p(inf * 0) = NaN.
+    m = PairwiseMRF(3, [(0, 1), (1, 2)], edge_potentials={
+        (0, 1): [[1.0, 2.0], [2.0, 1.0]],
+        (1, 2): [[1e200, 1e200], [1e-200, 1e-200]]})
+    with pytest.raises(ModelError):
+        run_residual_scheduled(m, init="random", seed=1)
 
 
 # -- MessageSet validation -------------------------------------------------

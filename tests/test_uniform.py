@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import oracles
 from loopybp import (
     UniformModel,
+    complete_graph,
+    compute_strengths,
     error_variation_zeros,
     fixed_points,
     incoming_product,
@@ -151,6 +153,70 @@ def test_error_variation_crossings():
     assert error_variation_zeros(0.7, 0.3, 3, M3) == []
 
 
+def _old_bisect_roots(g, xs, vals, tol, merge):
+    """The two sign-scan root finders as they were before they shared one
+    helper: ``fixed_points`` evaluated g on 0-d arrays and merged roots
+    closer than 1e-9, ``error_variation_zeros`` did neither."""
+    roots = [float(xs[i]) for i in np.nonzero(vals == 0.0)[0]]
+    for i in np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]:
+        lo, hi = float(xs[i]), float(xs[i + 1])
+        glo = float(vals[i])
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            gmid = float(g(np.asarray(mid))) if merge else g(mid)
+            if gmid == 0.0:
+                lo = hi = mid
+                break
+            if (glo < 0.0) == (gmid < 0.0):
+                lo, glo = mid, gmid
+            else:
+                hi = mid
+        roots.append(0.5 * (lo + hi))
+    roots.sort()
+    if not merge:
+        return roots
+    merged = []
+    for r in roots:
+        if not merged or r - merged[-1] > 1e-9:
+            merged.append(r)
+    return merged
+
+
+def _old_fixed_points(a, b, k, tol=1e-12):
+    xs = np.linspace(0.0, 1.0, 10002)[1:-1]
+
+    def roots(g):
+        return _old_bisect_roots(g, xs, g(xs), tol, merge=True)
+
+    fixed = roots(lambda x: x - scalar_update(x, a, b, k))
+    quasi = [q for q in roots(lambda x: 1.0 - x - scalar_update(x, a, b, k))
+             if all(abs(q - f) > 1e-9 for f in fixed)]
+    return fixed, quasi
+
+
+def _old_error_variation_zeros(a, b, k, M, grid=2000, tol=1e-12):
+    ls = np.linspace(0.0, math.log(1.0 / M), grid + 1)[1:-1]
+    vals = np.array([true_error_variation(a, b, k, M, l) for l in ls])
+    return _old_bisect_roots(lambda l: true_error_variation(a, b, k, M, l),
+                             ls, vals, tol, merge=False)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_fixed_points_match_old_root_finder(k):
+    for eta in np.linspace(0.05, 0.95, 13):
+        eta = float(eta)
+        fp = fixed_points(eta, 1.0 - eta, k)
+        assert (fp.fixed, fp.quasi) == _old_fixed_points(eta, 1.0 - eta, k)
+
+
+@pytest.mark.parametrize("a, b, k, M", [
+    (0.7, 0.3, 3, 0.5), (0.7, 0.3, 3, 1.0 - M3), (0.7, 0.3, 3, M3),
+    (0.8, 0.2, 4, 0.05)])
+def test_error_variation_zeros_match_old_root_finder(a, b, k, M):
+    assert error_variation_zeros(a, b, k, M) == \
+        _old_error_variation_zeros(a, b, k, M)
+
+
 def test_error_variation_zero_values_really_vanish():
     for z in error_variation_zeros(0.7, 0.3, 3, 1.0 - M3):
         assert true_error_variation(0.7, 0.3, 3, 1.0 - M3, z) == pytest.approx(
@@ -158,11 +224,17 @@ def test_error_variation_zero_values_really_vanish():
 
 
 def test_completely_uniform_bound_matches_graph_route():
-    d = math.sqrt(7.0 / 3.0)
-    scalar = udb_completely_uniform(d, 4)
-    graph, _ = ihler_uniform_distance_bound(torus_graph(3, 3, 0.7))
-    assert scalar == pytest.approx(float(graph[0]) / 2.0, abs=1e-10)
-    assert scalar == pytest.approx(2.2784724001499472, abs=1e-9)
+    # Both routes run the same solver, so they agree to rounding.
+    for degree, model in ((3, complete_graph(4, 0.8)),
+                          (4, torus_graph(3, 3, 0.7)),
+                          (5, complete_graph(6, 0.7))):
+        d = compute_strengths(model).pair(0, 1)
+        graph, _ = ihler_uniform_distance_bound(model)
+        scalar = udb_completely_uniform(d, degree)
+        assert scalar > 0.0
+        assert scalar == pytest.approx(float(graph[0]) / 2.0, rel=1e-13)
+    assert udb_completely_uniform(math.sqrt(7.0 / 3.0), 4) == pytest.approx(
+        2.2784724001499472, abs=1e-9)
 
 
 def test_completely_uniform_bound_zero_region():
