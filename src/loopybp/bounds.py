@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from .engine import _multistart
 from .models import PairwiseMRF, compute_strengths
 
 _REL_TOL = 1e-14
@@ -242,17 +243,12 @@ def true_distance(model: PairwiseMRF, seeds: int = 0, runs: int = 12,
     """
     if runs < 2:
         raise ValueError("need at least 2 runs")
-    from .engine import _Layout, _beliefs_batch, _random_logm, _run_batch
     if model.num_directed == 0:
         return np.zeros(model.num_nodes)
-    layout = _Layout(model)
-    logm0 = _random_logm(layout, [seeds + r for r in range(runs)])
-    status, _, snap, _ = _run_batch(layout, logm0, max_iters, tol,
-                                    detect_oscillation=False)
-    good = status == 1
-    if not np.any(good):
+    status, beliefs = _multistart(model, range(seeds, seeds + runs),
+                                  max_iters, tol)
+    if not np.any(status == 1):
         return None
-    beliefs = _beliefs_batch(layout, snap[good])
     reps: list[np.ndarray] = []
     for b in beliefs:
         if all(float(np.abs(b - r).max()) > dedup_tol for r in reps):

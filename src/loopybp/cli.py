@@ -186,6 +186,8 @@ def cmd_converge(args) -> int:
 def cmd_run(args) -> int:
     _at_least(args.max_iters, 1, "--max-iters")
     _at_least(args.max_updates, 1, "--max-updates")
+    if args.tol is not None and not 0.0 < args.tol < math.inf:
+        raise UsageError("--tol must be finite and positive")
     model = _load_model(args)
     if args.schedule == "sync":
         result = run_synchronous(model, init=args.init,
@@ -308,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep budget for --schedule sync")
     p.add_argument("--max-updates", type=int, default=20000,
                    help="update budget for --schedule residual")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=None,
+                   help="stopping tolerance, positive")
     p.add_argument("--trace", help="write the residual pop log as CSV here")
     p.set_defaults(func=cmd_run)
 

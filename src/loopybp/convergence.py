@@ -111,13 +111,13 @@ def _bethe_statistic(model: PairwiseMRF, strengths: StrengthTable, N: int):
     """
     if N < 1:
         raise ValueError("depth must be at least 1")
-    directed = model.directed_edges()
-    n_dir = len(directed)
-    src = np.array([e.src for e in directed], dtype=int)
-    dst = np.array([e.dst for e in directed], dtype=int)
-    rev = np.arange(n_dir) ^ 1
-    w = np.array([strengths.weight(s, d) for s, d in directed])
-    has_succ = np.array([model.degree(d) > 1 for d in dst])
+    ends = np.array(model.edges, dtype=np.intp).reshape(-1, 2)
+    src = ends.ravel()
+    dst = ends[:, ::-1].ravel()
+    rev = np.arange(src.size) ^ 1
+    # Directed edges 2m and 2m+1 both carry the weight of edge m.
+    w = np.repeat(strengths.n_strength, 2)
+    has_succ = np.bincount(src, minlength=model.num_nodes)[dst] > 1
 
     g = w.copy()
     for _ in range(N - 1):
@@ -126,7 +126,7 @@ def _bethe_statistic(model: PairwiseMRF, strengths: StrengthTable, N: int):
     node_sum = np.bincount(src, weights=g, minlength=model.num_nodes)
     h = node_sum[src] - g
     best = int(np.argmax(h))
-    return float(h[best]), directed[best]
+    return float(h[best]), model.directed_edges()[best]
 
 
 def _saw_statistic(model: PairwiseMRF, strengths: StrengthTable):

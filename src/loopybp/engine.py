@@ -4,19 +4,20 @@ Synchronous sweeps run all directed edges against a snapshot of the previous
 iteration; the residual scheduler recomputes one message at a time, ordered by
 a contraction bound on how much each pending message can still move.
 
-Synchronous runs, restart batches and the multi-start probe go through one
-batch kernel. Its layout pads mixed cardinalities to a common width and
-gathers each node's incoming messages through a padded in-edge table, so a
-sweep over a whole batch of runs costs a few dozen array operations whatever
-the graph's size.
+Messages live in one padded log array: (n_dir, kmax) in a ``MessageSet``,
+(runs, n_dir, kmax) in a batch, with ``_NEG`` in the state slots past an
+edge target's cardinality. Synchronous runs, restart batches and the
+multi-start probe go through one batch kernel, which gathers each node's
+incoming messages through a padded in-edge table, so a sweep over a whole
+batch of runs costs a few dozen array operations whatever the graph's size.
 
 The residual scheduler does not use that kernel: the kernel normalizes in
 log space, while a scheduled update must be ``update_message``'s
 linear-space arithmetic so that its pop log does not depend on the route.
-It builds per-edge tables once (log base matrices, in-edge lists, the logs
-of the stored messages, dependents as index arrays) and keeps the
-priorities in one array, so a pop costs an argmax and a few small array
-operations.
+It builds per-edge tables once (log base matrices, in-edge lists,
+dependents as index arrays), updates the stored logs in place through
+per-edge views, and keeps the priorities in one array, so a pop costs an
+argmax and a few small array operations.
 """
 
 from __future__ import annotations
@@ -35,66 +36,94 @@ _NEG = -1.0e30  # padded state slots in log space; finite so arithmetic stays Na
 
 
 class MessageSet:
-    """One normalized positive vector per directed edge.
+    """One normalized positive vector per directed edge, stored as logs.
 
-    Vector e lives over the states of the target of directed edge e, in the
-    canonical order of ``model.directed_edges()``.
+    Row e of the (n_dir, kmax) array ``logm``, the batch kernel's layout, is
+    the log of the message along edge e of ``model.directed_edges()`` over
+    its target's states, padded with ``_NEG``.
     """
 
     def __init__(self, model: PairwiseMRF, vectors):
-        self.model = model
         if len(vectors) != model.num_directed:
             raise ModelError("wrong number of message vectors")
-        self.vectors = [np.asarray(v, dtype=float) for v in vectors]
-        _check_messages(self.vectors,
-                        [model.cards[d] for _, d in model.directed_edges()])
+        self.model = model
+        self.logm = _checked_logs(_target_mask(model), vectors)
+
+    @classmethod
+    def _wrap(cls, model: PairwiseMRF, logm: np.ndarray) -> "MessageSet":
+        out = cls.__new__(cls)
+        out.model, out.logm = model, logm
+        return out
 
     @classmethod
     def uniform(cls, model: PairwiseMRF) -> "MessageSet":
-        vecs = [np.full(model.cards[d], 1.0 / model.cards[d])
-                for _, d in model.directed_edges()]
-        return cls(model, vecs)
+        mask = _target_mask(model)
+        share = 1.0 / mask.sum(axis=1)
+        return cls._wrap(model, np.where(mask, np.log(share)[:, None], _NEG))
 
     @classmethod
     def random(cls, model: PairwiseMRF, seed=None) -> "MessageSet":
         """Entries drawn uniformly from (0, 1) and normalized; seeded."""
-        layout = _Layout(model)
-        logm = _random_logm(layout, [seed])
-        return _messages_from_logm(layout, logm[0])
+        mask = _target_mask(model)
+        return _renormalized(model, mask, _random_logm(mask, [seed])[0])
+
+    def _log(self, src, dst) -> np.ndarray:
+        """The stored log of message src -> dst, without its padded slots."""
+        return self.logm[self.model.directed_index(src, dst), :self.model.cards[dst]]
 
     def get(self, src, dst) -> np.ndarray:
-        return self.vectors[self.model.directed_index(src, dst)]
+        return np.exp(self._log(src, dst))
 
     def set(self, src, dst, vec) -> None:
-        vec = np.asarray(vec, dtype=float)
-        _check_messages([vec], [self.model.cards[dst]])
-        self.vectors[self.model.directed_index(src, dst)] = vec
+        e = self.model.directed_index(src, dst)
+        self.logm[e] = _checked_logs(_target_mask(self.model)[e:e + 1], [vec])[0]
 
     def copy(self) -> "MessageSet":
-        return MessageSet(self.model, [v.copy() for v in self.vectors])
+        return MessageSet._wrap(self.model, self.logm.copy())
 
     def max_abs_log_ratio(self, other: "MessageSet") -> float:
         """Largest |log(self / other)| over all edges and states."""
-        worst = 0.0
-        for a, b in zip(self.vectors, other.vectors):
-            worst = max(worst, float(np.max(np.abs(np.log(a) - np.log(b)))))
-        return worst
+        return float(np.abs(self.logm - other.logm).max(initial=0.0))
 
 
-def _check_messages(vecs, cards):
-    """Validate message vectors against their target cardinalities: shapes
-    one by one, then the values of all vectors in one flat array."""
-    for vec, card in zip(vecs, cards):
+def _target_mask(model: PairwiseMRF) -> np.ndarray:
+    """(n_dir, kmax) mask of the states of each directed edge's target."""
+    dst = np.array(model.edges, dtype=np.intp).reshape(-1, 2)[:, ::-1].ravel()
+    return np.arange(max(model.cards)) < np.array(model.cards)[dst][:, None]
+
+
+def _row_sums(lin: np.ndarray) -> np.ndarray:
+    """Sums over the last axis in ascending state order, as numpy's below 8."""
+    total = lin[..., 0]
+    for j in range(1, lin.shape[-1]):
+        total = total + lin[..., j]
+    return total
+
+
+def _masked_log(lin: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    return np.where(mask, np.log(np.where(mask, lin, 1.0)), _NEG)
+
+
+def _checked_logs(mask: np.ndarray, vectors) -> np.ndarray:
+    """Logs of the vectors, padded to the mask's rows: shapes are checked
+    one by one, values in one pass."""
+    lin = np.zeros(mask.shape)
+    for e, (vec, card) in enumerate(zip(vectors, mask.sum(axis=1).tolist())):
+        vec = np.asarray(vec, dtype=float)
         if vec.shape != (card,):
             raise ModelError(f"message has length {vec.shape}, expected {card}")
-    if not vecs:
-        return
-    flat = np.concatenate(vecs)
-    if np.any(flat <= 0.0) or not np.all(np.isfinite(flat)):
+        lin[e, :card] = vec
+    if np.any(mask & (lin <= 0.0)) or not np.all(np.isfinite(lin)):
         raise ModelError("message entries must be strictly positive")
-    starts = np.cumsum(cards) - cards
-    if np.any(np.abs(np.add.reduceat(flat, starts) - 1.0) > 1e-12):
+    if np.any(np.abs(_row_sums(lin) - 1.0) > 1e-12):
         raise ModelError("message must sum to 1")
+    return _masked_log(lin, mask)
+
+
+def _renormalized(model: PairwiseMRF, mask, logm) -> MessageSet:
+    """Messages whose rows are exp(logm) normalized in linear space."""
+    lin = np.exp(logm)  # exp(_NEG) is 0
+    return MessageSet._wrap(model, _masked_log(lin / _row_sums(lin)[:, None], mask))
 
 
 @dataclass
@@ -153,10 +182,8 @@ class _Layout:
     def __init__(self, model: PairwiseMRF):
         self.model = model
         directed = model.directed_edges()
-        n_dir = len(directed)
-        kmax = max(model.cards)
-        self.n_dir = n_dir
-        self.kmax = kmax
+        self.n_dir = n_dir = len(directed)
+        self.kmax = kmax = max(model.cards)
         self.src = np.array([e.src for e in directed], dtype=int)
         self.dst = np.array([e.dst for e in directed], dtype=int)
         self.rev = np.arange(n_dir) ^ 1  # canonical order pairs 2m, 2m+1
@@ -168,16 +195,13 @@ class _Layout:
         # sender_rows[i][e]: log weight of sender state i over e's target states
         self.sender_rows = [combined[:, i, :].copy() for i in range(kmax)]
 
-        self.mask = np.zeros((n_dir, kmax), dtype=bool)
-        for e in range(n_dir):
-            self.mask[e, :model.cards[self.dst[e]]] = True
+        self.mask = _target_mask(model)
         self.padded = not bool(self.mask.all())
 
-        self.node_mask = np.zeros((model.num_nodes, kmax), dtype=bool)
-        self.log_node = np.full((model.num_nodes, kmax), _NEG)
-        for v in range(model.num_nodes):
-            self.node_mask[v, :model.cards[v]] = True
-            self.log_node[v, :model.cards[v]] = np.log(model.node_pot[v])
+        self.node_mask = np.arange(kmax) < np.array(model.cards)[:, None]
+        self.log_node = np.full(self.node_mask.shape, _NEG)
+        for v, pot in enumerate(model.node_pot):
+            self.log_node[v, :pot.size] = np.log(pot)
 
         degree = np.bincount(self.dst, minlength=model.num_nodes)
         order = np.argsort(self.dst, kind="stable")
@@ -188,38 +212,13 @@ class _Layout:
         self.in_padded = bool((degree < width).any())
 
 
-def _uniform_logm(layout: _Layout, runs: int) -> np.ndarray:
-    cards = np.array([layout.model.cards[d] for d in layout.dst], dtype=float)
-    base = np.where(layout.mask, -np.log(cards)[:, None], _NEG)
-    return np.repeat(base[None], runs, axis=0)
-
-
-def _random_logm(layout: _Layout, seeds) -> np.ndarray:
-    out = np.empty((len(seeds), layout.n_dir, layout.kmax))
+def _random_logm(mask: np.ndarray, seeds) -> np.ndarray:
+    """Per seed, uniform (0, 1) draws over the mask, normalized, as logs."""
+    raw = np.empty((len(seeds),) + mask.shape)
     for r, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        raw = rng.uniform(size=(layout.n_dir, layout.kmax))
-        raw = np.where(layout.mask, raw, 0.0)
-        raw /= raw.sum(axis=1, keepdims=True)
-        out[r] = np.where(layout.mask, np.log(raw, where=layout.mask,
-                                              out=np.full_like(raw, _NEG)), _NEG)
-    return out
-
-
-def _messages_from_logm(layout: _Layout, logm: np.ndarray) -> MessageSet:
-    vecs = []
-    for e in range(layout.n_dir):
-        card = layout.model.cards[layout.dst[e]]
-        vec = np.exp(logm[e, :card])
-        vecs.append(vec / vec.sum())
-    return MessageSet(layout.model, vecs)
-
-
-def _logm_from_messages(layout: _Layout, messages: MessageSet) -> np.ndarray:
-    logm = np.full((1, layout.n_dir, layout.kmax), _NEG)
-    for e, vec in enumerate(messages.vectors):
-        logm[0, e, :vec.shape[0]] = np.log(vec)
-    return logm
+        raw[r] = np.random.default_rng(seed).uniform(size=mask.shape)
+    raw = np.where(mask, raw, 0.0)
+    return _masked_log(raw / raw.sum(axis=2, keepdims=True), mask)
 
 
 def _node_sums(layout: _Layout, logm: np.ndarray) -> np.ndarray:
@@ -258,11 +257,7 @@ def _sweep_batch(layout: _Layout, logm: np.ndarray) -> np.ndarray:
     peak = new[:, :, 0]
     for j in range(1, layout.kmax):
         peak = np.maximum(peak, new[:, :, j])
-    scaled = np.exp(new - peak[:, :, None])
-    total = scaled[:, :, 0]
-    for j in range(1, layout.kmax):
-        total = total + scaled[:, :, j]
-    new -= (peak + np.log(total))[:, :, None]
+    new -= (peak + np.log(_row_sums(np.exp(new - peak[:, :, None]))))[:, :, None]
     if layout.padded:
         new = np.where(layout.mask[None], new, _NEG)
     return new
@@ -346,7 +341,7 @@ def update_message(model: PairwiseMRF, messages: MessageSet, edge) -> np.ndarray
     logw = _log_weights(model, t, s)
     for u in model.neighbors(t):
         if u != s:
-            logw = logw + np.log(messages.get(u, t))[:, None]
+            logw = logw + messages._log(u, t)[:, None]
     return _normalized_message(logw, t, s)
 
 
@@ -379,7 +374,7 @@ def compute_beliefs(model: PairwiseMRF, messages: Optional[MessageSet]) -> list:
         logb = np.log(model.node_pot[v]).copy()
         if messages is not None:
             for u in model.neighbors(v):
-                logb += np.log(messages.get(u, v))
+                logb += messages._log(u, v)
         b = np.exp(logb - logb.max())
         out.append(b / b.sum())
     return out
@@ -394,10 +389,10 @@ def compute_pairwise_beliefs(model: PairwiseMRF, messages: MessageSet) -> list:
                 + np.log(model.node_pot[hi])[None, :])
         for u in model.neighbors(lo):
             if u != hi:
-                logb += np.log(messages.get(u, lo))[:, None]
+                logb += messages._log(u, lo)[:, None]
         for u in model.neighbors(hi):
             if u != lo:
-                logb += np.log(messages.get(u, hi))[None, :]
+                logb += messages._log(u, hi)[None, :]
         b = np.exp(logb - logb.max())
         out.append(b / b.sum())
     return out
@@ -405,18 +400,18 @@ def compute_pairwise_beliefs(model: PairwiseMRF, messages: MessageSet) -> list:
 
 def _initial_logm(layout: _Layout, init, seed):
     if isinstance(init, MessageSet):
-        return _logm_from_messages(layout, init)
+        return init.logm[None]
     if init == "uniform":
-        return _uniform_logm(layout, 1)
+        mask = layout.mask
+        return np.where(mask, -np.log(mask.sum(axis=1))[:, None], _NEG)[None]
     if init == "random":
-        return _random_logm(layout, [seed])
+        return _random_logm(layout.mask, [seed])
     raise ValueError(f"unknown init {init!r}")
 
 
 def _trivial_result(model: PairwiseMRF) -> RunResult:
-    msgs = MessageSet(model, [])
-    return RunResult("converged", None, 0, msgs, np.empty(0),
-                     compute_beliefs(model, None))
+    return RunResult("converged", None, 0, MessageSet(model, []),
+                     np.empty(0), compute_beliefs(model, None))
 
 
 def run_synchronous(model: PairwiseMRF, init="uniform", max_iters=2000,
@@ -432,7 +427,7 @@ def run_synchronous(model: PairwiseMRF, init="uniform", max_iters=2000,
     layout = _Layout(model)
     logm0 = _initial_logm(layout, init, seed)
     status, iters, snap, changes = _run_batch(layout, logm0, max_iters, tol)
-    msgs = _messages_from_logm(layout, snap[0])
+    msgs = _renormalized(model, layout.mask, snap[0])
     return RunResult(_STATUS_NAMES[int(status[0])],
                      2 if status[0] == 2 else None,
                      int(iters[0]), msgs, np.array(changes[0]),
@@ -517,9 +512,9 @@ def run_residual_scheduled(model: PairwiseMRF, max_updates=20000, tol=1e-9,
         gs.sort(key=lambda g: directed[g].src)
     deps = [np.array(fs, dtype=np.intp) for fs in deps]
     base = [_log_weights(model, t, s) for t, s in directed]
-    vectors = msgs.vectors
-    # logs[e]: log of the stored message e, as a column.
-    logs = [np.log(v)[:, None] for v in vectors]
+    # logs[e]: the stored message e, a column view into msgs.logm.
+    logs = [msgs.logm[e, :model.cards[s], None]
+            for e, (_, s) in enumerate(directed)]
 
     def recompute(e):
         logw = base[e]
@@ -529,13 +524,11 @@ def run_residual_scheduled(model: PairwiseMRF, max_updates=20000, tol=1e-9,
 
     total = min(n_dir, max_updates)
     for e in range(total):
-        vectors[e] = recompute(e)
-        logs[e] = np.log(vectors[e])[:, None]
+        logs[e][:, 0] = np.log(recompute(e))
 
     acc = np.full(n_dir, np.inf)
     prio = 2.0 * np.log(dd)
     entries = []
-    changes = []
     status = "max_iters"
     while total < max_updates:
         e = int(np.argmax(prio))
@@ -543,14 +536,11 @@ def run_residual_scheduled(model: PairwiseMRF, max_updates=20000, tol=1e-9,
         if top < tol:
             status = "converged"
             break
-        new = recompute(e)
-        new_log = np.log(new)[:, None]
+        new_log = np.log(recompute(e))[:, None]
         realized = float(np.abs(new_log - logs[e]).max())
-        vectors[e] = new
-        logs[e] = new_log
+        logs[e][:] = new_log
         total += 1
         entries.append((directed[e], top, realized))
-        changes.append(realized)
         acc[e] = 0.0
         prio[e] = 0.0
         at = deps[e]
@@ -560,7 +550,8 @@ def run_residual_scheduled(model: PairwiseMRF, max_updates=20000, tol=1e-9,
         if total >= n_dir and float(prio.max()) < tol:
             status = "converged"
 
-    result = RunResult(status, None, total, msgs, np.array(changes),
+    result = RunResult(status, None, total, msgs,
+                       np.array([r for _, _, r in entries]),
                        compute_beliefs(model, msgs))
     return result, ScheduleTrace(entries, total)
 
@@ -582,14 +573,21 @@ def empirical_convergent(model: PairwiseMRF, runs=20, max_iters=5000,
     """
     if model.num_directed == 0:
         return True
-    layout = _Layout(model)
-    logm0 = _random_logm(layout, [base_seed + r for r in range(runs)])
-    status, _, snap, _ = _run_batch(layout, logm0, max_iters, tol,
-                                    detect_oscillation=False)
+    status, beliefs = _multistart(model, range(base_seed, base_seed + runs),
+                                  max_iters, tol)
     if np.any(status != 1):
         return False
-    beliefs = _beliefs_batch(layout, snap)
     return float(np.abs(beliefs - beliefs[0]).max()) <= agree_tol
+
+
+def _multistart(model: PairwiseMRF, seeds, max_iters, tol):
+    """Seeded random starts run as one batch without period detection: every
+    run's status code, and the beliefs of the converged runs in seed order."""
+    layout = _Layout(model)
+    logm0 = _random_logm(layout.mask, seeds)
+    status, _, snap, _ = _run_batch(layout, logm0, max_iters, tol,
+                                    detect_oscillation=False)
+    return status, _beliefs_batch(layout, snap[status == 1])
 
 
 def empirical_critical_eta(model: PairwiseMRF, lo=0.5, hi=0.99, tol=1e-3,

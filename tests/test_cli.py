@@ -220,7 +220,11 @@ def test_usage_errors_exit_two(capsys):
              "--methods", "true,udb", "--true-runs", "1"],
             *(["converge", "--generate", "torus:3x3", "--eta", "0.6",
                "--critical", "--tol", tol]
-              for tol in ("0", "-1", "nan", "inf"))):
+              for tol in ("0", "-1", "nan", "inf")),
+            *(["run", "--generate", "cycle:5", "--eta", "0.6",
+               "--schedule", schedule, "--tol", tol]
+              for schedule in ("sync", "residual")
+              for tol in ("nan", "-1", "0", "inf"))):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv

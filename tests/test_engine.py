@@ -381,7 +381,7 @@ def test_sweep_and_beliefs_match_dense_kernel(kind):
     layout = _Layout(m)
     if kind == "mixed-card":
         assert layout.kmax == 3 and layout.padded
-    logm = _random_logm(layout, range(4))
+    logm = _random_logm(layout.mask, range(4))
     ref = logm.copy()
     for _ in range(300):
         logm = _sweep_batch(layout, logm)
@@ -398,7 +398,7 @@ def test_run_batch_matches_looped_bookkeeping(kind, eta, detect, budget,
                                               outcome):
     m = build_generator(kind, eta) if eta is not None else _mixed_card_grid()
     layout = _Layout(m)
-    logm0 = _random_logm(layout, range(6))
+    logm0 = _random_logm(layout.mask, range(6))
     got = _run_batch(layout, logm0, budget, 1e-10, detect_oscillation=detect)
     want = looped_run_batch(layout, logm0, budget, 1e-10, detect)
     assert np.all(want[0] == outcome)
@@ -408,18 +408,92 @@ def test_run_batch_matches_looped_bookkeeping(kind, eta, detect, budget,
         assert np.array_equal(a, np.array(b))
 
 
+# -- per-edge references on plain lists of linear vectors ------------------
+#
+# These keep messages as one linear vector per directed edge and take logs
+# where they are read: an independent route that the library's padded log
+# store must match bit for bit.
+
+
+def ref_update(model, vecs, t, s):
+    """update_message's linear-space arithmetic on a list of vectors."""
+    logw = np.log(model.edge_matrix(t, s)) + np.log(model.node_pot[t])[:, None]
+    for u in model.neighbors(t):
+        if u != s:
+            logw = logw + np.log(vecs[model.directed_index(u, t)])[:, None]
+    summed = np.exp(logw - logw.max()).sum(axis=0)
+    return summed / summed.sum()
+
+
+def ref_beliefs(model, vecs):
+    """Per-node log sums of the incoming vectors' logs, then normalize."""
+    out = []
+    for v in range(model.num_nodes):
+        logb = np.log(model.node_pot[v]).copy()
+        for u in model.neighbors(v):
+            logb += np.log(vecs[model.directed_index(u, v)])
+        b = np.exp(logb - logb.max())
+        out.append(b / b.sum())
+    return out
+
+
+def ref_vectors(model, logm):
+    """Padded log rows to vectors: per-edge exp, then normalize."""
+    out = []
+    for e, (_, d) in enumerate(model.directed_edges()):
+        vec = np.exp(logm[e, :model.cards[d]])
+        out.append(vec / vec.sum())
+    return out
+
+
+def ref_init(model, init, seed=None):
+    """Uniform vectors, or the seeded uniform draws normalized, logged and
+    turned back into vectors by ref_vectors."""
+    directed = model.directed_edges()
+    if init == "uniform":
+        return [np.full(model.cards[d], 1.0 / model.cards[d]) for _, d in directed]
+    raw = np.random.default_rng(seed).uniform(
+        size=(len(directed), max(model.cards)))
+    logm = np.full(raw.shape, _NEG)
+    for e, (_, d) in enumerate(directed):
+        row = raw[e, :model.cards[d]]
+        logm[e, :row.size] = np.log(row / row.sum())
+    return ref_vectors(model, logm)
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_MODELS))
+def test_sync_beliefs_match_per_edge_route(kind):
+    """run_synchronous renormalizes the kernel's output once for all edges;
+    its beliefs must be bit-equal to the per-edge route."""
+    m = KERNEL_MODELS[kind]()
+    layout = _Layout(m)
+    for init, seed, budget in (("uniform", None, 2000), ("random", 0, 5),
+                               ("random", 1, 2000)):
+        if init == "uniform":
+            cards = layout.mask.sum(axis=1)
+            logm0 = np.where(layout.mask, -np.log(cards)[:, None], _NEG)[None]
+        else:
+            logm0 = _random_logm(layout.mask, [seed])
+        snap = _run_batch(layout, logm0, budget, 1e-10)[2]
+        got = run_synchronous(m, init=init, seed=seed, max_iters=budget)
+        want = ref_vectors(m, snap[0])
+        for e, (_, d) in enumerate(m.directed_edges()):
+            assert np.array_equal(got.messages.logm[e, :m.cards[d]],
+                                  np.log(want[e]))
+        for a, b in zip(got.beliefs, ref_beliefs(m, want)):
+            assert np.array_equal(a, b)
+
+
 # -- the residual scheduler against the argmax loop it replaced ------------
 
 
 def argmax_residual(model, max_updates, tol, init, seed=None):
-    """The scheduler as a linear argmax over priorities, recomputing every
-    message with update_message; returns (status, total, entries, msgs)."""
+    """The scheduler as a linear argmax over priorities on a list of linear
+    vectors, recomputing every message with ref_update; returns (status,
+    total, entries, vecs)."""
     directed = model.directed_edges()
     n_dir = len(directed)
-    if init == "uniform":
-        msgs = MessageSet.uniform(model)
-    else:
-        msgs = MessageSet.random(model, seed)
+    vecs = ref_init(model, init, seed)
     dd, _ = compute_strengths(model).directed_arrays()
     dependents = [[] for _ in range(n_dir)]
     for f in range(n_dir):
@@ -434,7 +508,7 @@ def argmax_residual(model, max_updates, tol, init, seed=None):
 
     total = min(n_dir, max_updates)
     for e in range(total):
-        msgs.vectors[e] = update_message(model, msgs, directed[e])
+        vecs[e] = ref_update(model, vecs, *directed[e])
     acc = np.full(n_dir, np.inf)
     prio = 2.0 * np.log(dd)
     entries = []
@@ -445,10 +519,10 @@ def argmax_residual(model, max_updates, tol, init, seed=None):
         if top < tol:
             status = "converged"
             break
-        old = msgs.vectors[e]
-        new = update_message(model, msgs, directed[e])
+        old = vecs[e]
+        new = ref_update(model, vecs, *directed[e])
         realized = float(np.max(np.abs(np.log(new) - np.log(old))))
-        msgs.vectors[e] = new
+        vecs[e] = new
         total += 1
         entries.append((directed[e], top, realized))
         acc[e] = 0.0
@@ -459,7 +533,7 @@ def argmax_residual(model, max_updates, tol, init, seed=None):
     else:
         if total >= n_dir and float(prio.max()) < tol:
             status = "converged"
-    return status, total, entries, msgs
+    return status, total, entries, vecs
 
 
 def _shuffled_edges(model, seed=8):
@@ -503,15 +577,16 @@ def test_residual_scheduler_matches_argmax_loop(case):
     result, trace = run_residual_scheduled(
         m, max_updates=max_updates, tol=tol, init=opts["init"],
         seed=opts.get("seed"))
-    status, total, entries, msgs = argmax_residual(
+    status, total, entries, vecs = argmax_residual(
         m, max_updates, tol, opts["init"], opts.get("seed"))
-    assert [(e, r) for e, _, r in trace.entries] == \
-        [(e, r) for e, _, r in entries]
-    assert np.array_equal([p for _, p, _ in trace.entries],
-                          [p for _, p, _ in entries])
+    assert trace.entries == entries
     assert (result.status, result.iterations, trace.total_updates) == \
         (status, total, total)
-    for got, want in zip(result.messages.vectors, msgs.vectors):
+    logm = result.messages.logm
+    for e, (_, d) in enumerate(m.directed_edges()):
+        assert np.array_equal(logm[e, :m.cards[d]], np.log(vecs[e]))
+        assert np.all(logm[e, m.cards[d]:] == _NEG)
+    for got, want in zip(result.beliefs, ref_beliefs(m, vecs)):
         assert np.array_equal(got, want)
     if case.endswith("tol0"):
         assert entries[-1][1] == 0.0 and status == "max_iters"
@@ -541,10 +616,44 @@ def test_residual_scheduler_rejects_overflowing_strengths():
 ])
 def test_message_set_rejects_one_faulty_vector(fault, message):
     m = _mixed_card_grid()
-    vecs = [v.copy() for v in MessageSet.uniform(m).vectors]
+    vecs = [np.full(m.cards[d], 1.0 / m.cards[d]) for _, d in m.directed_edges()]
     e = next(e for e, (_, d) in enumerate(m.directed_edges())
              if e > 3 and m.cards[d] == 2)
     vecs[e] = np.array(fault)
     with pytest.raises(ModelError) as info:
         MessageSet(m, vecs)
     assert str(info.value) == message
+
+
+# -- MessageSet storage ----------------------------------------------------
+
+
+def test_message_set_copy_and_runs_leave_source_alone():
+    m = _mixed_card_grid()
+    ms = MessageSet.random(m, seed=3)
+    before = ms.logm.copy()
+    t, s = next(e for e in m.directed_edges() if m.cards[e.dst] == 3)
+    dup = ms.copy()
+    dup.set(t, s, [0.2, 0.3, 0.5])
+    assert not np.array_equal(dup.logm, before)
+    sync = run_synchronous(m, init=ms, max_iters=5)
+    sched, _ = run_residual_scheduled(m, init=ms, max_updates=200)
+    assert np.array_equal(ms.logm, before)
+    for out in (sync.messages, sched.messages):
+        assert not np.shares_memory(out.logm, ms.logm)
+
+
+def test_message_set_set_get_round_trip():
+    # get is exp of the stored log: the log's rounding, at most half an ulp
+    # of |log v|, becomes a relative error of about |log v| ulps of v.
+    m = _mixed_card_grid()
+    ms = MessageSet.uniform(m)
+    rng = np.random.default_rng(0)
+    for t, s in m.directed_edges():
+        vec = rng.uniform(0.05, 1.0, size=m.cards[s])
+        vec /= vec.sum()
+        ms.set(t, s, vec)
+        assert np.array_equal(ms._log(t, s), np.log(vec))
+        got = ms.get(t, s)
+        assert np.all(np.abs(got - vec)
+                      <= np.spacing(vec) * (1.0 + np.abs(np.log(vec))))
