@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import ihler_nonuniform_distance_bound, nonuniform_distance_bound
+from .bounds import (_sharing_solves, ihler_nonuniform_distance_bound,
+                     nonuniform_distance_bound)
 from .engine import run_synchronous
-from .models import PairwiseMRF
+from .models import PairwiseMRF, compute_strengths
 from .trees import saw_tree
 
 _MAX_STATES = 1 << 20
@@ -95,7 +96,8 @@ def saw_accuracy(model: PairwiseMRF, node: int, max_iters=5000,
     The error recursions run for as many steps as the self-avoiding walk
     tree rooted at the node is deep, starting saturated, which worst-cases
     whatever configuration the walks' endpoints are pinned to. delta comes
-    from the dynamic-range recursion, eps from the single-log one.
+    from the dynamic-range recursion, eps from the single-log one; both read
+    the same recursion, solved once.
     """
     result = run_synchronous(model, init="uniform", max_iters=max_iters,
                              tol=tol)
@@ -107,9 +109,12 @@ def saw_accuracy(model: PairwiseMRF, node: int, max_iters=5000,
     depth = saw_tree(model, node).depth
     if depth == 0:
         return accuracy_bound(belief, 1.0, 1.0)
-    ihler_bounds, _ = ihler_nonuniform_distance_bound(model, n=depth)
-    improved_bounds, _ = nonuniform_distance_bound(model, n=depth,
-                                                   improved=True)
+    strengths = compute_strengths(model)
+    with _sharing_solves():
+        ihler_bounds, _ = ihler_nonuniform_distance_bound(model, strengths,
+                                                          n=depth)
+        improved_bounds, _ = nonuniform_distance_bound(model, strengths,
+                                                       n=depth, improved=True)
     delta = float(np.exp(0.5 * ihler_bounds[node]))
     epsilon = float(np.exp(improved_bounds[node]))
     return accuracy_bound(belief, delta, epsilon)

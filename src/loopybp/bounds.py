@@ -9,6 +9,8 @@ t = exp(-log eps), which keeps the arithmetic stable when eps saturates.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Optional
 
@@ -118,13 +120,51 @@ class _Recursion:
     def __init__(self, n: int, seg: np.ndarray, feed: np.ndarray,
                  coeff: float, v: np.ndarray):
         self.n, self.seg, self.feed, self.coeff, self.v = n, seg, feed, coeff, v
+        # Scratch for the per-term values, reused by every step.
+        self._a = np.empty(v.shape)
+        self._b = np.empty(v.shape)
+
+    def key(self) -> tuple:
+        """The recursion's exact content; equal keys give equal solves."""
+        return (self.n, self.coeff, self.seg.tobytes(), self.feed.tobytes(),
+                self.v.tobytes())
 
     def sums(self, z) -> np.ndarray:
         """Segment sums at one shared z (a float) or at per-value z (an
         array). z = inf is the saturated initialization: t = 0."""
         t = math.exp(-z) if isinstance(z, float) else np.exp(-z[self.feed])
-        vals = self.coeff * (np.log(self.v + t) - np.log1p(self.v * t))
+        a, b = self._a, self._b
+        np.log(np.add(self.v, t, out=a), out=a)
+        np.log1p(np.multiply(self.v, t, out=b), out=b)
+        vals = np.multiply(np.subtract(a, b, out=a), self.coeff, out=a)
         return np.bincount(self.seg, weights=vals, minlength=self.n)
+
+
+# Solves shared within one sharing scope (see _sharing_solves); None outside.
+_SOLVED: ContextVar[Optional[dict]] = ContextVar("_SOLVED", default=None)
+
+
+@contextmanager
+def _sharing_solves():
+    """Within the block, each distinct recursion is solved once: the
+    improved and Ihler bounds read the same fixed point. The store is
+    dropped on exit, so nothing is shared between calls."""
+    token = _SOLVED.set({})
+    try:
+        yield
+    finally:
+        _SOLVED.reset(token)
+
+
+def _solve(solver, rec: _Recursion, *args):
+    """solver(rec, *args), reused inside a sharing scope."""
+    store = _SOLVED.get()
+    if store is None:
+        return solver(rec, *args)
+    key = (solver, rec.key(), args)
+    if key not in store:
+        store[key] = solver(rec, *args)
+    return store[key]
 
 
 def _solve_uniform(rec: _Recursion) -> float:
@@ -171,7 +211,7 @@ def _solve_nonuniform(rec: _Recursion, n: Optional[int]) -> np.ndarray:
     if n is None:
         for _ in range(_MAX_SOLVE):
             znew = rec.sums(z)
-            if float(np.max(np.abs(znew - z))) <= _REL_TOL * max(1.0, float(z.max())):
+            if float(np.abs(znew - z).max()) <= _REL_TOL * max(1.0, float(z.max())):
                 z = znew
                 break
             z = znew
@@ -190,7 +230,7 @@ def uniform_distance_bound(model: PairwiseMRF, strengths=None):
     """Per-node log-distance bound from the doubled-log recursion with the
     combined strength d*d_star. Returns (bounds, eps_star)."""
     terms = _EdgeTerms(model, strengths)
-    z = _solve_uniform(terms.recursion(improved=False))
+    z = _solve(_solve_uniform, terms.recursion(improved=False))
     return terms.node_bounds(terms.dd, z), math.exp(z)
 
 
@@ -198,7 +238,7 @@ def improved_uniform_distance_bound(model: PairwiseMRF, strengths=None):
     """Same node assembly, but eps_star comes from the single-log recursion
     in squared edge strength, which has a higher zero threshold."""
     terms = _EdgeTerms(model, strengths)
-    z = _solve_uniform(terms.recursion(improved=True))
+    z = _solve(_solve_uniform, terms.recursion(improved=True))
     return terms.node_bounds(terms.dd, z), math.exp(z)
 
 
@@ -206,7 +246,7 @@ def ihler_uniform_distance_bound(model: PairwiseMRF, strengths=None):
     """Dynamic-range recursion end to end: the single-log eps fixed point
     assembled with the squared edge strength."""
     terms = _EdgeTerms(model, strengths)
-    z = _solve_uniform(terms.recursion(improved=True))
+    z = _solve(_solve_uniform, terms.recursion(improved=True))
     return terms.node_bounds(terms.d2, z), math.exp(z)
 
 
@@ -220,14 +260,14 @@ def nonuniform_distance_bound(model: PairwiseMRF, strengths=None,
     (bounds, per-directed-edge eps array).
     """
     terms = _EdgeTerms(model, strengths)
-    z = _solve_nonuniform(terms.recursion(improved), n)
+    z = _solve(_solve_nonuniform, terms.recursion(improved), n)
     return terms.node_bounds(terms.dd, z), np.exp(z)
 
 
 def ihler_nonuniform_distance_bound(model: PairwiseMRF, strengths=None,
                                     n: Optional[int] = None):
     terms = _EdgeTerms(model, strengths)
-    z = _solve_nonuniform(terms.recursion(improved=True), n)
+    z = _solve(_solve_nonuniform, terms.recursion(improved=True), n)
     return terms.node_bounds(terms.d2, z), np.exp(z)
 
 
@@ -284,30 +324,28 @@ class BoundReport:
 
 def bound_report(model: PairwiseMRF, strengths=None, n: Optional[int] = None,
                  true_runs: int = 0, seed: int = 0) -> BoundReport:
-    """Compute every bound kind for one model.
+    """Compute every bound kind for one model, solving each distinct error
+    recursion once.
 
     ``n`` is passed to the per-edge recursions; ``true_runs`` >= 2 adds the
     empirical distance from that many random restarts.
     """
     if strengths is None:
         strengths = compute_strengths(model)
-    n_dir = model.num_directed
-    node_bounds = {}
-    eps = {}
-    for key, (bounds, eps_val) in (
-            ("udb", uniform_distance_bound(model, strengths)),
-            ("improved_udb", improved_uniform_distance_bound(model, strengths)),
-            ("ihler_udb", ihler_uniform_distance_bound(model, strengths))):
-        node_bounds[key] = bounds
-        eps[key] = np.full(n_dir, eps_val)
-    for key, improved in (("nudb", False), ("improved_nudb", True)):
-        bounds, eps_vec = nonuniform_distance_bound(model, strengths, n=n,
-                                                    improved=improved)
-        node_bounds[key] = bounds
-        eps[key] = eps_vec
-    bounds, eps_vec = ihler_nonuniform_distance_bound(model, strengths, n=n)
-    node_bounds["ihler_nudb"] = bounds
-    eps["ihler_nudb"] = eps_vec
+    with _sharing_solves():
+        results = {
+            "udb": uniform_distance_bound(model, strengths),
+            "improved_udb": improved_uniform_distance_bound(model, strengths),
+            "ihler_udb": ihler_uniform_distance_bound(model, strengths),
+            "nudb": nonuniform_distance_bound(model, strengths, n=n),
+            "improved_nudb": nonuniform_distance_bound(model, strengths, n=n,
+                                                       improved=True),
+            "ihler_nudb": ihler_nonuniform_distance_bound(model, strengths,
+                                                          n=n),
+        }
+    node_bounds = {key: bounds for key, (bounds, _) in results.items()}
+    eps = {key: np.full(model.num_directed, e) if np.ndim(e) == 0 else e
+           for key, (_, e) in results.items()}
 
     for key in BOUND_KEYS:
         if np.any(node_bounds[key] < 0.0):

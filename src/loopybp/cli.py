@@ -119,6 +119,7 @@ def _parse_methods(spec: str) -> list:
 def cmd_bounds(args) -> int:
     methods = _parse_methods(args.methods)
     _at_least(args.nudb_iters, 1, "--nudb-iters")
+    _at_least(args.seed, 0, "--seed")
     if "true_distance" in methods:
         _at_least(args.true_runs, 2, "--true-runs")
     topo = _load_topology(args)
@@ -186,6 +187,7 @@ def cmd_converge(args) -> int:
 def cmd_run(args) -> int:
     _at_least(args.max_iters, 1, "--max-iters")
     _at_least(args.max_updates, 1, "--max-updates")
+    _at_least(args.seed, 0, "--seed")
     if args.tol is not None and not 0.0 < args.tol < math.inf:
         raise UsageError("--tol must be finite and positive")
     model = _load_model(args)
@@ -237,9 +239,9 @@ def cmd_fixed_points(args) -> int:
 
 def cmd_accuracy(args) -> int:
     model = _load_model(args)
-    exact = exact_marginals(model)
     if args.node is not None and not 0 <= args.node < model.num_nodes:
         raise UsageError(f"node {args.node} out of range")
+    exact = exact_marginals(model)
     nodes = [args.node] if args.node is not None else range(model.num_nodes)
     print("node,state,belief,exact,lower,upper")
     for s in nodes:

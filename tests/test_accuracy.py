@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from loopybp import bounds as bounds_mod
 from loopybp import (
     ConvergenceFailure,
     EnumerationLimitError,
@@ -13,8 +14,11 @@ from loopybp import (
     complete_graph,
     exact_marginals,
     grid_graph,
+    ihler_nonuniform_distance_bound,
+    nonuniform_distance_bound,
     run_synchronous,
     saw_accuracy,
+    saw_tree,
     torus_graph,
 )
 
@@ -132,3 +136,22 @@ def test_saw_accuracy_requires_convergence():
                     edge_potentials={e: base.edge_matrix(*e) for e in base.edges})
     with pytest.raises(ConvergenceFailure):
         saw_accuracy(m, 0, max_iters=200)
+
+
+def test_saw_accuracy_solves_its_recursion_once(monkeypatch):
+    m = torus_graph(3, 3, 0.6)
+    depth = saw_tree(m, 0).depth
+    ihler, _ = ihler_nonuniform_distance_bound(m, n=depth)
+    improved, _ = nonuniform_distance_bound(m, n=depth, improved=True)
+    calls = []
+    solve = bounds_mod._solve_nonuniform
+    monkeypatch.setattr(bounds_mod, "_solve_nonuniform",
+                        lambda *args: calls.append(args) or solve(*args))
+
+    def no_second_table(model):
+        raise AssertionError("bounds built their own strength table")
+    monkeypatch.setattr(bounds_mod, "compute_strengths", no_second_table)
+    ab = saw_accuracy(m, 0)
+    assert len(calls) == 1
+    assert ab.delta == float(np.exp(0.5 * ihler[0]))
+    assert ab.epsilon == float(np.exp(improved[0]))

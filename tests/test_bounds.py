@@ -10,8 +10,10 @@ from loopybp import (
     PairwiseMRF,
     bound_report,
     bound_variation,
+    build_generator,
     chain_graph,
     complete_graph,
+    compute_strengths,
     delta1,
     delta2,
     grid_graph,
@@ -27,6 +29,7 @@ from loopybp import (
     update_message,
     with_uniform_binary,
 )
+from loopybp import bounds as bounds_mod
 from loopybp.bounds import BOUND_KEYS
 
 D73 = math.sqrt(7.0 / 3.0)
@@ -308,3 +311,130 @@ def test_rebuilt_potentials_shift_thresholds():
     assert np.all(uniform_distance_bound(base)[0] == 0.0)
     hot = with_uniform_binary(base, 0.80)
     assert np.all(uniform_distance_bound(hot)[0] > 0.0)
+
+
+# -- one solve per distinct recursion ----------------------------------------
+
+ACCEPTANCE_GRAPHS = ("complete:4", "k4minus", "grid:3x3", "torus:3x3")
+DESK_ETAS = [round(0.5 + 0.05 * i, 2) for i in range(10)]
+
+
+def _glass_grid(rows=6, cols=6, seed=3):
+    # Glass-style: log-normal asymmetric potentials, a fifth of the nodes
+    # with three states.
+    rng = np.random.default_rng(seed)
+    n = rows * cols
+    cards = [3 if rng.uniform() < 0.2 else 2 for _ in range(n)]
+    edges = [(v, u) for v in range(n)
+             for u in ([v + 1] if (v + 1) % cols else []) +
+             ([v + cols] if v + cols < n else [])]
+    return PairwiseMRF(
+        n, edges, cards,
+        node_potentials=[rng.lognormal(0.0, 0.5, size=c) for c in cards],
+        edge_potentials={(v, u): rng.lognormal(0.0, 0.5,
+                                               size=(cards[v], cards[u]))
+                         for v, u in edges})
+
+
+def _six_solve_report(model, n=None):
+    # bound_report as it was before solves were shared: every public bound
+    # function called on its own, so each solves its recursion afresh.
+    strengths = compute_strengths(model)
+    node_bounds, eps = {}, {}
+    for key, (b, e) in (
+            ("udb", uniform_distance_bound(model, strengths)),
+            ("improved_udb", improved_uniform_distance_bound(model, strengths)),
+            ("ihler_udb", ihler_uniform_distance_bound(model, strengths))):
+        node_bounds[key], eps[key] = b, np.full(model.num_directed, e)
+    for key, (b, e) in (
+            ("nudb", nonuniform_distance_bound(model, strengths, n=n)),
+            ("improved_nudb", nonuniform_distance_bound(
+                model, strengths, n=n, improved=True)),
+            ("ihler_nudb", ihler_nonuniform_distance_bound(
+                model, strengths, n=n))):
+        node_bounds[key], eps[key] = b, e
+    return node_bounds, eps
+
+
+@pytest.fixture
+def solve_counts(monkeypatch):
+    counts = {"uniform": 0, "nonuniform": 0}
+
+    def counting(name, solver):
+        def wrapped(*args):
+            counts[name] += 1
+            return solver(*args)
+        return wrapped
+
+    monkeypatch.setattr(bounds_mod, "_solve_uniform",
+                        counting("uniform", bounds_mod._solve_uniform))
+    monkeypatch.setattr(bounds_mod, "_solve_nonuniform",
+                        counting("nonuniform", bounds_mod._solve_nonuniform))
+    return counts
+
+
+@pytest.mark.parametrize("kind", ["complete:4", "k4minus"])
+@pytest.mark.parametrize("eta", [0.75, 0.6])
+def test_bound_report_solves_each_recursion_once(kind, eta, solve_counts):
+    bound_report(build_generator(kind, eta))
+    assert solve_counts == {"uniform": 2, "nonuniform": 2}
+
+
+def test_bound_report_shares_nothing_between_calls(solve_counts):
+    m = build_generator("grid:3x3", 0.7)
+    first = bound_report(m)
+    assert solve_counts == {"uniform": 2, "nonuniform": 2}
+    second = bound_report(m)
+    assert solve_counts == {"uniform": 4, "nonuniform": 4}
+    assert bounds_mod._SOLVED.get() is None
+    ihler_uniform_distance_bound(m)
+    ihler_nonuniform_distance_bound(m)
+    assert solve_counts == {"uniform": 5, "nonuniform": 5}
+    for key in BOUND_KEYS:
+        assert np.array_equal(first.node_bounds[key], second.node_bounds[key])
+
+
+def test_recursion_sums_match_allocating_form():
+    m = _glass_grid()
+    terms = bounds_mod._EdgeTerms(m)
+    rng = np.random.default_rng(0)
+    for improved in (False, True):
+        rec = terms.recursion(improved)
+        for z in (math.inf, 0.3, rng.uniform(0.0, 3.0, size=rec.n)):
+            t = math.exp(-z) if isinstance(z, float) else np.exp(-z[rec.feed])
+            vals = rec.coeff * (np.log(rec.v + t) - np.log1p(rec.v * t))
+            want = np.bincount(rec.seg, weights=vals, minlength=rec.n)
+            assert np.array_equal(rec.sums(z), want)
+
+
+@pytest.mark.parametrize("kind", ACCEPTANCE_GRAPHS)
+def test_shared_report_equals_six_solves_on_desk_sweep(kind):
+    for eta in DESK_ETAS:
+        m = build_generator(kind, eta)
+        report = bound_report(m)
+        node_bounds, eps = _six_solve_report(m)
+        for key in BOUND_KEYS:
+            assert np.array_equal(report.node_bounds[key], node_bounds[key])
+            assert np.array_equal(report.eps_star[key], eps[key])
+
+
+@pytest.mark.parametrize("n", [None, 3])
+def test_shared_report_equals_six_solves_on_glass_grid(n):
+    m = _glass_grid()
+    report = bound_report(m, n=n)
+    node_bounds, eps = _six_solve_report(m, n=n)
+    for key in BOUND_KEYS:
+        assert np.array_equal(report.node_bounds[key], node_bounds[key])
+        assert np.array_equal(report.eps_star[key], eps[key])
+
+
+def test_bound_report_eps_arrays_are_independent():
+    m = _glass_grid()
+    report = bound_report(m)
+    before = {k: v.copy() for k, v in report.eps_star.items()}
+    for key in BOUND_KEYS:
+        report.eps_star[key][:] = -1.0
+        for other in BOUND_KEYS:
+            if other != key:
+                assert np.array_equal(report.eps_star[other], before[other])
+        report.eps_star[key][:] = before[key]

@@ -224,7 +224,14 @@ def test_usage_errors_exit_two(capsys):
             *(["run", "--generate", "cycle:5", "--eta", "0.6",
                "--schedule", schedule, "--tol", tol]
               for schedule in ("sync", "residual")
-              for tol in ("nan", "-1", "0", "inf"))):
+              for tol in ("nan", "-1", "0", "inf")),
+            ["run", "--generate", "cycle:5", "--eta", "0.6",
+             "--init", "random", "--seed", "-1"],
+            ["bounds", "--generate", "cycle:5", "--eta", "0.6",
+             "--methods", "true", "--seed", "-3"],
+            # Checked before the joint (2**36 states) is enumerated.
+            ["accuracy", "--generate", "grid:6x6", "--eta", "0.6",
+             "--node", "999"]):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv
