@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import _multistart
+from .engine import _check_restarts, _multistart
 from .models import PairwiseMRF, compute_strengths
 
 _REL_TOL = 1e-14
@@ -140,15 +140,17 @@ class _Recursion:
         return np.bincount(self.seg, weights=vals, minlength=self.n)
 
 
-# Solves shared within one sharing scope (see _sharing_solves); None outside.
+# Solves and edge terms shared within one sharing scope (see
+# _sharing_solves); None outside.
 _SOLVED: ContextVar[Optional[dict]] = ContextVar("_SOLVED", default=None)
 
 
 @contextmanager
 def _sharing_solves():
-    """Within the block, each distinct recursion is solved once: the
-    improved and Ihler bounds read the same fixed point. The store is
-    dropped on exit, so nothing is shared between calls."""
+    """Within the block, each distinct recursion is solved once (the
+    improved and Ihler bounds read the same fixed point) and each model's
+    edge terms are built once. The store is dropped on exit, so nothing is
+    shared between calls."""
     token = _SOLVED.set({})
     try:
         yield
@@ -156,15 +158,26 @@ def _sharing_solves():
         _SOLVED.reset(token)
 
 
-def _solve(solver, rec: _Recursion, *args):
-    """solver(rec, *args), reused inside a sharing scope."""
+def _shared(key, build):
+    """build(), reused under ``key`` inside a sharing scope."""
     store = _SOLVED.get()
     if store is None:
-        return solver(rec, *args)
-    key = (solver, rec.key(), args)
+        return build()
     if key not in store:
-        store[key] = solver(rec, *args)
+        store[key] = build()
     return store[key]
+
+
+def _solve(solver, rec: _Recursion, *args):
+    """solver(rec, *args), reused inside a sharing scope."""
+    return _shared((solver, rec.key(), args), lambda: solver(rec, *args))
+
+
+def _edge_terms(model: PairwiseMRF, strengths) -> _EdgeTerms:
+    """_EdgeTerms(model, strengths), reused inside a sharing scope. Models
+    and strength tables hash by identity, so the key names these objects."""
+    return _shared((_EdgeTerms, model, strengths),
+                   lambda: _EdgeTerms(model, strengths))
 
 
 def _solve_uniform(rec: _Recursion) -> float:
@@ -229,7 +242,7 @@ def _solve_nonuniform(rec: _Recursion, n: Optional[int]) -> np.ndarray:
 def uniform_distance_bound(model: PairwiseMRF, strengths=None):
     """Per-node log-distance bound from the doubled-log recursion with the
     combined strength d*d_star. Returns (bounds, eps_star)."""
-    terms = _EdgeTerms(model, strengths)
+    terms = _edge_terms(model, strengths)
     z = _solve(_solve_uniform, terms.recursion(improved=False))
     return terms.node_bounds(terms.dd, z), math.exp(z)
 
@@ -237,7 +250,7 @@ def uniform_distance_bound(model: PairwiseMRF, strengths=None):
 def improved_uniform_distance_bound(model: PairwiseMRF, strengths=None):
     """Same node assembly, but eps_star comes from the single-log recursion
     in squared edge strength, which has a higher zero threshold."""
-    terms = _EdgeTerms(model, strengths)
+    terms = _edge_terms(model, strengths)
     z = _solve(_solve_uniform, terms.recursion(improved=True))
     return terms.node_bounds(terms.dd, z), math.exp(z)
 
@@ -245,7 +258,7 @@ def improved_uniform_distance_bound(model: PairwiseMRF, strengths=None):
 def ihler_uniform_distance_bound(model: PairwiseMRF, strengths=None):
     """Dynamic-range recursion end to end: the single-log eps fixed point
     assembled with the squared edge strength."""
-    terms = _EdgeTerms(model, strengths)
+    terms = _edge_terms(model, strengths)
     z = _solve(_solve_uniform, terms.recursion(improved=True))
     return terms.node_bounds(terms.d2, z), math.exp(z)
 
@@ -259,14 +272,14 @@ def nonuniform_distance_bound(model: PairwiseMRF, strengths=None,
     recursion to the single-log squared-strength form. Returns
     (bounds, per-directed-edge eps array).
     """
-    terms = _EdgeTerms(model, strengths)
+    terms = _edge_terms(model, strengths)
     z = _solve(_solve_nonuniform, terms.recursion(improved), n)
     return terms.node_bounds(terms.dd, z), np.exp(z)
 
 
 def ihler_nonuniform_distance_bound(model: PairwiseMRF, strengths=None,
                                     n: Optional[int] = None):
-    terms = _EdgeTerms(model, strengths)
+    terms = _edge_terms(model, strengths)
     z = _solve(_solve_nonuniform, terms.recursion(improved=True), n)
     return terms.node_bounds(terms.d2, z), np.exp(z)
 
@@ -274,21 +287,32 @@ def ihler_nonuniform_distance_bound(model: PairwiseMRF, strengths=None,
 # -- empirical distance ----------------------------------------------------
 
 
-def true_distance(model: PairwiseMRF, seeds: int = 0, runs: int = 12,
+def true_distance(model, seeds: int = 0, runs: int = 12,
                   max_iters: int = 5000, tol: float = 1e-10,
-                  dedup_tol: float = 1e-6) -> Optional[np.ndarray]:
+                  dedup_tol: float = 1e-6):
     """Largest per-node log belief ratio across fixed points discovered by
     seeded random restarts. None when no restart converges; zeros when all
     converged restarts agree.
+
+    ``model`` may also be a list of models of one topology (the same edges
+    and cardinalities), such as one graph at several edge weights: their
+    restarts run as one batch, and the result is a list with one entry per
+    model, each equal to that model's own call.
     """
-    if runs < 2:
-        raise ValueError("need at least 2 runs")
-    if model.num_directed == 0:
-        return np.zeros(model.num_nodes)
-    status, beliefs = _multistart(model, range(seeds, seeds + runs),
-                                  max_iters, tol)
-    if not np.any(status == 1):
-        return None
+    _check_restarts(runs, max_iters, least_runs=2)
+    models = [model] if isinstance(model, PairwiseMRF) else list(model)
+    if all(m.num_directed == 0 for m in models):
+        out = [np.zeros(m.num_nodes) for m in models]
+    else:
+        found = _multistart(models, range(seeds, seeds + runs), max_iters, tol)
+        out = [_distance_between(m, beliefs, dedup_tol)
+               if np.any(status == 1) else None
+               for m, (status, beliefs) in zip(models, found)]
+    return out[0] if isinstance(model, PairwiseMRF) else out
+
+
+def _distance_between(model: PairwiseMRF, beliefs, dedup_tol) -> np.ndarray:
+    """Largest per-node log belief ratio between the distinct belief sets."""
     reps: list[np.ndarray] = []
     for b in beliefs:
         if all(float(np.abs(b - r).max()) > dedup_tol for r in reps):

@@ -17,7 +17,7 @@ import sys
 
 from .accuracy import (ConvergenceFailure, EnumerationLimitError,
                        exact_marginals, saw_accuracy)
-from .bounds import BOUND_KEYS, bound_report
+from .bounds import BOUND_KEYS, bound_report, true_distance
 from .convergence import CONDITION_NAMES, critical_eta, evaluate_condition
 from .engine import run_residual_scheduled, run_synchronous
 from .models import (GraphFormatError, ModelError, build_generator,
@@ -131,18 +131,19 @@ def cmd_bounds(args) -> int:
         etas = [None]
 
     columns = [c for c in _BOUND_COLUMNS if c in methods]
+    models = [topo if eta is None else with_uniform_binary(topo, eta)
+              for eta in etas]
+    # One restart batch for the whole sweep: every eta shares the topology.
+    truths = (true_distance(models, seeds=args.seed, runs=args.true_runs)
+              if "true_distance" in columns else [None] * len(models))
     lines = ["eta,node," + ",".join(columns)]
-    for eta in etas:
-        model = topo if eta is None else with_uniform_binary(topo, eta)
-        runs = args.true_runs if "true_distance" in columns else 0
-        report = bound_report(model, n=args.nudb_iters, true_runs=runs,
-                              seed=args.seed)
+    for eta, model, truth in zip(etas, models, truths):
+        report = bound_report(model, n=args.nudb_iters)
         for v in range(model.num_nodes):
             cells = [_fmt(eta) if eta is not None else "nan", str(v)]
             for c in columns:
                 if c == "true_distance":
-                    t = report.true_log_distance
-                    cells.append("nan" if t is None else _fmt(t[v]))
+                    cells.append("nan" if truth is None else _fmt(truth[v]))
                 else:
                     cells.append(_fmt(report.node_bounds[c][v]))
             lines.append(",".join(cells))

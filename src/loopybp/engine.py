@@ -10,6 +10,10 @@ edge target's cardinality. Synchronous runs, restart batches and the
 multi-start probe go through one batch kernel, which gathers each node's
 incoming messages through a padded in-edge table, so a sweep over a whole
 batch of runs costs a few dozen array operations whatever the graph's size.
+A batch may hold several models of one topology, such as one graph at a
+sweep of edge weights, with one row of potentials per run. A run that
+converges or oscillates leaves the batch, so later sweeps cost only the
+runs still going; no run's arithmetic depends on which others share it.
 
 The residual scheduler does not use that kernel: the kernel normalizes in
 log space, while a scheduled update must be ``update_message``'s
@@ -181,27 +185,17 @@ class _Layout:
 
     def __init__(self, model: PairwiseMRF):
         self.model = model
-        directed = model.directed_edges()
-        self.n_dir = n_dir = len(directed)
+        self.n_dir = n_dir = model.num_directed
         self.kmax = kmax = max(model.cards)
-        self.src = np.array([e.src for e in directed], dtype=int)
-        self.dst = np.array([e.dst for e in directed], dtype=int)
+        ends = np.array(model.edges, dtype=int).reshape(-1, 2)
+        self.src = ends.ravel()
+        self.dst = ends[:, ::-1].ravel()
         self.rev = np.arange(n_dir) ^ 1  # canonical order pairs 2m, 2m+1
 
-        combined = np.full((n_dir, kmax, kmax), _NEG)
-        for e, (t, s) in enumerate(directed):
-            kt, ks = model.cards[t], model.cards[s]
-            combined[e, :kt, :ks] = _log_weights(model, t, s)
-        # sender_rows[i][e]: log weight of sender state i over e's target states
-        self.sender_rows = [combined[:, i, :].copy() for i in range(kmax)]
-
+        self.sender_rows, self.log_node = _log_potentials(model, kmax)
         self.mask = _target_mask(model)
         self.padded = not bool(self.mask.all())
-
         self.node_mask = np.arange(kmax) < np.array(model.cards)[:, None]
-        self.log_node = np.full(self.node_mask.shape, _NEG)
-        for v, pot in enumerate(model.node_pot):
-            self.log_node[v, :pot.size] = np.log(pot)
 
         degree = np.bincount(self.dst, minlength=model.num_nodes)
         order = np.argsort(self.dst, kind="stable")
@@ -210,6 +204,19 @@ class _Layout:
         self.in_edges = np.full((model.num_nodes, width), n_dir)
         self.in_edges[self.dst[order], slot] = order
         self.in_padded = bool((degree < width).any())
+
+
+def _log_potentials(model: PairwiseMRF, kmax: int):
+    """A model's potentials in padded log form: per sender state i, the
+    (n_dir, kmax) log weights of state i over each directed edge's target
+    states, and the (V, kmax) log node potentials. Padded slots hold _NEG."""
+    combined = np.full((model.num_directed, kmax, kmax), _NEG)
+    for e, (t, s) in enumerate(model.directed_edges()):
+        combined[e, :model.cards[t], :model.cards[s]] = _log_weights(model, t, s)
+    log_node = np.full((model.num_nodes, kmax), _NEG)
+    for v, pot in enumerate(model.node_pot):
+        log_node[v, :pot.size] = np.log(pot)
+    return [combined[:, i, :].copy() for i in range(kmax)], log_node
 
 
 def _random_logm(mask: np.ndarray, seeds) -> np.ndarray:
@@ -233,18 +240,23 @@ def _node_sums(layout: _Layout, logm: np.ndarray) -> np.ndarray:
     return total
 
 
-def _sweep_batch(layout: _Layout, logm: np.ndarray) -> np.ndarray:
+def _sweep_batch(layout: _Layout, logm: np.ndarray, rows=None) -> np.ndarray:
     """One synchronous update of every directed edge, for a whole batch.
+
+    ``rows`` holds per-run sender rows, (runs, n_dir, kmax) per sender
+    state, for a batch whose runs have their own potentials; by default
+    every run shares the layout's.
 
     The reductions over sender and target states are written out one state
     at a time: on arrays this small a ufunc call costs far less than a
     numpy reduction over one axis of a 3-D or 4-D array. The sums add states
     in ascending order, which is also numpy's order below eight states.
     """
+    if rows is None:
+        rows = layout.sender_rows
     at_node = _node_sums(layout, logm)
     excl = at_node[:, layout.src] - logm[:, layout.rev]
-    terms = [row[None] + excl[:, :, i, None]
-             for i, row in enumerate(layout.sender_rows)]
+    terms = [row + excl[:, :, i, None] for i, row in enumerate(rows)]
     peak = terms[0]
     for term in terms[1:]:
         peak = np.maximum(peak, term)
@@ -263,9 +275,14 @@ def _sweep_batch(layout: _Layout, logm: np.ndarray) -> np.ndarray:
     return new
 
 
-def _beliefs_batch(layout: _Layout, logm: np.ndarray) -> np.ndarray:
+def _beliefs_batch(layout: _Layout, logm: np.ndarray,
+                   log_node=None) -> np.ndarray:
+    """Beliefs of every run; ``log_node`` holds per-run log node potentials,
+    (runs, V, kmax), by default the layout's for every run."""
+    if log_node is None:
+        log_node = layout.log_node
     at_node = _node_sums(layout, logm)
-    logb = np.where(layout.node_mask[None], at_node + layout.log_node[None], _NEG)
+    logb = np.where(layout.node_mask[None], at_node + log_node, _NEG)
     peak = logb.max(axis=2, keepdims=True)
     probs = np.exp(logb - peak)
     probs = np.where(layout.node_mask[None], probs, 0.0)
@@ -273,14 +290,19 @@ def _beliefs_batch(layout: _Layout, logm: np.ndarray) -> np.ndarray:
 
 
 def _run_batch(layout: _Layout, logm0: np.ndarray, max_iters: int, tol: float,
-               detect_oscillation: bool = True):
+               detect_oscillation: bool = True, rows=None, track: bool = True):
     """Advance every run until convergence, period-2 oscillation, or budget.
 
     Convergence compares against the previous iterate, oscillation against
-    the one before that; the smaller lag wins when both match. Each run's
-    message state is snapshotted at its own detection point while the rest
-    of the batch keeps going. ``changes[r]`` holds run r's largest change per
-    sweep, one entry per iteration it ran.
+    the one before that; the smaller lag wins when both match. A run is
+    snapshotted at its own detection point and then leaves the batch: its
+    rows are dropped from the iterates and from ``rows``, the per-run
+    sender rows of ``_sweep_batch`` (a list this call takes over and
+    shrinks in place), so later sweeps cost only the runs still going.
+    Each run's arithmetic does not depend on which other runs share its
+    sweep. With ``track``, ``changes[r]`` holds run r's largest change per
+    sweep, one entry per iteration it ran; without, ``changes`` is None and
+    no per-sweep record is kept.
 
     Callers that only care whether a run settles (the multi-start agreement
     probe, fixed-point collection) pass ``detect_oscillation=False``: on
@@ -289,40 +311,60 @@ def _run_batch(layout: _Layout, logm0: np.ndarray, max_iters: int, tol: float,
     matches its lag-1 one and would be misread as a period-2 cycle.
     """
     runs = logm0.shape[0]
-    status = np.zeros(runs, dtype=int)  # 0 running, 1 converged, 2 oscillating, 3 budget
-    iters = np.zeros(runs, dtype=int)
+    status = np.full(runs, 3)  # 1 converged, 2 oscillating, 3 budget
+    iters = np.full(runs, max_iters)
     snap = logm0.copy()
-    rows = []  # rows[it - 1]: every run's largest change at sweep it
+    live = np.arange(runs)  # the runs still going, in batch order
+    spans = [[] for _ in range(runs)]  # per run, its changes in pieces
+    block = []  # the live runs' largest changes per sweep since a run left
 
     # Padded slots hold _NEG in every iterate, so their differences are 0
     # and need no mask in the change statistics.
     prev2 = None
     cur = logm0
     for it in range(1, max_iters + 1):
-        new = _sweep_batch(layout, cur)
-        d1 = np.abs(new - cur).reshape(runs, -1).max(axis=1)
-        rows.append(d1)
+        new = _sweep_batch(layout, cur, rows)
+        d1 = np.abs(new - cur).reshape(live.size, -1).max(axis=1)
+        if track:
+            block.append(d1)
         outcome = np.where(d1 < tol, 1, 0)
         if prev2 is not None and detect_oscillation:
-            d2 = np.abs(new - prev2).reshape(runs, -1).max(axis=1)
+            d2 = np.abs(new - prev2).reshape(live.size, -1).max(axis=1)
             outcome[(outcome == 0) & (d2 < tol)] = 2
-        done = (status == 0) & (outcome != 0)
+        done = outcome != 0
         if done.any():
-            status[done] = outcome[done]
-            iters[done] = it
-            snap[done] = new[done]
-            if status.all():
+            if track:
+                _close_block(spans, live, block)
+                block = []
+            gone = live[done]
+            status[gone] = outcome[done]
+            iters[gone] = it
+            snap[gone] = new[done]
+            stay = ~done
+            live = live[stay]
+            if not live.size:
                 break
+            new, cur = new[stay], cur[stay]
+            if rows is not None:
+                for i, row in enumerate(rows):  # frees each old row as it goes
+                    rows[i] = row[stay]
         prev2 = cur
         cur = new
 
-    leftover = status == 0
-    status[leftover] = 3
-    iters[leftover] = max_iters
-    snap[leftover] = cur[leftover]
-    table = np.array(rows)
-    changes = [table[:iters[r], r] for r in range(runs)]
+    if live.size:
+        snap[live] = cur
+        if track:
+            _close_block(spans, live, block)
+    changes = [np.concatenate(s) for s in spans] if track else None
     return status, iters, snap, changes
+
+
+def _close_block(spans, live, block) -> None:
+    """Hand each live run its column of the changes recorded since the last
+    departure."""
+    table = np.array(block).reshape(len(block), live.size)
+    for j, r in enumerate(live.tolist()):
+        spans[r].append(table[:, j])
 
 
 _STATUS_NAMES = {1: "converged", 2: "oscillating", 3: "max_iters"}
@@ -571,23 +613,56 @@ def empirical_convergent(model: PairwiseMRF, runs=20, max_iters=5000,
     so that leftover iteration error cannot masquerade as disagreement
     between runs that share a fixed point.
     """
+    _check_restarts(runs, max_iters)
     if model.num_directed == 0:
         return True
-    status, beliefs = _multistart(model, range(base_seed, base_seed + runs),
-                                  max_iters, tol)
+    seeds = range(base_seed, base_seed + runs)
+    [(status, beliefs)] = _multistart([model], seeds, max_iters, tol)
     if np.any(status != 1):
         return False
     return float(np.abs(beliefs - beliefs[0]).max()) <= agree_tol
 
 
-def _multistart(model: PairwiseMRF, seeds, max_iters, tol):
-    """Seeded random starts run as one batch without period detection: every
-    run's status code, and the beliefs of the converged runs in seed order."""
-    layout = _Layout(model)
-    logm0 = _random_logm(layout.mask, seeds)
+def _check_restarts(runs, max_iters, least_runs=1) -> None:
+    if runs < least_runs:
+        raise ValueError(f"runs must be at least {least_runs}")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+
+
+def _multistart(models, seeds, max_iters, tol) -> list:
+    """Seeded random starts of several models of one topology (the same
+    edges and cardinalities), run as one batch without period detection.
+
+    Every model gets the same starts, and the batch holds one row of
+    potentials per run: model by model, seed by seed within a model.
+    Returns, per model, every run's status code and the beliefs of its
+    converged runs in seed order.
+    """
+    first = models[0]
+    for m in models[1:]:
+        if m.edges != first.edges or list(m.cards) != list(first.cards):
+            raise ValueError("batched models must share edges and cardinalities")
+    layout = _Layout(first)
+    pots = [(layout.sender_rows, layout.log_node)]
+    pots += [_log_potentials(m, layout.kmax) for m in models[1:]]
+
+    def per_run(arrays):
+        return np.repeat(np.stack(arrays), len(seeds), axis=0)
+
+    # Per-run rows even for one model: a sweep adds them to the batch
+    # without a second broadcast, which costs less than a shared row.
+    rows = [per_run([r[i] for r, _ in pots]) for i in range(layout.kmax)]
+    log_node = per_run([n for _, n in pots])
+    logm0 = np.tile(_random_logm(layout.mask, seeds), (len(models), 1, 1))
     status, _, snap, _ = _run_batch(layout, logm0, max_iters, tol,
-                                    detect_oscillation=False)
-    return status, _beliefs_batch(layout, snap[status == 1])
+                                    detect_oscillation=False, rows=rows,
+                                    track=False)
+    done = status == 1
+    beliefs = _beliefs_batch(layout, snap[done], log_node[done])
+    counts = done.reshape(len(models), -1).sum(axis=1)
+    return list(zip(status.reshape(len(models), -1),
+                    np.split(beliefs, np.cumsum(counts)[:-1])))
 
 
 def empirical_critical_eta(model: PairwiseMRF, lo=0.5, hi=0.99, tol=1e-3,
@@ -598,6 +673,7 @@ def empirical_critical_eta(model: PairwiseMRF, lo=0.5, hi=0.99, tol=1e-3,
     The topology is taken from ``model``; each probe rebuilds it with the
     symmetric binary potential at the probed eta.
     """
+    _check_restarts(runs, max_iters)
 
     def agreed(eta):
         return empirical_convergent(with_uniform_binary(model, eta), runs,

@@ -267,6 +267,12 @@ def test_true_distance_unavailable_when_nothing_converges():
                          max_iters=800) is None
 
 
+@pytest.mark.parametrize("kwargs", [{"runs": 1}, {"runs": 3, "max_iters": 0}])
+def test_true_distance_rejects_empty_budgets(kwargs):
+    with pytest.raises(ValueError, match="must be at least"):
+        true_distance(torus_graph(3, 3, 0.7), **kwargs)
+
+
 def test_bound_sandwich_at_torus_07():
     m = torus_graph(3, 3, 0.7)
     truth = true_distance(m, seeds=0, runs=12)
@@ -438,3 +444,41 @@ def test_bound_report_eps_arrays_are_independent():
             if other != key:
                 assert np.array_equal(report.eps_star[other], before[other])
         report.eps_star[key][:] = before[key]
+
+
+@pytest.mark.parametrize("kind", ACCEPTANCE_GRAPHS)
+def test_true_distance_of_a_sweep_equals_per_model_calls(kind):
+    models = [build_generator(kind, eta) for eta in DESK_ETAS]
+    batched = true_distance(models, seeds=0, runs=12)
+    assert len(batched) == len(models)
+    for m, got in zip(models, batched):
+        want = true_distance(m, seeds=0, runs=12)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.tobytes() == want.tobytes()
+
+
+def test_true_distance_rejects_models_of_another_topology():
+    models = [build_generator("grid:3x3", 0.7),
+              build_generator("torus:3x3", 0.7)]
+    with pytest.raises(ValueError, match="share edges and cardinalities"):
+        true_distance(models)
+    assert true_distance([]) == []
+
+
+def test_bound_report_builds_edge_terms_once(monkeypatch):
+    builds = []
+
+    class Counting(bounds_mod._EdgeTerms):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(bounds_mod, "_EdgeTerms", Counting)
+    m = _glass_grid()
+    for n in (None, 3):
+        bound_report(m, n=n)
+    assert len(builds) == 2
+    uniform_distance_bound(m)
+    nonuniform_distance_bound(m)
+    assert len(builds) == 4

@@ -25,8 +25,8 @@ from loopybp import (
     update_message,
     with_uniform_binary,
 )
-from loopybp.engine import (_NEG, _beliefs_batch, _Layout, _random_logm,
-                            _run_batch, _sweep_batch)
+from loopybp.engine import (_NEG, _beliefs_batch, _Layout, _multistart,
+                            _random_logm, _run_batch, _sweep_batch)
 
 # Paramagnetic-regime fixed point of the 4-regular torus at eta=0.7,
 # pinned by one-dimensional root finding (see test_uniform).
@@ -393,7 +393,9 @@ def test_sweep_and_beliefs_match_dense_kernel(kind):
 
 @pytest.mark.parametrize("kind, eta, detect, budget, outcome", [
     ("grid:3x3", 0.6, True, 400, 1), ("mixed-card", None, False, 400, 1),
-    ("torus:3x3", 0.3, True, 400, 2), ("complete:4", 0.9, True, 3, 3)])
+    ("torus:3x3", 0.3, True, 400, 2), ("complete:4", 0.9, True, 3, 3),
+    # Runs leave the batch at sweeps 26, 27, 28 and 32; two reach the budget.
+    ("grid:3x3", 0.95, True, 40, (1, 2, 3, 1, 2, 3))])
 def test_run_batch_matches_looped_bookkeeping(kind, eta, detect, budget,
                                               outcome):
     m = build_generator(kind, eta) if eta is not None else _mixed_card_grid()
@@ -406,6 +408,57 @@ def test_run_batch_matches_looped_bookkeeping(kind, eta, detect, budget,
         assert np.array_equal(a, b)
     for a, b in zip(got[3], want[3]):
         assert np.array_equal(a, np.array(b))
+
+
+def _redrawn(model, seed):
+    # The same edges and cardinalities with fresh log-normal potentials.
+    rng = np.random.default_rng(seed)
+    return PairwiseMRF(
+        model.num_nodes, model.edges, model.cards,
+        node_potentials=[rng.lognormal(0.0, 0.5, size=c) for c in model.cards],
+        edge_potentials={(v, u): rng.lognormal(
+            0.0, 0.5, size=(model.cards[v], model.cards[u]))
+            for v, u in model.edges})
+
+
+def test_multistart_batch_of_models_matches_one_model_batches():
+    base = _mixed_card_grid()
+    models = [base, _redrawn(base, 1), _redrawn(base, 2)]
+    # With 23 sweeps, runs of the second model leave mid-batch while the
+    # other two models' runs go on to the budget.
+    for budget in (5000, 23):
+        batched = _multistart(models, range(3, 9), budget, 1e-12)
+        outcomes = set()
+        for m, (status, beliefs) in zip(models, batched):
+            [(want_status, want_beliefs)] = _multistart([m], range(3, 9),
+                                                        budget, 1e-12)
+            assert status.tobytes() == want_status.tobytes()
+            assert beliefs.shape == want_beliefs.shape
+            assert beliefs.tobytes() == want_beliefs.tobytes()
+            outcomes.update(status.tolist())
+        assert outcomes == ({1} if budget == 5000 else {1, 3})
+
+
+def test_multistart_rejects_models_of_another_topology():
+    grid = build_generator("grid:3x3", 0.7)
+    torus = build_generator("torus:3x3", 0.7)
+    base = _mixed_card_grid()
+    binary = PairwiseMRF(base.num_nodes, base.edges)
+    for other, first in ((torus, grid), (binary, base)):
+        with pytest.raises(ValueError, match="share edges and cardinalities"):
+            _multistart([first, other], range(3), 50, 1e-10)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: empirical_convergent(m, runs=0),
+    lambda m: empirical_convergent(m, max_iters=0),
+    lambda m: empirical_critical_eta(m, runs=0),
+    lambda m: empirical_critical_eta(m, max_iters=0),
+])
+def test_restart_probes_reject_empty_budgets(call):
+    for m in (complete_graph(4, 0.7), PairwiseMRF(2, [])):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            call(m)
 
 
 # -- per-edge references on plain lists of linear vectors ------------------
