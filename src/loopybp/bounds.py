@@ -136,7 +136,9 @@ class _Recursion:
         a, b = self._a, self._b
         np.log(np.add(self.v, t, out=a), out=a)
         np.log1p(np.multiply(self.v, t, out=b), out=b)
-        vals = np.multiply(np.subtract(a, b, out=a), self.coeff, out=a)
+        vals = np.subtract(a, b, out=a)
+        if self.coeff != 1.0:  # the improved recursions have coeff 1
+            np.multiply(vals, self.coeff, out=vals)
         return np.bincount(self.seg, weights=vals, minlength=self.n)
 
 
@@ -180,6 +182,10 @@ def _edge_terms(model: PairwiseMRF, strengths) -> _EdgeTerms:
                    lambda: _EdgeTerms(model, strengths))
 
 
+# ndarray.max without its Python-level wrapper; the same reduction.
+_peak = np.maximum.reduce
+
+
 def _solve_uniform(rec: _Recursion) -> float:
     """Largest fixed point, in log space, of z <- max over edges of the
     predecessor sums.
@@ -192,17 +198,17 @@ def _solve_uniform(rec: _Recursion) -> float:
     """
     if rec.n == 0:
         return 0.0
-    top = float(rec.sums(math.inf).max())
+    top = float(_peak(rec.sums(math.inf)))
     if top <= 0.0:
         return 0.0
     z = math.log1p(1e-6)
     for _ in range(20):
-        z = float(rec.sums(z).max())
+        z = float(_peak(rec.sums(z)))
     if z <= math.log1p(_ZERO_EPS):
         return 0.0
     z = top
     for _ in range(_MAX_SOLVE):
-        znew = float(rec.sums(z).max())
+        znew = float(_peak(rec.sums(z)))
         if abs(znew - z) <= _REL_TOL * max(1.0, z):
             z = znew
             break
@@ -222,9 +228,11 @@ def _solve_nonuniform(rec: _Recursion, n: Optional[int]) -> np.ndarray:
     if rec.n == 0:
         return z
     if n is None:
+        gap = np.empty(rec.n)
         for _ in range(_MAX_SOLVE):
             znew = rec.sums(z)
-            if float(np.abs(znew - z).max()) <= _REL_TOL * max(1.0, float(z.max())):
+            np.abs(np.subtract(znew, z, out=gap), out=gap)
+            if float(_peak(gap)) <= _REL_TOL * max(1.0, float(_peak(z))):
                 z = znew
                 break
             z = znew

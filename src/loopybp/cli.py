@@ -39,6 +39,9 @@ def _parse_eta_single(value: float) -> float:
     return value
 
 
+_MAX_ETAS = 10000
+
+
 def _parse_eta_range(spec: str) -> list:
     parts = spec.split(":")
     if len(parts) == 1:
@@ -56,6 +59,8 @@ def _parse_eta_range(spec: str) -> list:
         v = start + i * step
         if v > stop + 1e-12:
             break
+        if len(values) == _MAX_ETAS:
+            raise UsageError(f"eta range holds more than {_MAX_ETAS} values")
         values.append(_parse_eta_single(v))
         i += 1
     return values

@@ -136,14 +136,16 @@ def _saw_statistic(model: PairwiseMRF, strengths: StrengthTable):
     weight; a node whose only neighbor is its parent terminates with
     contribution 1.
     """
+    # Each node's neighbours with their edge weights, in neighbor order.
+    adj = [[(u, strengths.weight(c, u)) for u in model.neighbors(c)]
+           for c in range(model.num_nodes)]
 
     def rec(c, parent, visited):
         total = 0.0
         extended = False
-        for u in model.neighbors(c):
+        for u, w in adj[c]:
             if u == parent:
                 continue
-            w = strengths.weight(c, u)
             if u in visited:
                 total += w
             else:
@@ -157,8 +159,8 @@ def _saw_statistic(model: PairwiseMRF, strengths: StrengthTable):
     witness = None
     for v in range(model.num_nodes):
         total = 0.0
-        for c in model.neighbors(v):
-            total += strengths.weight(v, c) * rec(c, v, {v, c})
+        for c, w in adj[v]:
+            total += w * rec(c, v, {v, c})
         if total > stat:
             stat = total
             witness = v

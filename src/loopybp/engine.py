@@ -14,6 +14,8 @@ A batch may hold several models of one topology, such as one graph at a
 sweep of edge weights, with one row of potentials per run. A run that
 converges or oscillates leaves the batch, so later sweeps cost only the
 runs still going; no run's arithmetic depends on which others share it.
+In a restart batch, a run whose iterate repeats an earlier one bit for bit
+also leaves, with the outcome its full budget would give.
 
 The residual scheduler does not use that kernel: the kernel normalizes in
 log space, while a scheduled update must be ``update_message``'s
@@ -289,6 +291,9 @@ def _beliefs_batch(layout: _Layout, logm: np.ndarray,
     return probs / probs.sum(axis=2, keepdims=True)
 
 
+_CYCLE = 64  # sweeps between a restart batch's exact-repeat checks
+
+
 def _run_batch(layout: _Layout, logm0: np.ndarray, max_iters: int, tol: float,
                detect_oscillation: bool = True, rows=None, track: bool = True):
     """Advance every run until convergence, period-2 oscillation, or budget.
@@ -309,6 +314,17 @@ def _run_batch(layout: _Layout, logm0: np.ndarray, max_iters: int, tol: float,
     bipartite graphs the update alternates sign along part of the spectrum,
     so a slowly converging run matches its lag-2 predecessor long before it
     matches its lag-1 one and would be misread as a period-2 cycle.
+
+    Such a batch, with neither period detection nor a change record, also
+    retires runs caught in an exact cycle. At every sweep ``it`` with
+    ``max_iters - it`` a multiple of ``_CYCLE``, a run whose iterate is bit
+    for bit the one ``_CYCLE`` sweeps back repeats with a period dividing
+    ``_CYCLE`` from there on. Every change of that period was tested against
+    ``tol`` inside the window, so the run can never converge, and its
+    iterate at the budget is the current one. It leaves at once with
+    status 3 and ``iters = max_iters``, the outcome of the full budget.
+    (A change record would miss the skipped sweeps, and the lag-2 test
+    needs a window one sweep longer, hence the restriction.)
     """
     runs = logm0.shape[0]
     status = np.full(runs, 3)  # 1 converged, 2 oscillating, 3 budget
@@ -322,6 +338,9 @@ def _run_batch(layout: _Layout, logm0: np.ndarray, max_iters: int, tol: float,
     # and need no mask in the change statistics.
     prev2 = None
     cur = logm0
+    retire = not (track or detect_oscillation)
+    # The live runs' iterates at the last exact-repeat check, as bits.
+    ref = logm0.view(np.uint64) if retire and max_iters % _CYCLE == 0 else None
     for it in range(1, max_iters + 1):
         new = _sweep_batch(layout, cur, rows)
         d1 = np.abs(new - cur).reshape(live.size, -1).max(axis=1)
@@ -331,6 +350,10 @@ def _run_batch(layout: _Layout, logm0: np.ndarray, max_iters: int, tol: float,
         if prev2 is not None and detect_oscillation:
             d2 = np.abs(new - prev2).reshape(live.size, -1).max(axis=1)
             outcome[(outcome == 0) & (d2 < tol)] = 2
+        check = retire and (max_iters - it) % _CYCLE == 0
+        if check and ref is not None:
+            same = (new.view(np.uint64) == ref).reshape(live.size, -1).all(axis=1)
+            outcome[(outcome == 0) & same] = 3
         done = outcome != 0
         if done.any():
             if track:
@@ -338,16 +361,20 @@ def _run_batch(layout: _Layout, logm0: np.ndarray, max_iters: int, tol: float,
                 block = []
             gone = live[done]
             status[gone] = outcome[done]
-            iters[gone] = it
+            iters[gone] = np.where(outcome[done] == 3, max_iters, it)
             snap[gone] = new[done]
             stay = ~done
             live = live[stay]
             if not live.size:
                 break
             new, cur = new[stay], cur[stay]
+            if ref is not None:
+                ref = ref[stay]
             if rows is not None:
                 for i, row in enumerate(rows):  # frees each old row as it goes
                     rows[i] = row[stay]
+        if check:
+            ref = new.view(np.uint64)
         prev2 = cur
         cur = new
 

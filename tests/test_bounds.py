@@ -30,6 +30,7 @@ from loopybp import (
     with_uniform_binary,
 )
 from loopybp import bounds as bounds_mod
+from loopybp import engine as engine_mod
 from loopybp.bounds import BOUND_KEYS
 
 D73 = math.sqrt(7.0 / 3.0)
@@ -456,6 +457,25 @@ def test_true_distance_of_a_sweep_equals_per_model_calls(kind):
         assert (got is None) == (want is None)
         if want is not None:
             assert got.tobytes() == want.tobytes()
+
+
+def test_true_distance_retires_cycling_restarts(monkeypatch):
+    # The grid:3x3 sweep of the desk workload's bounds call: 32 of its 120
+    # restarts fall into exact cycles of period 2 to 16 and leave the batch
+    # long before the 5,000-sweep budget, with the full budget's outcome.
+    models = [build_generator("grid:3x3", eta) for eta in DESK_ETAS]
+    sweeps = []
+    sweep = engine_mod._sweep_batch
+    monkeypatch.setattr(engine_mod, "_sweep_batch",
+                        lambda *args: sweeps.append(1) or sweep(*args))
+    batched = true_distance(models, seeds=46930, runs=12)
+    assert 0 < len(sweeps) <= 1000
+    monkeypatch.undo()
+    found = engine_mod._multistart(models, range(46930, 46942), 5000, 1e-10)
+    assert sum(int(np.sum(status == 3)) for status, _ in found) == 32
+    for m, got in zip(models, batched):
+        want = true_distance(m, seeds=46930, runs=12)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_true_distance_rejects_models_of_another_topology():

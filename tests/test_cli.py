@@ -229,6 +229,9 @@ def test_usage_errors_exit_two(capsys):
              "--init", "random", "--seed", "-1"],
             ["bounds", "--generate", "cycle:5", "--eta", "0.6",
              "--methods", "true", "--seed", "-3"],
+            # Refused, not built: about 1e299 etas.
+            ["bounds", "--generate", "cycle:4", "--eta", "0.5:0.6:1e-300"],
+            ["bounds", "--generate", "cycle:4", "--eta", "0.1:0.9:0.00008"],
             # Checked before the joint (2**36 states) is enumerated.
             ["accuracy", "--generate", "grid:6x6", "--eta", "0.6",
              "--node", "999"]):

@@ -28,7 +28,8 @@ from loopybp import (
     walk_summability,
     with_uniform_binary,
 )
-from loopybp.convergence import CONDITION_NAMES
+from loopybp.convergence import CONDITION_NAMES, _saw_statistic
+from test_engine import _mixed_card_grid
 
 
 def eta_weight(eta):
@@ -125,6 +126,47 @@ def test_saw_statistic_closed_forms():
         got = nonuniform_condition(k4_minus_edge(eta), tree="saw").statistic
         want = max(2 * w ** 3 + 6 * w ** 4, 4 * w ** 3 + 2 * w ** 4)
         assert got == pytest.approx(want, abs=1e-12)
+
+
+def _saw_by_lookup(model, strengths):
+    # The walk-sum recursion looking up each edge weight where it is used.
+    def rec(c, parent, visited):
+        total = 0.0
+        extended = False
+        for u in model.neighbors(c):
+            if u == parent:
+                continue
+            w = strengths.weight(c, u)
+            if u in visited:
+                total += w
+            else:
+                extended = True
+                total += w * rec(u, c, visited | {u})
+        if not extended and total == 0.0:
+            return 1.0
+        return total
+
+    stat, witness = 0.0, None
+    for v in range(model.num_nodes):
+        total = 0.0
+        for c in model.neighbors(v):
+            total += strengths.weight(v, c) * rec(c, v, {v, c})
+        if total > stat:
+            stat, witness = total, v
+    return stat, witness
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_generator("complete:4", 0.6),
+    lambda: build_generator("k4minus", 0.7),
+    lambda: build_generator("grid:3x3", 0.8),
+    lambda: build_generator("torus:3x3", 0.6),
+    lambda: build_generator("grid:4x4", 0.6),
+    _mixed_card_grid])
+def test_saw_statistic_equals_per_lookup_recursion(make):
+    m = make()
+    strengths = compute_strengths(m)
+    assert _saw_statistic(m, strengths) == _saw_by_lookup(m, strengths)
 
 
 def test_saw_criticals_match_polynomial_roots():

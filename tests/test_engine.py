@@ -391,23 +391,45 @@ def test_sweep_and_beliefs_match_dense_kernel(kind):
                               dense_beliefs(layout, ref))
 
 
+# A restart batch, as _multistart runs it: no period detection and no
+# change record.
+RESTART = "restart"
+
+
 @pytest.mark.parametrize("kind, eta, detect, budget, outcome", [
     ("grid:3x3", 0.6, True, 400, 1), ("mixed-card", None, False, 400, 1),
     ("torus:3x3", 0.3, True, 400, 2), ("complete:4", 0.9, True, 3, 3),
     # Runs leave the batch at sweeps 26, 27, 28 and 32; two reach the budget.
-    ("grid:3x3", 0.95, True, 40, (1, 2, 3, 1, 2, 3))])
+    ("grid:3x3", 0.95, True, 40, (1, 2, 3, 1, 2, 3)),
+    # Runs 1, 2 and 4 fall into 2-cycles and leave at an exact-repeat
+    # check, with budgets of 5000 (not a multiple of the check spacing) and
+    # 640 (one).
+    ("grid:3x3", 0.9, RESTART, 5000, (1, 3, 3, 1, 3, 1)),
+    ("grid:3x3", 0.9, RESTART, 640, (1, 3, 3, 1, 3, 1)),
+    # Converging runs after transients of about 300 and 700 sweeps, and
+    # runs that crawl to the budget without repeating. The odd budget puts
+    # a snapshot taken one sweep off on the other phase of a 2-cycle.
+    ("grid:3x3", 0.8, RESTART, 999, (1, 3, 3, 1, 3, 1)),
+    ("grid:3x3", 0.78, RESTART, 1000, 1),
+    ("complete:4", 0.75, RESTART, 300, 3)])
 def test_run_batch_matches_looped_bookkeeping(kind, eta, detect, budget,
                                               outcome):
     m = build_generator(kind, eta) if eta is not None else _mixed_card_grid()
     layout = _Layout(m)
     logm0 = _random_logm(layout.mask, range(6))
-    got = _run_batch(layout, logm0, budget, 1e-10, detect_oscillation=detect)
+    track = detect != RESTART
+    detect = detect is True
+    got = _run_batch(layout, logm0, budget, 1e-10, detect_oscillation=detect,
+                     track=track)
     want = looped_run_batch(layout, logm0, budget, 1e-10, detect)
     assert np.all(want[0] == outcome)
     for a, b in zip(got[:3], want[:3]):
         assert np.array_equal(a, b)
-    for a, b in zip(got[3], want[3]):
-        assert np.array_equal(a, np.array(b))
+    if track:
+        for a, b in zip(got[3], want[3]):
+            assert np.array_equal(a, np.array(b))
+    else:
+        assert got[3] is None
 
 
 def _redrawn(model, seed):
