@@ -15,7 +15,7 @@ import numpy as np
 from .bounds import (_sharing_solves, ihler_nonuniform_distance_bound,
                      nonuniform_distance_bound)
 from .engine import run_synchronous
-from .models import PairwiseMRF, compute_strengths
+from .models import ModelError, PairwiseMRF, compute_strengths
 from .trees import saw_tree
 
 _MAX_STATES = 1 << 20
@@ -106,6 +106,9 @@ def saw_accuracy(model: PairwiseMRF, node: int, max_iters=5000,
             f"synchronous run ended as {result.status} after "
             f"{result.iterations} iterations")
     belief = result.beliefs[node]
+    if np.any(belief <= 0.0) or np.any(belief >= 1.0):
+        raise ModelError(f"belief at node {node} saturates a float: "
+                         "no interval can be formed")
     depth = saw_tree(model, node).depth
     if depth == 0:
         return accuracy_bound(belief, 1.0, 1.0)

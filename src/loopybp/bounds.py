@@ -88,7 +88,7 @@ class _EdgeTerms:
             strengths = compute_strengths(model)
         self.num_nodes = model.num_nodes
         self.n_dir = model.num_directed
-        self.dst = np.array([e.dst for e in model.directed_edges()], dtype=int)
+        self.dst = model.directed_dst
         self.dd, self.d2 = strengths.directed_arrays()
         self.seg, self.feed = model.non_backtracking_pairs()
 

@@ -230,7 +230,10 @@ def cmd_fixed_points(args) -> int:
     if k < 1:
         raise UsageError("degree must be at least 2")
     eta = _parse_eta_single(args.eta)
-    fp = fixed_points(eta, 1.0 - eta, k)
+    try:
+        fp = fixed_points(eta, 1.0 - eta, k)
+    except ValueError as exc:  # k past the float range of x**k
+        raise UsageError(str(exc)) from None
     degree = k + 1
     print(f"regime,{fp.regime}")
     print(f"slope_at_half,{_fmt(fp.slope_at_half)}")
@@ -249,9 +252,9 @@ def cmd_accuracy(args) -> int:
         raise UsageError(f"node {args.node} out of range")
     exact = exact_marginals(model)
     nodes = [args.node] if args.node is not None else range(model.num_nodes)
+    bounds = [saw_accuracy(model, s) for s in nodes]  # any failure first
     print("node,state,belief,exact,lower,upper")
-    for s in nodes:
-        bound = saw_accuracy(model, s)
+    for s, bound in zip(nodes, bounds):
         for x in range(model.cards[s]):
             print(f"{s},{x},{_fmt(bound.belief[x])},{_fmt(exact[s][x])},"
                   f"{_fmt(bound.lower[x])},{_fmt(bound.upper[x])}")

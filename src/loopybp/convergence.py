@@ -111,9 +111,7 @@ def _bethe_statistic(model: PairwiseMRF, strengths: StrengthTable, N: int):
     """
     if N < 1:
         raise ValueError("depth must be at least 1")
-    ends = np.array(model.edges, dtype=np.intp).reshape(-1, 2)
-    src = ends.ravel()
-    dst = ends[:, ::-1].ravel()
+    src, dst = model.directed_src, model.directed_dst
     rev = np.arange(src.size) ^ 1
     # Directed edges 2m and 2m+1 both carry the weight of edge m.
     w = np.repeat(strengths.n_strength, 2)
@@ -125,6 +123,8 @@ def _bethe_statistic(model: PairwiseMRF, strengths: StrengthTable, N: int):
         g = w * np.where(has_succ, node_sum[dst] - g[rev], 1.0)
     node_sum = np.bincount(src, weights=g, minlength=model.num_nodes)
     h = node_sum[src] - g
+    if not h.size:
+        return 0.0, None
     best = int(np.argmax(h))
     return float(h[best]), model.directed_edges()[best]
 
@@ -230,8 +230,6 @@ def spectral_radius(matrix: np.ndarray, tol=1e-10, max_steps=100000) -> float:
 
 
 def walk_summability(model: PairwiseMRF, strengths=None) -> ConvergenceVerdict:
-    if model.num_directed == 0:
-        raise ValueError("walk-summability needs at least one edge")
     if strengths is None:
         strengths = compute_strengths(model)
     rho = spectral_radius(interaction_matrix(model, strengths).matrix)

@@ -10,12 +10,11 @@ edge target's cardinality. Synchronous runs, restart batches and the
 multi-start probe go through one batch kernel, which gathers each node's
 incoming messages through a padded in-edge table, so a sweep over a whole
 batch of runs costs a few dozen array operations whatever the graph's size.
-A batch may hold several models of one topology, such as one graph at a
-sweep of edge weights, with one row of potentials per run. A run that
-converges or oscillates leaves the batch, so later sweeps cost only the
-runs still going; no run's arithmetic depends on which others share it.
-In a restart batch, a run whose iterate repeats an earlier one bit for bit
-also leaves, with the outcome its full budget would give.
+A restart batch may hold several models of one topology, such as one graph
+at a sweep of edge weights, with one row of potentials per run. A restart
+that converges, or whose iterate repeats an earlier one bit for bit, leaves
+the batch, so later sweeps cost only the runs still going; no run's
+arithmetic depends on which others share it.
 
 The residual scheduler does not use that kernel: the kernel normalizes in
 log space, while a scheduled update must be ``update_message``'s
@@ -35,8 +34,8 @@ from typing import Optional
 import numpy as np
 
 from .convergence import _bisect
-from .models import (DirectedEdge, ModelError, PairwiseMRF, StrengthTable,
-                     compute_strengths, with_uniform_binary)
+from .models import (ModelError, PairwiseMRF, StrengthTable, compute_strengths,
+                     with_uniform_binary)
 
 _NEG = -1.0e30  # padded state slots in log space; finite so arithmetic stays NaN-free
 
@@ -94,8 +93,8 @@ class MessageSet:
 
 def _target_mask(model: PairwiseMRF) -> np.ndarray:
     """(n_dir, kmax) mask of the states of each directed edge's target."""
-    dst = np.array(model.edges, dtype=np.intp).reshape(-1, 2)[:, ::-1].ravel()
-    return np.arange(max(model.cards)) < np.array(model.cards)[dst][:, None]
+    cards = np.array(model.cards)[model.directed_dst]
+    return np.arange(max(model.cards)) < cards[:, None]
 
 
 def _row_sums(lin: np.ndarray) -> np.ndarray:
@@ -189,9 +188,7 @@ class _Layout:
         self.model = model
         self.n_dir = n_dir = model.num_directed
         self.kmax = kmax = max(model.cards)
-        ends = np.array(model.edges, dtype=int).reshape(-1, 2)
-        self.src = ends.ravel()
-        self.dst = ends[:, ::-1].ravel()
+        self.src, self.dst = model.directed_src, model.directed_dst
         self.rev = np.arange(n_dir) ^ 1  # canonical order pairs 2m, 2m+1
 
         self.sender_rows, self.log_node = _log_potentials(model, kmax)
@@ -242,20 +239,18 @@ def _node_sums(layout: _Layout, logm: np.ndarray) -> np.ndarray:
     return total
 
 
-def _sweep_batch(layout: _Layout, logm: np.ndarray, rows=None) -> np.ndarray:
+def _sweep_batch(layout: _Layout, logm: np.ndarray, rows) -> np.ndarray:
     """One synchronous update of every directed edge, for a whole batch.
 
-    ``rows`` holds per-run sender rows, (runs, n_dir, kmax) per sender
-    state, for a batch whose runs have their own potentials; by default
-    every run shares the layout's.
+    ``rows`` holds the sender rows per sender state: the layout's
+    (n_dir, kmax) ones, shared by every run, or (runs, n_dir, kmax) ones
+    for a batch whose runs have their own potentials.
 
     The reductions over sender and target states are written out one state
     at a time: on arrays this small a ufunc call costs far less than a
     numpy reduction over one axis of a 3-D or 4-D array. The sums add states
     in ascending order, which is also numpy's order below eight states.
     """
-    if rows is None:
-        rows = layout.sender_rows
     at_node = _node_sums(layout, logm)
     excl = at_node[:, layout.src] - logm[:, layout.rev]
     terms = [row + excl[:, :, i, None] for i, row in enumerate(rows)]
@@ -278,11 +273,9 @@ def _sweep_batch(layout: _Layout, logm: np.ndarray, rows=None) -> np.ndarray:
 
 
 def _beliefs_batch(layout: _Layout, logm: np.ndarray,
-                   log_node=None) -> np.ndarray:
-    """Beliefs of every run; ``log_node`` holds per-run log node potentials,
-    (runs, V, kmax), by default the layout's for every run."""
-    if log_node is None:
-        log_node = layout.log_node
+                   log_node: np.ndarray) -> np.ndarray:
+    """Beliefs of every run; ``log_node`` holds the log node potentials,
+    (V, kmax) shared by every run or (runs, V, kmax) per run."""
     at_node = _node_sums(layout, logm)
     logb = np.where(layout.node_mask[None], at_node + log_node, _NEG)
     peak = logb.max(axis=2, keepdims=True)
@@ -291,107 +284,83 @@ def _beliefs_batch(layout: _Layout, logm: np.ndarray,
     return probs / probs.sum(axis=2, keepdims=True)
 
 
+def _run_one(layout: _Layout, logm: np.ndarray, max_iters: int, tol: float):
+    """Sweep one run, a (1, n_dir, kmax) iterate, until convergence, period-2
+    oscillation, or budget.
+
+    Convergence compares against the previous iterate, oscillation against
+    the one before that; the smaller lag wins when both match. Padded slots
+    hold _NEG in every iterate, so their differences are 0. Returns the
+    status (1 converged, 2 oscillating, 3 budget), the sweeps run, the last
+    iterate and the largest change of every sweep.
+    """
+    prev2, changes = None, []
+    for it in range(1, max_iters + 1):
+        new = _sweep_batch(layout, logm, layout.sender_rows)
+        changes.append(float(np.abs(new - logm).max()))
+        if changes[-1] < tol:
+            return 1, it, new, changes
+        if prev2 is not None and np.abs(new - prev2).max() < tol:
+            return 2, it, new, changes
+        prev2, logm = logm, new
+    return 3, max_iters, logm, changes
+
+
 _CYCLE = 64  # sweeps between a restart batch's exact-repeat checks
 
 
-def _run_batch(layout: _Layout, logm0: np.ndarray, max_iters: int, tol: float,
-               detect_oscillation: bool = True, rows=None, track: bool = True):
-    """Advance every run until convergence, period-2 oscillation, or budget.
+def _run_restarts(layout: _Layout, logm0: np.ndarray, rows, max_iters: int,
+                  tol: float):
+    """Advance a batch of runs until each converges or its budget runs out.
 
-    Convergence compares against the previous iterate, oscillation against
-    the one before that; the smaller lag wins when both match. A run is
-    snapshotted at its own detection point and then leaves the batch: its
-    rows are dropped from the iterates and from ``rows``, the per-run
-    sender rows of ``_sweep_batch`` (a list this call takes over and
-    shrinks in place), so later sweeps cost only the runs still going.
-    Each run's arithmetic does not depend on which other runs share its
-    sweep. With ``track``, ``changes[r]`` holds run r's largest change per
-    sweep, one entry per iteration it ran; without, ``changes`` is None and
-    no per-sweep record is kept.
+    ``rows`` holds the per-run sender rows of ``_sweep_batch``, a list this
+    call takes over. A run that converges is snapshotted and leaves the
+    batch: its rows are dropped from the iterates and from ``rows`` in
+    place, so later sweeps cost only the runs still going. Each run's
+    arithmetic does not depend on which other runs share its sweep.
 
-    Callers that only care whether a run settles (the multi-start agreement
-    probe, fixed-point collection) pass ``detect_oscillation=False``: on
-    bipartite graphs the update alternates sign along part of the spectrum,
-    so a slowly converging run matches its lag-2 predecessor long before it
-    matches its lag-1 one and would be misread as a period-2 cycle.
+    There is no period detection: on bipartite graphs the update alternates
+    sign along part of the spectrum, so a slowly converging run matches its
+    lag-2 predecessor long before it matches its lag-1 one and would be
+    misread as a period-2 cycle. Runs caught in an exact cycle leave
+    instead. At every sweep ``it`` with ``max_iters - it`` a multiple of
+    ``_CYCLE``, a run whose iterate is bit for bit the one ``_CYCLE`` sweeps
+    back repeats with a period dividing ``_CYCLE`` from there on. Every
+    change of that period was tested against ``tol`` inside the window, so
+    the run can never converge, and its iterate at the budget is the
+    current one: it leaves with status 3, the outcome of the full budget.
 
-    Such a batch, with neither period detection nor a change record, also
-    retires runs caught in an exact cycle. At every sweep ``it`` with
-    ``max_iters - it`` a multiple of ``_CYCLE``, a run whose iterate is bit
-    for bit the one ``_CYCLE`` sweeps back repeats with a period dividing
-    ``_CYCLE`` from there on. Every change of that period was tested against
-    ``tol`` inside the window, so the run can never converge, and its
-    iterate at the budget is the current one. It leaves at once with
-    status 3 and ``iters = max_iters``, the outcome of the full budget.
-    (A change record would miss the skipped sweeps, and the lag-2 test
-    needs a window one sweep longer, hence the restriction.)
+    Returns each run's status (1 converged, 3 budget) and last iterate.
     """
-    runs = logm0.shape[0]
-    status = np.full(runs, 3)  # 1 converged, 2 oscillating, 3 budget
-    iters = np.full(runs, max_iters)
+    status = np.full(logm0.shape[0], 3)
     snap = logm0.copy()
-    live = np.arange(runs)  # the runs still going, in batch order
-    spans = [[] for _ in range(runs)]  # per run, its changes in pieces
-    block = []  # the live runs' largest changes per sweep since a run left
-
-    # Padded slots hold _NEG in every iterate, so their differences are 0
-    # and need no mask in the change statistics.
-    prev2 = None
+    live = np.arange(logm0.shape[0])  # the runs still going, in batch order
     cur = logm0
-    retire = not (track or detect_oscillation)
     # The live runs' iterates at the last exact-repeat check, as bits.
-    ref = logm0.view(np.uint64) if retire and max_iters % _CYCLE == 0 else None
+    ref = logm0.view(np.uint64) if max_iters % _CYCLE == 0 else None
     for it in range(1, max_iters + 1):
         new = _sweep_batch(layout, cur, rows)
-        d1 = np.abs(new - cur).reshape(live.size, -1).max(axis=1)
-        if track:
-            block.append(d1)
-        outcome = np.where(d1 < tol, 1, 0)
-        if prev2 is not None and detect_oscillation:
-            d2 = np.abs(new - prev2).reshape(live.size, -1).max(axis=1)
-            outcome[(outcome == 0) & (d2 < tol)] = 2
-        check = retire and (max_iters - it) % _CYCLE == 0
+        done = np.abs(new - cur).reshape(live.size, -1).max(axis=1) < tol
+        status[live[done]] = 1
+        check = (max_iters - it) % _CYCLE == 0
         if check and ref is not None:
-            same = (new.view(np.uint64) == ref).reshape(live.size, -1).all(axis=1)
-            outcome[(outcome == 0) & same] = 3
-        done = outcome != 0
+            done |= (new.view(np.uint64) == ref).reshape(live.size, -1).all(axis=1)
         if done.any():
-            if track:
-                _close_block(spans, live, block)
-                block = []
-            gone = live[done]
-            status[gone] = outcome[done]
-            iters[gone] = np.where(outcome[done] == 3, max_iters, it)
-            snap[gone] = new[done]
+            snap[live[done]] = new[done]
             stay = ~done
             live = live[stay]
             if not live.size:
-                break
-            new, cur = new[stay], cur[stay]
+                return status, snap
+            new = new[stay]
             if ref is not None:
                 ref = ref[stay]
-            if rows is not None:
-                for i, row in enumerate(rows):  # frees each old row as it goes
-                    rows[i] = row[stay]
+            for i, row in enumerate(rows):  # frees each old row as it goes
+                rows[i] = row[stay]
         if check:
             ref = new.view(np.uint64)
-        prev2 = cur
         cur = new
-
-    if live.size:
-        snap[live] = cur
-        if track:
-            _close_block(spans, live, block)
-    changes = [np.concatenate(s) for s in spans] if track else None
-    return status, iters, snap, changes
-
-
-def _close_block(spans, live, block) -> None:
-    """Hand each live run its column of the changes recorded since the last
-    departure."""
-    table = np.array(block).reshape(len(block), live.size)
-    for j, r in enumerate(live.tolist()):
-        spans[r].append(table[:, j])
+    snap[live] = cur
+    return status, snap
 
 
 _STATUS_NAMES = {1: "converged", 2: "oscillating", 3: "max_iters"}
@@ -495,11 +464,10 @@ def run_synchronous(model: PairwiseMRF, init="uniform", max_iters=2000,
         return _trivial_result(model)
     layout = _Layout(model)
     logm0 = _initial_logm(layout, init, seed)
-    status, iters, snap, changes = _run_batch(layout, logm0, max_iters, tol)
-    msgs = _renormalized(model, layout.mask, snap[0])
-    return RunResult(_STATUS_NAMES[int(status[0])],
-                     2 if status[0] == 2 else None,
-                     int(iters[0]), msgs, np.array(changes[0]),
+    status, iters, last, changes = _run_one(layout, logm0, max_iters, tol)
+    msgs = _renormalized(model, layout.mask, last[0])
+    return RunResult(_STATUS_NAMES[status], 2 if status == 2 else None,
+                     iters, msgs, np.array(changes),
                      compute_beliefs(model, msgs))
 
 
@@ -682,9 +650,7 @@ def _multistart(models, seeds, max_iters, tol) -> list:
     rows = [per_run([r[i] for r, _ in pots]) for i in range(layout.kmax)]
     log_node = per_run([n for _, n in pots])
     logm0 = np.tile(_random_logm(layout.mask, seeds), (len(models), 1, 1))
-    status, _, snap, _ = _run_batch(layout, logm0, max_iters, tol,
-                                    detect_oscillation=False, rows=rows,
-                                    track=False)
+    status, snap = _run_restarts(layout, logm0, rows, max_iters, tol)
     done = status == 1
     beliefs = _beliefs_batch(layout, snap[done], log_node[done])
     counts = done.reshape(len(models), -1).sum(axis=1)

@@ -77,6 +77,12 @@ class PairwiseMRF:
                 raise ModelError(f"duplicate edge {key}")
             self.edge_index[key] = len(self.edges)
             self.edges.append(key)
+        # Read-only ends of directed_edges(): edge e ^ 1 is the reverse of e.
+        ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        self.directed_src = ends.ravel()
+        self.directed_dst = ends[:, ::-1].ravel()
+        self.directed_src.flags.writeable = False
+        self.directed_dst.flags.writeable = False
 
         if node_potentials is None:
             self.node_pot = [np.ones(c) for c in cards]
@@ -154,9 +160,7 @@ class PairwiseMRF:
         convergence of the sum-product algorithm" (IEEE Trans. IT 2007).
         Built in O(sum of squared degrees).
         """
-        ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
-        src = ends.ravel()
-        dst = ends[:, ::-1].ravel()
+        src, dst = self.directed_src, self.directed_dst
         # Edges entering each node, in index order (stable sort).
         entering = np.argsort(dst, kind="stable")
         count = np.bincount(dst, minlength=self.num_nodes)

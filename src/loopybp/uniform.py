@@ -26,6 +26,10 @@ def _validate_abk(a, b, k):
         raise ValueError("potential entries must be positive")
     if k < 1:
         raise ValueError("incoming count k must be at least 1")
+    # Near x = 1/2, x**k + (1-x)**k is about 2 * 0.5**k: subnormal, so
+    # imprecise, past k = 1022, and 0 (a NaN ratio) from k = 1075 on.
+    if k > 1022:
+        raise ValueError("incoming count k must be at most 1022")
 
 
 def _interior(x, a, b, k) -> np.ndarray:

@@ -8,6 +8,7 @@ from loopybp import bounds as bounds_mod
 from loopybp import (
     ConvergenceFailure,
     EnumerationLimitError,
+    ModelError,
     PairwiseMRF,
     accuracy_bound,
     chain_graph,
@@ -136,6 +137,17 @@ def test_saw_accuracy_requires_convergence():
                     edge_potentials={e: base.edge_matrix(*e) for e in base.edges})
     with pytest.raises(ConvergenceFailure):
         saw_accuracy(m, 0, max_iters=200)
+
+
+def test_saw_accuracy_rejects_a_saturated_belief():
+    # Node 0's belief is (1e-300, 1/(1 + 1e-300)) = (1e-300, 1.0) in floats;
+    # the interval formulas need entries strictly inside (0, 1).
+    m = PairwiseMRF(2, [(0, 1)], node_potentials=[[1e-300, 1.0], [1.0, 1.0]],
+                    edge_potentials={(0, 1): [[1.0, 2.0], [2.0, 1.0]]})
+    with pytest.raises(ModelError, match="node 0"):
+        saw_accuracy(m, 0)
+    bound = saw_accuracy(m, 1)
+    assert np.all(bound.lower <= bound.belief)
 
 
 def test_saw_accuracy_solves_its_recursion_once(monkeypatch):

@@ -288,3 +288,43 @@ def test_numeric_budget_exit_four(tmp_path, capsys):
     write_graph_file(biased, path)
     assert main(["accuracy", "--graph", str(path), "--node", "0"]) == 4
     capsys.readouterr()
+
+
+EDGE_CASE_GRAPHS = {
+    "edgeless": "nodes 2\n",
+    # Node 0's belief is (1e-300, 1.0) in floats.
+    "saturated": "nodes 2\nnode 0 1e-300 1\nedge 0 1 1 2 2 1\n",
+    # The cross ratio 1e400 overflows a float.
+    "overflowing": "nodes 2\nedge 0 1 1 1e200 1e-200 1\n",
+}
+
+
+def test_edgeless_converge_reports_zero_statistics(tmp_path, capsys):
+    path = tmp_path / "edgeless.graph"
+    path.write_text(EDGE_CASE_GRAPHS["edgeless"])
+    for extra in ([], ["--critical"]):
+        code, out = run_cli(capsys, "converge", "--graph", str(path), *extra)
+        assert code == 0
+        verdicts = out.split("\n\n")[0].strip().splitlines()[1:]
+        assert len(verdicts) == 5
+        for line in verdicts:
+            _, statistic, _, holds, witness = line.split(",")
+            assert (statistic, holds, witness) == ("0", "true", "")
+
+
+def test_every_subcommand_exits_with_a_documented_code(tmp_path, capsys):
+    runs = [(["fixed-points", "--eta", "0.7", "--degree", "3000"], 2)]
+    for name, text in EDGE_CASE_GRAPHS.items():
+        path = tmp_path / f"{name}.graph"
+        path.write_text(text)
+        for argv in (["bounds"], ["converge"], ["converge", "--critical"],
+                     ["run"], ["run", "--schedule", "residual"],
+                     ["accuracy"]):
+            runs.append(([*argv, "--graph", str(path)], None))
+    for argv, want in runs:
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), argv
+        assert want is None or code == want, argv
+        assert "Traceback" not in err, argv
+        assert (code == 0) == (err == ""), argv

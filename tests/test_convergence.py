@@ -310,9 +310,13 @@ def test_walk_summability_criticals():
         0.8286490530691879, abs=5e-4)
 
 
-def test_walk_summability_needs_edges():
-    with pytest.raises(ValueError):
-        walk_summability(PairwiseMRF(2, []))
+def test_edgeless_graph_certificates_are_zero():
+    m = PairwiseMRF(2, [])
+    assert walk_summability(m).statistic == 0.0
+    for name in CONDITION_NAMES:
+        verdict = evaluate_condition(m, name)
+        assert (verdict.statistic, verdict.witness) == (0.0, None), name
+        assert verdict.holds
 
 
 def test_evaluate_condition_names_and_aliases():

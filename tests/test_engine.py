@@ -26,7 +26,8 @@ from loopybp import (
     with_uniform_binary,
 )
 from loopybp.engine import (_NEG, _beliefs_batch, _Layout, _multistart,
-                            _random_logm, _run_batch, _sweep_batch)
+                            _random_logm, _run_one, _run_restarts,
+                            _sweep_batch)
 
 # Paramagnetic-regime fixed point of the 4-regular torus at eta=0.7,
 # pinned by one-dimensional root finding (see test_uniform).
@@ -384,15 +385,15 @@ def test_sweep_and_beliefs_match_dense_kernel(kind):
     logm = _random_logm(layout.mask, range(4))
     ref = logm.copy()
     for _ in range(300):
-        logm = _sweep_batch(layout, logm)
+        logm = _sweep_batch(layout, logm, layout.sender_rows)
         ref = dense_sweep(layout, ref)
         assert np.array_equal(logm, ref)
-        assert np.array_equal(_beliefs_batch(layout, logm),
+        assert np.array_equal(_beliefs_batch(layout, logm, layout.log_node),
                               dense_beliefs(layout, ref))
 
 
-# A restart batch, as _multistart runs it: no period detection and no
-# change record.
+# A restart batch, as _multistart runs it: no period detection, and runs
+# caught in an exact cycle leave early.
 RESTART = "restart"
 
 
@@ -414,22 +415,27 @@ RESTART = "restart"
     ("complete:4", 0.75, RESTART, 300, 3)])
 def test_run_batch_matches_looped_bookkeeping(kind, eta, detect, budget,
                                               outcome):
+    # Runs with period detection go through _run_one one by one; the others
+    # through _run_restarts as one batch.
     m = build_generator(kind, eta) if eta is not None else _mixed_card_grid()
     layout = _Layout(m)
     logm0 = _random_logm(layout.mask, range(6))
-    track = detect != RESTART
-    detect = detect is True
-    got = _run_batch(layout, logm0, budget, 1e-10, detect_oscillation=detect,
-                     track=track)
-    want = looped_run_batch(layout, logm0, budget, 1e-10, detect)
-    assert np.all(want[0] == outcome)
-    for a, b in zip(got[:3], want[:3]):
-        assert np.array_equal(a, b)
-    if track:
-        for a, b in zip(got[3], want[3]):
-            assert np.array_equal(a, np.array(b))
+    want_status, want_iters, want_last, want_changes = looped_run_batch(
+        layout, logm0, budget, 1e-10, detect is True)
+    assert np.all(want_status == outcome)
+    if detect is True:
+        for r in range(6):
+            status, iters, last, changes = _run_one(layout, logm0[r:r + 1],
+                                                    budget, 1e-10)
+            assert (status, iters) == (want_status[r], want_iters[r])
+            assert last[0].tobytes() == want_last[r].tobytes()
+            assert np.array(changes).tobytes() == \
+                np.array(want_changes[r]).tobytes()
     else:
-        assert got[3] is None
+        rows = [np.repeat(row[None], 6, axis=0) for row in layout.sender_rows]
+        status, last = _run_restarts(layout, logm0, rows, budget, 1e-10)
+        assert status.tobytes() == want_status.tobytes()
+        assert last.tobytes() == want_last.tobytes()
 
 
 def _redrawn(model, seed):
@@ -549,7 +555,7 @@ def test_sync_beliefs_match_per_edge_route(kind):
             logm0 = np.where(layout.mask, -np.log(cards)[:, None], _NEG)[None]
         else:
             logm0 = _random_logm(layout.mask, [seed])
-        snap = _run_batch(layout, logm0, budget, 1e-10)[2]
+        snap = _run_one(layout, logm0, budget, 1e-10)[2]
         got = run_synchronous(m, init=init, seed=seed, max_iters=budget)
         want = ref_vectors(m, snap[0])
         for e, (_, d) in enumerate(m.directed_edges()):

@@ -87,6 +87,17 @@ def test_edge_matrix_orientation():
     assert np.allclose(m.edge_matrix(1, 0), [[1, 3], [2, 4]])
 
 
+def test_directed_edge_ends_follow_canonical_order():
+    for m in (grid_graph(3, 3, 0.9), PairwiseMRF(2, [])):
+        directed = m.directed_edges()
+        assert m.directed_src.tolist() == [e.src for e in directed]
+        assert m.directed_dst.tolist() == [e.dst for e in directed]
+        for e in range(m.num_directed):
+            assert directed[e ^ 1] == directed[e][::-1]
+        with pytest.raises(ValueError):
+            m.directed_src[:1] = 0
+
+
 def test_with_uniform_binary_replaces_potentials():
     base = grid_graph(3, 3, 0.9)
     redone = with_uniform_binary(base, 0.55)

@@ -35,6 +35,11 @@ def test_scalar_update_matches_oracle():
 
 
 def test_scalar_update_domain():
+    # 0.5**1023 is subnormal, and x**k + (1-x)**k near 1/2 loses precision.
+    for k in (1023, 3000):
+        with pytest.raises(ValueError, match="at most 1022"):
+            fixed_points(0.7, 0.3, k)
+    assert scalar_update(0.5, 0.7, 0.3, 1022) == 0.5
     with pytest.raises(ValueError):
         scalar_update(0.0, 0.7, 0.3, 3)
     with pytest.raises(ValueError):
