@@ -18,11 +18,9 @@ from .convergence import (ConvergenceVerdict, InteractionMatrix,
                           nonuniform_condition, partial_graph_ordering_check,
                           rate_metric, spectral_radius, uniform_condition,
                           walk_summability)
-from .engine import (MessageSet, RunResult, ScheduleTrace, compute_beliefs,
-                     compute_pairwise_beliefs, empirical_convergent,
-                     empirical_critical_eta, residual_priority,
-                     run_residual_scheduled, run_synchronous,
-                     synchronous_sweep, update_message)
+from .engine import (MessageSet, RunResult, ScheduleTrace,
+                     empirical_convergent, empirical_critical_eta,
+                     run_residual_scheduled, run_synchronous, update_message)
 from .models import (DirectedEdge, GraphFormatError, ModelError, PairwiseMRF,
                      StrengthTable, build_generator, chain_graph,
                      complete_graph, compute_strengths, cycle_graph,
@@ -32,10 +30,10 @@ from .models import (DirectedEdge, GraphFormatError, ModelError, PairwiseMRF,
                      potential_strength, random_tree,
                      symmetric_binary_potential, torus_graph,
                      with_uniform_binary, write_graph_file)
-from .trees import ComputationTree, bethe_tree, saw_tree, tree_marginal
-from .uniform import (FixedPointSet, UniformModel, error_variation_zeros,
-                      fixed_points, incoming_product, scalar_derivative,
-                      scalar_update, true_error_variation,
-                      udb_completely_uniform, uniform_belief)
+from .trees import ComputationTree, saw_tree
+from .uniform import (FixedPointSet, error_variation_zeros, fixed_points,
+                      incoming_product, scalar_derivative, scalar_update,
+                      true_error_variation, udb_completely_uniform,
+                      uniform_belief)
 
 __version__ = "0.1.0"

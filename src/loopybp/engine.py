@@ -2,7 +2,7 @@
 
 Synchronous sweeps run all directed edges against a snapshot of the previous
 iteration; the residual scheduler recomputes one message at a time, ordered by
-a contraction bound on how much each pending message can still move.
+a contraction cap on each pending message's next change.
 
 Messages live in one padded log array: (n_dir, kmax) in a ``MessageSet``,
 (runs, n_dir, kmax) in a batch, with ``_NEG`` in the state slots past an
@@ -14,27 +14,29 @@ A restart batch may hold several models of one topology, such as one graph
 at a sweep of edge weights, with one row of potentials per run. A restart
 that converges, or whose iterate repeats an earlier one bit for bit, leaves
 the batch, so later sweeps cost only the runs still going; no run's
-arithmetic depends on which others share it.
+arithmetic depends on which others share it. Every run, whatever its
+schedule, reads its beliefs off one batch routine, ``_beliefs_batch``.
 
-The residual scheduler does not use that kernel: the kernel normalizes in
-log space, while a scheduled update must be ``update_message``'s
-linear-space arithmetic so that its pop log does not depend on the route.
-It builds per-edge tables once (log base matrices, in-edge lists,
-dependents as index arrays), updates the stored logs in place through
-per-edge views, and keeps the priorities in one array, so a pop costs an
-argmax and a few small array operations.
+The residual scheduler does not update through that kernel: the kernel
+normalizes in log space, while a scheduled update must be
+``update_message``'s linear-space arithmetic so that its pop log does not
+depend on the route. It builds per-edge tables once (log base matrices,
+in-edge lists, dependents as index arrays), updates the stored logs in
+place through per-edge views, and keeps the priorities in one array, so a
+pop costs an argmax and a few small array operations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .convergence import _bisect
-from .models import (ModelError, PairwiseMRF, StrengthTable, compute_strengths,
+from .models import (ModelError, PairwiseMRF, compute_strengths,
                      with_uniform_binary)
 
 _NEG = -1.0e30  # padded state slots in log space; finite so arithmetic stays NaN-free
@@ -62,9 +64,10 @@ class MessageSet:
 
     @classmethod
     def uniform(cls, model: PairwiseMRF) -> "MessageSet":
+        """Every message uniform: -log c in each of its target's c states."""
         mask = _target_mask(model)
-        share = 1.0 / mask.sum(axis=1)
-        return cls._wrap(model, np.where(mask, np.log(share)[:, None], _NEG))
+        share = -np.log(mask.sum(axis=1))
+        return cls._wrap(model, np.where(mask, share[:, None], _NEG))
 
     @classmethod
     def random(cls, model: PairwiseMRF, seed=None) -> "MessageSet":
@@ -180,8 +183,9 @@ class _Layout:
     State slots past an edge target's cardinality hold ``_NEG``, so a run's
     padded slots never change. ``in_edges[v]`` lists the directed edges into
     node v in ascending order, padded with the index n_dir of an all-zero
-    slot; a node's log-product of incoming messages is then the sum of its
-    gathered rows, added in that order.
+    slot; a sweep's log-product of a node's incoming messages is the sum of
+    its gathered rows, added in that order. ``belief_edges[v]`` lists the
+    same edges in ``model.neighbors`` order, the order beliefs add them in.
     """
 
     def __init__(self, model: PairwiseMRF):
@@ -191,31 +195,46 @@ class _Layout:
         self.src, self.dst = model.directed_src, model.directed_dst
         self.rev = np.arange(n_dir) ^ 1  # canonical order pairs 2m, 2m+1
 
-        self.sender_rows, self.log_node = _log_potentials(model, kmax)
+        self.log_node = _log_node(model, kmax)
         self.mask = _target_mask(model)
         self.padded = not bool(self.mask.all())
         self.node_mask = np.arange(kmax) < np.array(model.cards)[:, None]
 
         degree = np.bincount(self.dst, minlength=model.num_nodes)
-        order = np.argsort(self.dst, kind="stable")
-        slot = np.arange(n_dir) - (np.cumsum(degree) - degree)[self.dst[order]]
+        first = np.cumsum(degree) - degree
         width = max(int(degree.max(initial=0)), 1)
-        self.in_edges = np.full((model.num_nodes, width), n_dir)
-        self.in_edges[self.dst[order], slot] = order
+
+        def table(order):
+            """Edges sorted by target, ``order`` within a target, padded."""
+            out = np.full((model.num_nodes, width), n_dir)
+            out[self.dst[order], np.arange(n_dir) - first[self.dst[order]]] = order
+            return out
+
+        self.in_edges = table(np.argsort(self.dst, kind="stable"))
+        self.belief_edges = table(np.lexsort((self.src, self.dst)))
         self.in_padded = bool((degree < width).any())
 
+    @cached_property
+    def sender_rows(self) -> list:
+        """``_sender_rows``, built on first use: not every caller sweeps."""
+        return _sender_rows(self.model, self.kmax)
 
-def _log_potentials(model: PairwiseMRF, kmax: int):
-    """A model's potentials in padded log form: per sender state i, the
-    (n_dir, kmax) log weights of state i over each directed edge's target
-    states, and the (V, kmax) log node potentials. Padded slots hold _NEG."""
+
+def _sender_rows(model: PairwiseMRF, kmax: int) -> list:
+    """A model's edge and sender node potentials in padded log form, one
+    (n_dir, kmax) array per sender state. Padded slots hold _NEG."""
     combined = np.full((model.num_directed, kmax, kmax), _NEG)
     for e, (t, s) in enumerate(model.directed_edges()):
         combined[e, :model.cards[t], :model.cards[s]] = _log_weights(model, t, s)
+    return [combined[:, i, :].copy() for i in range(kmax)]
+
+
+def _log_node(model: PairwiseMRF, kmax: int) -> np.ndarray:
+    """The (V, kmax) log node potentials, padded with _NEG."""
     log_node = np.full((model.num_nodes, kmax), _NEG)
     for v, pot in enumerate(model.node_pot):
         log_node[v, :pot.size] = np.log(pot)
-    return [combined[:, i, :].copy() for i in range(kmax)], log_node
+    return log_node
 
 
 def _random_logm(mask: np.ndarray, seeds) -> np.ndarray:
@@ -227,13 +246,15 @@ def _random_logm(mask: np.ndarray, seeds) -> np.ndarray:
     return _masked_log(raw / raw.sum(axis=2, keepdims=True), mask)
 
 
-def _node_sums(layout: _Layout, logm: np.ndarray) -> np.ndarray:
-    """(runs, V, kmax) sums of each node's incoming log-messages."""
+def _node_sums(layout: _Layout, logm: np.ndarray, table: np.ndarray,
+               start=None) -> np.ndarray:
+    """(runs, V, kmax) sums of each node's incoming log-messages, added in
+    the column order of ``table`` to ``start`` if given."""
     if layout.in_padded:
         zero = np.zeros((logm.shape[0], 1, layout.kmax))
         logm = np.concatenate((logm, zero), axis=1)
-    cols = layout.in_edges.T
-    total = logm[:, cols[0]]
+    cols = table.T
+    total = logm[:, cols[0]] if start is None else start + logm[:, cols[0]]
     for col in cols[1:]:
         total += logm[:, col]
     return total
@@ -251,7 +272,7 @@ def _sweep_batch(layout: _Layout, logm: np.ndarray, rows) -> np.ndarray:
     numpy reduction over one axis of a 3-D or 4-D array. The sums add states
     in ascending order, which is also numpy's order below eight states.
     """
-    at_node = _node_sums(layout, logm)
+    at_node = _node_sums(layout, logm, layout.in_edges)
     excl = at_node[:, layout.src] - logm[:, layout.rev]
     terms = [row + excl[:, :, i, None] for i, row in enumerate(rows)]
     peak = terms[0]
@@ -275,13 +296,22 @@ def _sweep_batch(layout: _Layout, logm: np.ndarray, rows) -> np.ndarray:
 def _beliefs_batch(layout: _Layout, logm: np.ndarray,
                    log_node: np.ndarray) -> np.ndarray:
     """Beliefs of every run; ``log_node`` holds the log node potentials,
-    (V, kmax) shared by every run or (runs, V, kmax) per run."""
-    at_node = _node_sums(layout, logm)
-    logb = np.where(layout.node_mask[None], at_node + log_node, _NEG)
+    (V, kmax) shared by every run or (runs, V, kmax) per run. A node's log
+    belief is its log node potential plus its incoming log-messages in
+    ``model.neighbors`` order, normalized in linear space: below eight
+    states, bit for bit a per-node loop in that order."""
+    total = _node_sums(layout, logm, layout.belief_edges, log_node)
+    logb = np.where(layout.node_mask[None], total, _NEG)
     peak = logb.max(axis=2, keepdims=True)
     probs = np.exp(logb - peak)
     probs = np.where(layout.node_mask[None], probs, 0.0)
     return probs / probs.sum(axis=2, keepdims=True)
+
+
+def _node_beliefs(layout: _Layout, logm: np.ndarray) -> list:
+    """One run's beliefs from its (n_dir, kmax) messages, one vector a node."""
+    probs = _beliefs_batch(layout, logm[None], layout.log_node)[0]
+    return [b[:c] for b, c in zip(probs, layout.model.cards)]
 
 
 def _run_one(layout: _Layout, logm: np.ndarray, max_iters: int, tol: float):
@@ -399,57 +429,20 @@ def _normalized_message(logw, t, s) -> np.ndarray:
     return summed / total
 
 
-def synchronous_sweep(model: PairwiseMRF, messages: MessageSet) -> MessageSet:
-    """Update every directed edge once against a snapshot of ``messages``."""
-    vecs = [update_message(model, messages, e) for e in model.directed_edges()]
-    return MessageSet(model, vecs)
-
-
-def compute_beliefs(model: PairwiseMRF, messages: Optional[MessageSet]) -> list:
-    """Per-node normalized belief: node potential times incoming messages."""
-    out = []
-    for v in range(model.num_nodes):
-        logb = np.log(model.node_pot[v]).copy()
-        if messages is not None:
-            for u in model.neighbors(v):
-                logb += messages._log(u, v)
-        b = np.exp(logb - logb.max())
-        out.append(b / b.sum())
-    return out
-
-
-def compute_pairwise_beliefs(model: PairwiseMRF, messages: MessageSet) -> list:
-    """Per-edge normalized joint belief, rows indexed by the lower node id."""
-    out = []
-    for lo, hi in model.edges:
-        logb = (np.log(model.edge_pot[model.edge_index[(lo, hi)]])
-                + np.log(model.node_pot[lo])[:, None]
-                + np.log(model.node_pot[hi])[None, :])
-        for u in model.neighbors(lo):
-            if u != hi:
-                logb += messages._log(u, lo)[:, None]
-        for u in model.neighbors(hi):
-            if u != lo:
-                logb += messages._log(u, hi)[None, :]
-        b = np.exp(logb - logb.max())
-        out.append(b / b.sum())
-    return out
-
-
 def _initial_logm(layout: _Layout, init, seed):
     if isinstance(init, MessageSet):
         return init.logm[None]
     if init == "uniform":
-        mask = layout.mask
-        return np.where(mask, -np.log(mask.sum(axis=1))[:, None], _NEG)[None]
+        return MessageSet.uniform(layout.model).logm[None]
     if init == "random":
         return _random_logm(layout.mask, [seed])
     raise ValueError(f"unknown init {init!r}")
 
 
 def _trivial_result(model: PairwiseMRF) -> RunResult:
-    return RunResult("converged", None, 0, MessageSet(model, []),
-                     np.empty(0), compute_beliefs(model, None))
+    msgs = MessageSet(model, [])
+    return RunResult("converged", None, 0, msgs, np.empty(0),
+                     _node_beliefs(_Layout(model), msgs.logm))
 
 
 def run_synchronous(model: PairwiseMRF, init="uniform", max_iters=2000,
@@ -468,7 +461,7 @@ def run_synchronous(model: PairwiseMRF, init="uniform", max_iters=2000,
     msgs = _renormalized(model, layout.mask, last[0])
     return RunResult(_STATUS_NAMES[status], 2 if status == 2 else None,
                      iters, msgs, np.array(changes),
-                     compute_beliefs(model, msgs))
+                     _node_beliefs(layout, msgs.logm))
 
 
 # -- residual scheduling ---------------------------------------------------
@@ -486,34 +479,24 @@ def _log_contraction(dd, incoming):
     return 2.0 * (np.log(dd + t) - np.log1p(dd * t))
 
 
-def residual_priority(strengths: StrengthTable, edge, estimates) -> float:
-    """Scheduling priority for ``edge`` = (t, s): the contraction cap fed by
-    the pending change estimates of the sender's other incoming edges.
-    Zero estimates give zero; large estimates saturate at 2*log(d * d_star).
-    """
-    t, s = edge
-    total = 0.0
-    for est in estimates:
-        if est < 0.0:
-            raise ValueError("estimates must be non-negative")
-        total += float(est)
-    return float(_log_contraction(strengths.directed_product(t, s), total))
-
-
 def run_residual_scheduled(model: PairwiseMRF, max_updates=20000, tol=1e-9,
                            init="uniform", seed=None, strengths=None):
     """Priority-driven asynchronous sum-product.
 
     Starts with one untraced sweep that recomputes every message in index
-    order, so each stored vector is the output of an update; from then on the
-    contraction cap is a true upper bound on any realized residual. Then
-    repeatedly pops the highest-priority edge (ties to the lowest index),
-    recomputes it, and feeds the realized residual into the accumulators of
-    the edges it influences. Stops when the top priority falls below ``tol``
-    (status ``converged``; every pending message is certified to move less
-    than that) or when the update budget, which includes the initial sweep,
-    is exhausted (status ``max_iters``). A budget smaller than the initial
-    sweep cuts that sweep short.
+    order, so each stored vector is the output of an update; from then on an
+    edge's priority is the contraction cap ``_log_contraction`` on its next
+    update. Then repeatedly pops the highest-priority edge (ties to the
+    lowest index), recomputes it, and feeds the realized residual into the
+    accumulators of the edges it influences. Stops when the top priority
+    falls below ``tol`` (status ``converged``) or when the update budget,
+    which includes the initial sweep, is exhausted (status ``max_iters``).
+    A budget smaller than the initial sweep cuts that sweep short.
+
+    The cap is not an upper bound on the realized residual for every model:
+    on asymmetric potentials a pop can exceed its priority, and there
+    ``converged`` certifies nothing about the messages still pending. On
+    symmetric binary potentials no such pop has been seen.
 
     Every update is ``update_message``'s arithmetic, in the same order, on
     tables built once.
@@ -529,14 +512,15 @@ def run_residual_scheduled(model: PairwiseMRF, max_updates=20000, tol=1e-9,
     directed = model.directed_edges()
     n_dir = len(directed)
 
-    if isinstance(init, MessageSet):
-        msgs = init.copy()
-    elif init == "uniform":
-        msgs = MessageSet.uniform(model)
-    elif init == "random":
+    layout = _Layout(model)
+    if init == "random":
+        # Random starts keep MessageSet.random's linear-space renormalization;
+        # the kernel's log-space start differs in last bits, which changes
+        # where a run's pops go.
         msgs = MessageSet.random(model, seed)
     else:
-        raise ValueError(f"unknown init {init!r}")
+        msgs = MessageSet._wrap(model,
+                                _initial_logm(layout, init, seed)[0].copy())
 
     dd, _ = strengths.directed_arrays()
     seg, feed = model.non_backtracking_pairs()
@@ -589,7 +573,7 @@ def run_residual_scheduled(model: PairwiseMRF, max_updates=20000, tol=1e-9,
 
     result = RunResult(status, None, total, msgs,
                        np.array([r for _, _, r in entries]),
-                       compute_beliefs(model, msgs))
+                       _node_beliefs(layout, msgs.logm))
     return result, ScheduleTrace(entries, total)
 
 
@@ -640,7 +624,8 @@ def _multistart(models, seeds, max_iters, tol) -> list:
             raise ValueError("batched models must share edges and cardinalities")
     layout = _Layout(first)
     pots = [(layout.sender_rows, layout.log_node)]
-    pots += [_log_potentials(m, layout.kmax) for m in models[1:]]
+    pots += [(_sender_rows(m, layout.kmax), _log_node(m, layout.kmax))
+             for m in models[1:]]
 
     def per_run(arrays):
         return np.repeat(np.stack(arrays), len(seeds), axis=0)

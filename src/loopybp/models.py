@@ -127,9 +127,6 @@ class PairwiseMRF:
     def degree(self, v) -> int:
         return len(self._adj[v])
 
-    def has_edge(self, i, j) -> bool:
-        return (min(i, j), max(i, j)) in self.edge_index
-
     @property
     def num_directed(self) -> int:
         return 2 * len(self.edges)

@@ -1,12 +1,9 @@
-"""Computation trees rooted at a node: depth-limited non-backtracking
-unrollings and self-avoiding walk trees, with exact root marginals."""
+"""Self-avoiding-walk trees rooted at a node."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
-
-import numpy as np
 
 from .models import PairwiseMRF
 
@@ -27,11 +24,10 @@ class ComputationTree:
     ascending label order. Index 0 is the root.
     """
 
-    def __init__(self, model: PairwiseMRF, kind: str, root_label: int):
+    def __init__(self, model: PairwiseMRF, root_label: int):
         if not 0 <= root_label < model.num_nodes:
             raise ValueError(f"root {root_label} out of range")
         self.model = model
-        self.kind = kind
         self.nodes = [TreeNode(root_label, None, 0)]
 
     def add_child(self, parent_index: int, label: int) -> int:
@@ -48,48 +44,6 @@ class ComputationTree:
     def depth(self) -> int:
         return max(node.depth for node in self.nodes)
 
-    def label_counts(self) -> dict:
-        counts: dict = {}
-        for node in self.nodes:
-            counts[node.label] = counts.get(node.label, 0) + 1
-        return counts
-
-    def text_dump(self) -> str:
-        lines: list[str] = []
-
-        def walk(idx):
-            node = self.nodes[idx]
-            lines.append("  " * node.depth + str(node.label))
-            for c in node.children:
-                walk(c)
-
-        walk(0)
-        return "\n".join(lines)
-
-
-def bethe_tree(model: PairwiseMRF, root: int, depth: int) -> ComputationTree:
-    """All non-backtracking paths of length <= depth out of root, as a tree.
-
-    Internal nodes replicate the original neighbor structure minus the
-    parent; leaves sit at depth exactly ``depth`` unless a node has no
-    neighbor besides its parent.
-    """
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    tree = ComputationTree(model, f"bethe({depth})", root)
-    frontier = [0]
-    for _ in range(depth):
-        grown = []
-        for idx in frontier:
-            node = tree.nodes[idx]
-            parent_label = (None if node.parent is None
-                            else tree.nodes[node.parent].label)
-            for u in model.neighbors(node.label):
-                if u != parent_label:
-                    grown.append(tree.add_child(idx, u))
-        frontier = grown
-    return tree
-
 
 def saw_tree(model: PairwiseMRF, root: int) -> ComputationTree:
     """All self-avoiding walks out of root, as a tree.
@@ -97,7 +51,7 @@ def saw_tree(model: PairwiseMRF, root: int) -> ComputationTree:
     Each root-to-node path visits pairwise distinct labels, so the tree is
     finite with depth below the node count.
     """
-    tree = ComputationTree(model, "saw", root)
+    tree = ComputationTree(model, root)
 
     def grow(idx, visited):
         label = tree.nodes[idx].label
@@ -109,26 +63,3 @@ def saw_tree(model: PairwiseMRF, root: int) -> ComputationTree:
 
     grow(0, {root})
     return tree
-
-
-def tree_marginal(tree: ComputationTree) -> np.ndarray:
-    """Exact marginal at the root via one upward pass.
-
-    Nodes were appended parents-first, so reversed creation order is a valid
-    elimination order.
-    """
-    model = tree.model
-    upward: list = [None] * len(tree.nodes)
-    for idx in range(len(tree.nodes) - 1, -1, -1):
-        node = tree.nodes[idx]
-        logb = np.log(model.node_pot[node.label]).copy()
-        for c in node.children:
-            logb = logb + upward[c]
-        if node.parent is None:
-            b = np.exp(logb - logb.max())
-            return b / b.sum()
-        parent_label = tree.nodes[node.parent].label
-        logw = np.log(model.edge_matrix(node.label, parent_label)) + logb[:, None]
-        peak = logw.max()
-        upward[idx] = np.log(np.exp(logw - peak).sum(axis=0)) + peak
-    raise AssertionError("tree has no root")

@@ -41,25 +41,6 @@ def _interior(x, a, b, k) -> np.ndarray:
     return x
 
 
-@dataclass
-class UniformModel:
-    """Symmetric pairwise potential [[a, b], [b, a]] seen through k incoming
-    messages (k = degree - 1)."""
-
-    a: float
-    b: float
-    k: int
-
-    def __post_init__(self):
-        _validate_abk(self.a, self.b, self.k)
-
-    def update(self, x):
-        return scalar_update(x, self.a, self.b, self.k)
-
-    def derivative(self, x):
-        return scalar_derivative(x, self.a, self.b, self.k)
-
-
 def scalar_update(x, a, b, k):
     """One message update: y = (a x^k + b (1-x)^k) / ((a+b)(x^k + (1-x)^k)).
 
@@ -73,10 +54,15 @@ def scalar_update(x, a, b, k):
 
 
 def scalar_derivative(x, a, b, k):
-    """Analytic F'(x) by the quotient rule."""
+    """Analytic F'(x) by the quotient rule, with x^(k-1) and (1-x)^(k-1)
+    divided by the power of two of the larger: exact, cancelled by the
+    quotient, and it keeps den * den from underflowing for large k."""
     x = _interior(x, a, b, k)
     xk1 = x ** (k - 1)
     yk1 = (1.0 - x) ** (k - 1)
+    _, scale = np.frexp(np.maximum(xk1, yk1))
+    xk1 = np.ldexp(xk1, -scale)
+    yk1 = np.ldexp(yk1, -scale)
     num = a * x * xk1 + b * (1.0 - x) * yk1
     den = (a + b) * (x * xk1 + (1.0 - x) * yk1)
     dnum = k * (a * xk1 - b * yk1)

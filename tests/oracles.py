@@ -7,6 +7,7 @@ independent route. Keep this module free of loopybp imports.
 
 import itertools
 import math
+import types
 
 
 def enumerate_marginals(cards, node_pots, edge_pots):
@@ -29,22 +30,6 @@ def enumerate_marginals(cards, node_pots, edge_pots):
         for v in range(n):
             totals[v][config[v]] += w
     return [[t / z for t in row] for row in totals]
-
-
-def enumerate_pair_marginal(cards, node_pots, edge_pots, i, j):
-    """Exact joint marginal of the pair (i, j), i < j, as a nested list."""
-    n = len(cards)
-    table = [[0.0] * cards[j] for _ in range(cards[i])]
-    z = 0.0
-    for config in itertools.product(*[range(c) for c in cards]):
-        w = 1.0
-        for v in range(n):
-            w *= node_pots[v][config[v]]
-        for (a, b), mat in edge_pots.items():
-            w *= mat[config[a]][config[b]]
-        z += w
-        table[config[i]][config[j]] += w
-    return [[t / z for t in row] for row in table]
 
 
 def minimized_strength(mat):
@@ -153,6 +138,100 @@ def count_saw_walks(adjacency, root):
         return total
 
     return extend(root, {root})
+
+
+class Tree:
+    """A rooted tree of model labels with nodes in creation order, parents
+    first; the shape of loopybp's computation trees (``nodes`` with
+    ``label``, ``parent``, ``depth`` and ``children``)."""
+
+    def __init__(self, model, kind, root):
+        self.model = model
+        self.kind = kind
+        self.nodes = [types.SimpleNamespace(label=root, parent=None, depth=0,
+                                            children=[])]
+
+    def add_child(self, parent, label):
+        self.nodes.append(types.SimpleNamespace(
+            label=label, parent=parent, depth=self.nodes[parent].depth + 1,
+            children=[]))
+        self.nodes[parent].children.append(len(self.nodes) - 1)
+        return len(self.nodes) - 1
+
+    def __len__(self):
+        return len(self.nodes)
+
+    @property
+    def depth(self):
+        return max(node.depth for node in self.nodes)
+
+
+def bethe_tree(model, root, depth):
+    """All non-backtracking paths of length <= depth out of root, as a Tree.
+
+    Internal nodes replicate the original neighbor structure minus the
+    parent; leaves sit at depth exactly ``depth`` unless a node has no
+    neighbor besides its parent.
+    """
+    tree = Tree(model, f"bethe({depth})", root)
+    frontier = [0]
+    for _ in range(depth):
+        grown = []
+        for idx in frontier:
+            node = tree.nodes[idx]
+            parent = None if node.parent is None else tree.nodes[node.parent].label
+            for u in model.neighbors(node.label):
+                if u != parent:
+                    grown.append(tree.add_child(idx, u))
+        frontier = grown
+    return tree
+
+
+def label_counts(tree):
+    """How many tree nodes carry each model label."""
+    counts = {}
+    for node in tree.nodes:
+        counts[node.label] = counts.get(node.label, 0) + 1
+    return counts
+
+
+def text_dump(tree):
+    """One line per node in depth-first order, indented two spaces a level."""
+    lines = []
+
+    def walk(idx):
+        node = tree.nodes[idx]
+        lines.append("  " * node.depth + str(node.label))
+        for c in node.children:
+            walk(c)
+
+    walk(0)
+    return "\n".join(lines)
+
+
+def tree_marginal(tree):
+    """Exact root marginal of a computation tree, as a list.
+
+    The edge between a tree node and its parent carries the model's
+    potential between their labels. One upward pass in reverse creation
+    order (children before parents), each message normalized to sum 1.
+    """
+    model = tree.model
+    upward = [None] * len(tree.nodes)
+    for idx in range(len(tree.nodes) - 1, -1, -1):
+        node = tree.nodes[idx]
+        b = [float(p) for p in model.node_pot[node.label]]
+        for c in node.children:
+            b = [x * y for x, y in zip(b, upward[c])]
+        if node.parent is None:
+            z = sum(b)
+            return [x / z for x in b]
+        mat = model.edge_matrix(node.label, tree.nodes[node.parent].label)
+        msg = [sum(b[i] * float(mat[i][j]) for i in range(len(b)))
+               for j in range(len(mat[0]))]
+        z = sum(msg)
+        upward[idx] = [x / z for x in msg]
+    raise AssertionError("tree has no root")
 
 
 def bisect_root(f, lo, hi, tol=1e-14):

@@ -1,7 +1,12 @@
+import io
 import math
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopybp import PairwiseMRF, torus_graph, write_graph_file
 from loopybp.cli import main
@@ -176,6 +181,46 @@ def test_fixed_points_paramagnetic_single_row(capsys):
     rows = [ln for ln in out.strip().splitlines()[3:] if ln.startswith("fixed")]
     assert len(rows) == 1
     assert float(rows[0].split(",")[1]) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_fixed_points_stable_at_high_degree(capsys):
+    # F'(x)'s squared denominator underflowed from k of about 538, which
+    # marked the stable symmetric point unstable.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run_cli(capsys, "fixed-points", "--eta", "0.5",
+                            "--degree", "1000")
+        assert code == 0
+        assert out.strip().splitlines()[3:] == ["fixed,0.5,true,0.5"]
+        code, out = run_cli(capsys, "fixed-points", "--eta", "0.7",
+                            "--k", "1022")
+        assert code == 0
+        assert [ln.split(",")[2] for ln in out.strip().splitlines()[3:]] == \
+            ["true", "false", "true"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(eta=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                     st.floats()),
+       flag=st.sampled_from(["--degree", "--k"]),
+       count=st.integers(-2, 1100))
+def test_fixed_points_argv_exits_cleanly(eta, flag, count):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(["fixed-points", "--eta", repr(eta), flag,
+                             str(count)])
+            except SystemExit as exc:  # argparse's own usage errors
+                code = exc.code
+    err = err.getvalue()
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == "" and out.getvalue().startswith("regime,")
+    else:
+        assert code == 2
+        assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
 
 
 def test_accuracy_intervals_contain_exact(capsys):

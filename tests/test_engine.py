@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from loopybp import (
@@ -9,25 +11,22 @@ from loopybp import (
     build_generator,
     chain_graph,
     complete_graph,
-    compute_beliefs,
-    compute_pairwise_beliefs,
     compute_strengths,
     cycle_graph,
     empirical_convergent,
     empirical_critical_eta,
+    engine,
     grid_graph,
     parse_graph_text,
-    residual_priority,
     run_residual_scheduled,
     run_synchronous,
-    synchronous_sweep,
     torus_graph,
     update_message,
     with_uniform_binary,
 )
-from loopybp.engine import (_NEG, _beliefs_batch, _Layout, _multistart,
-                            _random_logm, _run_one, _run_restarts,
-                            _sweep_batch)
+from loopybp.engine import (_NEG, _beliefs_batch, _initial_logm, _Layout,
+                            _log_contraction, _multistart, _random_logm,
+                            _run_one, _run_restarts, _sweep_batch)
 
 # Paramagnetic-regime fixed point of the 4-regular torus at eta=0.7,
 # pinned by one-dimensional root finding (see test_uniform).
@@ -95,6 +94,13 @@ def test_update_message_matches_loop_oracle():
         assert np.allclose(got, want, atol=1e-12)
 
 
+def synchronous_sweep(model, messages):
+    """Every directed edge updated once by update_message against a
+    snapshot of ``messages``."""
+    vecs = [update_message(model, messages, e) for e in model.directed_edges()]
+    return MessageSet(model, vecs)
+
+
 def test_sweep_routes_agree():
     """The per-edge probability-space route and the batched log-space route
     inside run_synchronous must produce the same sweep."""
@@ -121,26 +127,13 @@ def test_tree_beliefs_are_exact():
         assert np.allclose(result.beliefs[v], want[v], atol=1e-10)
 
 
-def test_pairwise_beliefs_exact_on_tree():
-    m = PairwiseMRF(3, [(0, 1), (1, 2)],
-                    node_potentials=[[1.0, 2.0], [3.0, 1.0], [1.0, 1.0]],
-                    edge_potentials={(0, 1): [[2.0, 1.0], [1.0, 3.0]],
-                                     (1, 2): [[1.0, 0.5], [0.5, 2.0]]})
-    result = run_synchronous(m)
-    pair = compute_pairwise_beliefs(m, result.messages)
-    cards, node_pots, edge_pots = oracle_form(m)
-    for idx, (i, j) in enumerate(m.edges):
-        want = oracles.enumerate_pair_marginal(cards, node_pots, edge_pots, i, j)
-        assert np.allclose(pair[idx], want, atol=1e-10)
-        assert pair[idx].sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_compute_beliefs_default_is_uniform_messages():
+def test_uniform_messages_leave_node_potentials():
     m = small_asymmetric_model()
-    from_none = compute_beliefs(m, None)
-    from_uniform = compute_beliefs(m, MessageSet.uniform(m))
-    for a, b in zip(from_none, from_uniform):
-        assert np.allclose(a, b, atol=1e-14)
+    layout = _Layout(m)
+    got = _beliefs_batch(layout, MessageSet.uniform(m).logm[None],
+                         layout.log_node)[0]
+    for v, pot in enumerate(m.node_pot):
+        assert np.allclose(got[v], pot / pot.sum(), atol=1e-14)
 
 
 def test_uniform_init_stays_paramagnetic():
@@ -226,14 +219,12 @@ def test_residual_trace_csv(tmp_path):
 
 
 def test_residual_priority_endpoints():
-    m = complete_graph(4, 0.7)
-    table = compute_strengths(m)
-    cap = residual_priority(table, (0, 1), [np.inf, np.inf])
-    assert cap == pytest.approx(2.0 * np.log(table.directed_product(0, 1)),
-                                abs=1e-12)
-    assert residual_priority(table, (0, 1), [0.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        residual_priority(table, (0, 1), [-0.1])
+    # A saturated accumulator gives the cap 2*log(d * d_star); none, zero.
+    dd, _ = compute_strengths(complete_graph(4, 0.7)).directed_arrays()
+    assert _log_contraction(dd, np.inf) == pytest.approx(2.0 * np.log(dd),
+                                                          abs=1e-12)
+    assert _log_contraction(dd, 0.0) == pytest.approx(np.zeros_like(dd),
+                                                       abs=1e-12)
 
 
 def test_residual_on_tree_is_exact():
@@ -291,13 +282,21 @@ def dense_sweep(layout, logm):
     return np.where(layout.mask[None], new - norm, _NEG)
 
 
-def dense_beliefs(layout, logm):
-    at_node = np.einsum("ve,rek->rvk", _incidence(layout), logm)
-    logb = np.where(layout.node_mask[None], at_node + layout.log_node[None], _NEG)
-    peak = logb.max(axis=2, keepdims=True)
-    probs = np.exp(logb - peak)
-    probs = np.where(layout.node_mask[None], probs, 0.0)
-    return probs / probs.sum(axis=2, keepdims=True)
+def looped_beliefs(model, logm, node_pots=None):
+    """Per run and node: the log node potential, plus the incoming
+    log-messages in model.neighbors order, normalized in linear space.
+    ``node_pots`` holds one list of node potentials per run (default: the
+    model's for every run)."""
+    out = np.zeros((logm.shape[0], model.num_nodes, max(model.cards)))
+    for r in range(logm.shape[0]):
+        pots = model.node_pot if node_pots is None else node_pots[r]
+        for v in range(model.num_nodes):
+            logb = np.log(pots[v])
+            for u in model.neighbors(v):
+                logb = logb + logm[r, model.directed_index(u, v), :model.cards[v]]
+            b = np.exp(logb - logb.max())
+            out[r, v, :b.size] = b / b.sum()
+    return out
 
 
 def looped_run_batch(layout, logm0, max_iters, tol, detect_oscillation=True):
@@ -388,8 +387,68 @@ def test_sweep_and_beliefs_match_dense_kernel(kind):
         logm = _sweep_batch(layout, logm, layout.sender_rows)
         ref = dense_sweep(layout, ref)
         assert np.array_equal(logm, ref)
+        # Beliefs follow the per-node loop's order, not the dense form's.
         assert np.array_equal(_beliefs_batch(layout, logm, layout.log_node),
-                              dense_beliefs(layout, ref))
+                              looped_beliefs(m, logm))
+
+
+@st.composite
+def belief_batches(draw):
+    """A random model with its edges in shuffled order (so edge index order
+    is not neighbour order), random messages for a batch of runs, and
+    optionally one set of node potentials per run."""
+    n = draw(st.integers(1, 7))
+    cards = draw(st.lists(st.sampled_from([2, 3, 4, 7]), min_size=n,
+                          max_size=n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    runs = draw(st.integers(1, 3))
+    per_run = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = PairwiseMRF(
+        n, edges, cards,
+        node_potentials=[rng.lognormal(0.0, 1.0, size=c) for c in cards],
+        edge_potentials={(i, j): rng.lognormal(0.0, 1.0,
+                                               size=(cards[i], cards[j]))
+                         for i, j in edges})
+    layout = _Layout(model)
+    logm = np.where(layout.mask, rng.normal(0.0, 2.0, size=(runs,) +
+                                            layout.mask.shape), _NEG)
+    node_pots = None
+    if per_run:
+        node_pots = [[rng.lognormal(0.0, 1.0, size=c) for c in cards]
+                     for _ in range(runs)]
+    return model, layout, logm, node_pots
+
+
+@settings(max_examples=300, deadline=None)
+@given(belief_batches())
+def test_beliefs_match_the_per_node_loop(batch):
+    model, layout, logm, node_pots = batch
+    log_node = layout.log_node
+    if node_pots is not None:
+        log_node = np.full((len(node_pots),) + log_node.shape, _NEG)
+        for r, pots in enumerate(node_pots):
+            for v, pot in enumerate(pots):
+                log_node[r, v, :pot.size] = np.log(pot)
+    assert np.array_equal(_beliefs_batch(layout, logm, log_node),
+                          looped_beliefs(model, logm, node_pots))
+
+
+def test_uniform_starts_agree_on_seven_states():
+    # log(1/7) and -log(7) differ in the last bit; every uniform start is
+    # the second, so a MessageSet start reproduces init="uniform" exactly.
+    assert np.log(1.0 / 7.0) != -np.log(7.0)
+    m = PairwiseMRF(3, [(0, 1), (1, 2)], [7, 2, 7],
+                    node_potentials=[np.arange(1.0, 8.0), [1.0, 2.0],
+                                     np.arange(7.0, 0.0, -1.0)])
+    start = MessageSet.uniform(m)
+    assert start.logm.tobytes() == \
+        _initial_logm(_Layout(m), "uniform", None)[0].tobytes()
+    for run in (lambda init: run_synchronous(m, init=init, max_iters=3),
+                lambda init: run_residual_scheduled(m, init=init)[0]):
+        assert run(start).messages.logm.tobytes() == \
+            run("uniform").messages.logm.tobytes()
 
 
 # A restart batch, as _multistart runs it: no period detection, and runs
@@ -673,6 +732,19 @@ def test_residual_scheduler_matches_argmax_loop(case):
         assert entries[-1][1] == 0.0 and status == "max_iters"
     if case == "inside-sweep":
         assert total == 17 and entries == []
+
+
+def test_residual_scheduler_builds_no_sender_rows(monkeypatch):
+    # The scheduler reads its own per-edge tables; the kernel's rows are
+    # most of a layout's build time.
+    def refuse(*args):
+        raise AssertionError("sender rows built")
+
+    monkeypatch.setattr(engine, "_sender_rows", refuse)
+    for init in ("uniform", "random"):
+        result, _ = run_residual_scheduled(_mixed_card_grid(), init=init,
+                                           seed=1)
+        assert result.converged
 
 
 def test_residual_scheduler_rejects_overflowing_strengths():

@@ -4,17 +4,15 @@ import pytest
 import oracles
 from loopybp import (
     PairwiseMRF,
-    bethe_tree,
     chain_graph,
     complete_graph,
-    compute_beliefs,
     cycle_graph,
     grid_graph,
     k4_minus_edge,
     run_synchronous,
     saw_tree,
-    tree_marginal,
 )
+from oracles import bethe_tree, label_counts, text_dump, tree_marginal
 
 
 def adjacency_of(model):
@@ -49,7 +47,7 @@ def test_saw_tree_k4_shape():
     t = saw_tree(complete_graph(4, 0.7), 0)
     assert len(t) == 16
     assert t.depth == 3
-    assert t.label_counts() == {0: 1, 1: 5, 2: 5, 3: 5}
+    assert label_counts(t) == {0: 1, 1: 5, 2: 5, 3: 5}
 
 
 def test_saw_paths_never_repeat_labels():
@@ -64,9 +62,9 @@ def test_saw_paths_never_repeat_labels():
 
 def test_text_dump_mentions_every_label():
     t = bethe_tree(cycle_graph(3, 0.7), 0, 2)
-    dump = t.text_dump()
+    dump = text_dump(t)
     assert dump.splitlines()[0] == "0"
-    assert sum(t.label_counts().values()) == len(t)
+    assert sum(label_counts(t).values()) == len(t)
 
 
 def test_unwrapping_a_tree_reproduces_it():
@@ -91,7 +89,7 @@ def test_bethe_marginal_equals_iterated_sweeps(steps):
     m = grid_graph(3, 3, 0.8)
     root = 4
     if steps == 0:
-        got = compute_beliefs(m, None)[root]
+        got = m.node_pot[root] / m.node_pot[root].sum()
     else:
         got = run_synchronous(m, max_iters=steps, tol=1e-15).beliefs[root]
     want = tree_marginal(bethe_tree(m, root, steps))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import oracles
 from loopybp import (
-    UniformModel,
     complete_graph,
     compute_strengths,
     error_variation_zeros,
@@ -110,14 +109,6 @@ def test_quasi_points_swap_under_the_map():
     lo, hi = sorted(fp.quasi)
     assert scalar_update(lo, 0.3, 0.7, 3) == pytest.approx(hi, abs=1e-9)
     assert scalar_update(hi, 0.3, 0.7, 3) == pytest.approx(lo, abs=1e-9)
-
-
-def test_uniform_model_wraps_module_functions():
-    um = UniformModel(0.7, 0.3, 3)
-    assert um.update(0.37) == pytest.approx(scalar_update(0.37, 0.7, 0.3, 3),
-                                            abs=1e-14)
-    assert um.derivative(0.37) == pytest.approx(
-        scalar_derivative(0.37, 0.7, 0.3, 3), abs=1e-14)
 
 
 def test_belief_and_incoming_product_anchors():
