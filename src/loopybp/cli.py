@@ -226,9 +226,9 @@ def cmd_run(args) -> int:
 def cmd_fixed_points(args) -> int:
     if (args.degree is None) == (args.k is None):
         raise UsageError("give exactly one of --degree or --k")
+    _at_least(args.k, 1, "--k")
+    _at_least(args.degree, 2, "--degree")
     k = args.k if args.k is not None else args.degree - 1
-    if k < 1:
-        raise UsageError("degree must be at least 2")
     eta = _parse_eta_single(args.eta)
     try:
         fp = fixed_points(eta, 1.0 - eta, k)

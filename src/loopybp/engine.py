@@ -17,13 +17,19 @@ the batch, so later sweeps cost only the runs still going; no run's
 arithmetic depends on which others share it. Every run, whatever its
 schedule, reads its beliefs off one batch routine, ``_beliefs_batch``.
 
-The residual scheduler does not update through that kernel: the kernel
+The kernel and the residual scheduler read a model's potentials through one
+padded (n_dir, kmax, kmax) table of log psi + log phi_sender, built with a
+few array operations per shape stack of the model (``_log_weight_table``):
+the kernel's sender rows are that table cut per sender state.
+
+The residual scheduler does not update through the kernel: the kernel
 normalizes in log space, while a scheduled update must be
 ``update_message``'s linear-space arithmetic so that its pop log does not
-depend on the route. It builds per-edge tables once (log base matrices,
-in-edge lists, dependents as index arrays), updates the stored logs in
-place through per-edge views, and keeps the priorities in one array, so a
-pop costs an argmax and a few small array operations.
+depend on the route. It slices each edge's log weights out of the table
+and builds its other per-edge tables once (in-edge lists, dependents as
+index arrays), updates the stored logs in place through per-edge views,
+and keeps the priorities in one array, so a pop costs an argmax and a few
+small array operations.
 """
 
 from __future__ import annotations
@@ -221,19 +227,33 @@ class _Layout:
 
 
 def _sender_rows(model: PairwiseMRF, kmax: int) -> list:
-    """A model's edge and sender node potentials in padded log form, one
-    (n_dir, kmax) array per sender state. Padded slots hold _NEG."""
-    combined = np.full((model.num_directed, kmax, kmax), _NEG)
-    for e, (t, s) in enumerate(model.directed_edges()):
-        combined[e, :model.cards[t], :model.cards[s]] = _log_weights(model, t, s)
-    return [combined[:, i, :].copy() for i in range(kmax)]
+    """``_log_weight_table`` cut per sender state: one (n_dir, kmax) array
+    per sender state, padded with _NEG."""
+    table = _log_weight_table(model, kmax)
+    return [table[:, i, :].copy() for i in range(kmax)]
+
+
+def _log_weight_table(model: PairwiseMRF, kmax: int) -> np.ndarray:
+    """log psi_ts + log phi_t of every directed edge e = (t, s), computed
+    per shape stack: a (n_dir, kmax, kmax) table whose block e, rows the
+    sender's states, is ``_log_weights(model, t, s)`` bit for bit, with
+    _NEG in the other slots."""
+    log_node = _log_node(model, kmax)
+    table = np.full((model.num_directed, kmax, kmax), _NEG)
+    for (a, b), (members, stack) in model.edge_stacks.items():
+        logs = np.log(stack)
+        fwd, back = 2 * members, 2 * members + 1  # lo -> hi, hi -> lo
+        table[fwd, :a, :b] = logs + log_node[model.directed_src[fwd], :a, None]
+        table[back, :b, :a] = (logs.transpose(0, 2, 1)
+                               + log_node[model.directed_src[back], :b, None])
+    return table
 
 
 def _log_node(model: PairwiseMRF, kmax: int) -> np.ndarray:
     """The (V, kmax) log node potentials, padded with _NEG."""
     log_node = np.full((model.num_nodes, kmax), _NEG)
-    for v, pot in enumerate(model.node_pot):
-        log_node[v, :pot.size] = np.log(pot)
+    for (card,), (members, stack) in model.node_stacks.items():
+        log_node[members, :card] = np.log(stack)
     return log_node
 
 
@@ -532,7 +552,9 @@ def run_residual_scheduled(model: PairwiseMRF, max_updates=20000, tol=1e-9,
     for gs in ins:  # update_message adds them in model.neighbors order
         gs.sort(key=lambda g: directed[g].src)
     deps = [np.array(fs, dtype=np.intp) for fs in deps]
-    base = [_log_weights(model, t, s) for t, s in directed]
+    table = _log_weight_table(model, layout.kmax)
+    base = [table[e, :model.cards[t], :model.cards[s]]
+            for e, (t, s) in enumerate(directed)]
     # logs[e]: the stored message e, a column view into msgs.logm.
     logs = [msgs.logm[e, :model.cards[s], None]
             for e, (_, s) in enumerate(directed)]

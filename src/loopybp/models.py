@@ -3,7 +3,9 @@
 A model is a set of discrete variables with strictly positive node potentials
 plus strictly positive pairwise potentials on an undirected edge set. Edge
 matrices are stored with a fixed orientation: rows are indexed by the state of
-the lower-numbered endpoint. Everything downstream (message passing, bounds,
+the lower-numbered endpoint. Potentials of one shape share one stacked array,
+so validating, measuring and taking logs cost a few array operations per
+shape, not per edge. Everything downstream (message passing, bounds,
 certificates) consumes the strength measures computed here.
 """
 
@@ -27,11 +29,55 @@ class DirectedEdge(NamedTuple):
     dst: int
 
 
-def _as_positive_array(values, what):
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0 or not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ModelError(f"{what} must be strictly positive and finite")
-    return arr
+def _check_cards(cards) -> None:
+    if any(c < 2 for c in cards):
+        raise ModelError("every cardinality must be at least 2")
+
+
+def _faulty(stack) -> np.ndarray:
+    """Per item of a stack, whether an entry is not strictly positive and
+    finite (NaN included)."""
+    ok = (stack > 0.0) & (stack < np.inf)
+    return ~ok.reshape(len(stack), -1).all(axis=1)
+
+
+def _positive(arr) -> bool:
+    return arr.size > 0 and not _faulty(arr[None])[0]
+
+
+def _stacks(shapes, arrays, bad_entries, bad_shape):
+    """Items grouped by shape: {shape: (members, stack)} in order of first
+    use, and each item's view into its stack.
+
+    ``arrays[i]`` is item i's given array, or None for all ones. Every stack
+    is checked in one pass, a wrong-shaped array on its own; the first item
+    at fault raises the ModelError ``bad_entries(i)`` for entries that are
+    not strictly positive and finite, else ``bad_shape(i)``.
+    """
+    groups: dict = {}
+    for i, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(i)
+    stacks, views = {}, [None] * len(shapes)
+    fault = np.zeros(len(shapes), dtype=np.int8)  # 1: entries, 2: shape
+    for shape, members in groups.items():
+        ones = np.ones(shape)
+        fill = []
+        for i in members:
+            arr = arrays[i]
+            if arr is not None and arr.shape != shape:
+                fault[i] = 2 if _positive(arr) else 1
+                arr = None
+            fill.append(ones if arr is None else arr)
+        stack = np.array(fill)
+        members = np.array(members, dtype=np.intp)
+        fault[members[_faulty(stack)]] = 1
+        stacks[shape] = (members, stack)
+        for i, view in zip(members.tolist(), stack):
+            views[i] = view
+    if fault.any():
+        i = int(np.argmax(fault != 0))
+        raise ModelError(bad_entries(i) if fault[i] == 1 else bad_shape(i))
+    return stacks, views
 
 
 class PairwiseMRF:
@@ -46,6 +92,13 @@ class PairwiseMRF:
     edge_potentials : optional mapping (i, j) -> positive matrix whose rows
         are indexed by the state of i as given; stored transposed when i > j.
         Default is an all-ones matrix per edge.
+
+    Potentials are stored per shape: ``edge_stacks`` maps each (rows, cols)
+    shape to its edge indices and one (g, rows, cols) array, and
+    ``node_stacks`` maps each (card,) to its nodes and one (g, card) array.
+    ``edge_pot[m]`` and ``node_pot[v]`` are views into those stacks. Each
+    stack is checked in one pass; the first fault in node order, then edge
+    order, is reported, an edge's entries before its shape.
     """
 
     def __init__(self, num_nodes, edges, cardinality=2, node_potentials=None,
@@ -60,8 +113,7 @@ class PairwiseMRF:
             cards = [int(c) for c in cardinality]
             if len(cards) != self.num_nodes:
                 raise ModelError("cardinality list length mismatch")
-        if any(c < 2 for c in cards):
-            raise ModelError("every cardinality must be at least 2")
+        _check_cards(cards)
         self.cards = cards
 
         self.edges: list[tuple[int, int]] = []
@@ -85,30 +137,33 @@ class PairwiseMRF:
         self.directed_dst.flags.writeable = False
 
         if node_potentials is None:
-            self.node_pot = [np.ones(c) for c in cards]
+            node_given = [None] * self.num_nodes
         else:
             if len(node_potentials) != self.num_nodes:
                 raise ModelError("node potential count mismatch")
-            self.node_pot = []
-            for v, pot in enumerate(node_potentials):
-                arr = _as_positive_array(pot, f"node potential {v}")
-                if arr.shape != (cards[v],):
-                    raise ModelError(f"node potential {v} has wrong length")
-                self.node_pot.append(arr)
+            node_given = [np.asarray(p, dtype=float) for p in node_potentials]
+        self.node_stacks, self.node_pot = _stacks(
+            [(c,) for c in cards], node_given,
+            lambda v: f"node potential {v} must be strictly positive and finite",
+            lambda v: f"node potential {v} has wrong length")
 
-        self.edge_pot: list[np.ndarray] = []
         supplied = dict(edge_potentials) if edge_potentials else {}
+        given, keys = [], []  # per edge: its array as stored, the key given
         for lo, hi in self.edges:
-            if (lo, hi) in supplied:
-                mat = _as_positive_array(supplied.pop((lo, hi)), f"edge potential {(lo, hi)}")
-            elif (hi, lo) in supplied:
-                mat = _as_positive_array(supplied.pop((hi, lo)), f"edge potential {(hi, lo)}").T
+            key = (lo, hi) if (lo, hi) in supplied else (hi, lo)
+            if key in supplied:
+                mat = np.asarray(supplied.pop(key), dtype=float)
+                given.append(mat if key[0] == lo else mat.T)
             else:
-                mat = np.ones((cards[lo], cards[hi]))
-            if mat.shape != (cards[lo], cards[hi]):
-                raise ModelError(f"edge potential {(lo, hi)} has shape {mat.shape}, "
-                                 f"expected {(cards[lo], cards[hi])}")
-            self.edge_pot.append(np.array(mat, dtype=float))
+                given.append(None)
+            keys.append(key)
+        shapes = [(cards[lo], cards[hi]) for lo, hi in self.edges]
+        self.edge_stacks, self.edge_pot = _stacks(
+            shapes, given,
+            lambda m: f"edge potential {keys[m]} must be strictly positive "
+                      "and finite",
+            lambda m: f"edge potential {self.edges[m]} has shape "
+                      f"{given[m].shape}, expected {shapes[m]}")
         if supplied:
             raise ModelError(f"edge potentials given for missing edges: {sorted(supplied)}")
 
@@ -182,8 +237,8 @@ class PairwiseMRF:
             self.num_nodes,
             list(self.edges),
             list(self.cards),
-            [p.copy() for p in self.node_pot],
-            {e: m.copy() for e, m in zip(self.edges, self.edge_pot)},
+            self.node_pot,
+            dict(zip(self.edges, self.edge_pot)),
         )
 
     def __repr__(self):
@@ -202,9 +257,9 @@ def _measures(stack) -> np.ndarray:
     strength), the raw dynamic range, the row and column summed strengths,
     sigma and N. Each row is the elementwise formula of the measure's
     one-matrix function below, which calls this with B = 1. A measure too
-    large for a float reads inf or NaN, without a warning.
+    large for a float reads inf or NaN, without a warning. The entries must
+    be strictly positive and finite.
     """
-    stack = _as_positive_array(stack, "edge potential")
     count = stack.shape[0]
     # log(M[a,c] M[b,d] / (M[b,c] M[a,d])) over every quadruple, per matrix.
     logm = np.log(stack)
@@ -228,6 +283,8 @@ def _measures(stack) -> np.ndarray:
 
 def _measure(edge_potential, row) -> float:
     mat = np.asarray(edge_potential, dtype=float)
+    if not _positive(mat):
+        raise ModelError("edge potential must be strictly positive and finite")
     return float(_measures(mat[None])[row, 0])
 
 
@@ -276,19 +333,15 @@ class StrengthTable:
 
     Arrays are aligned with ``model.edges``. ``d_star_row[m]`` is the summed
     strength for messages sent by the lower-numbered endpoint of edge m,
-    ``d_star_col[m]`` for the opposite direction. Edges whose potentials
-    share a shape are measured in one batched call.
+    ``d_star_col[m]`` for the opposite direction. Each of the model's shape
+    stacks is measured in one batched call.
     """
 
     def __init__(self, model: PairwiseMRF):
         self.model = model
         table = np.empty((6, len(model.edges)))
-        by_shape: dict[tuple, list[int]] = {}
-        for m, mat in enumerate(model.edge_pot):
-            by_shape.setdefault(mat.shape, []).append(m)
-        for group in by_shape.values():
-            table[:, group] = _measures(
-                np.stack([model.edge_pot[m] for m in group]))
+        for members, stack in model.edge_stacks.values():
+            table[:, members] = _measures(stack)
         (self.d_pair, self.d_plain, self.d_star_row, self.d_star_col,
          self.sigma, self.n_strength) = table
         self._check(table)
@@ -361,7 +414,7 @@ def symmetric_binary_potential(eta) -> np.ndarray:
 def _uniform_binary(num_nodes, edges, eta) -> PairwiseMRF:
     pot = symmetric_binary_potential(eta)
     return PairwiseMRF(num_nodes, edges, 2,
-                       edge_potentials={e: pot.copy() for e in edges})
+                       edge_potentials=dict.fromkeys(edges, pot))
 
 
 def complete_graph(n, eta) -> PairwiseMRF:
@@ -483,10 +536,9 @@ def parse_graph_text(text: str) -> PairwiseMRF:
     edge_lines: list[tuple[int, int, int, list[float]]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         kw = tokens[0].lower()
 
         def bad(msg):
@@ -523,7 +575,7 @@ def parse_graph_text(text: str) -> PairwiseMRF:
                 raise bad("expected: node i v0 v1 ...")
             try:
                 i = int(tokens[1])
-                vals = [float(x) for x in tokens[2:]]
+                vals = list(map(float, tokens[2:]))
             except ValueError:
                 raise bad("bad number in node line") from None
             if not 0 <= i < num:
@@ -534,7 +586,7 @@ def parse_graph_text(text: str) -> PairwiseMRF:
                 raise bad("expected: edge i j m00 m01 ...")
             try:
                 i, j = int(tokens[1]), int(tokens[2])
-                vals = [float(x) for x in tokens[3:]]
+                vals = list(map(float, tokens[3:]))
             except ValueError:
                 raise bad("bad number in edge line") from None
             edge_lines.append((lineno, i, j, vals))
@@ -551,11 +603,11 @@ def parse_graph_text(text: str) -> PairwiseMRF:
                 f"line {lineno}: node {i} has {len(vals)} values, "
                 f"expected {card_list[i]}")
 
-    node_pots = [node_lines[i][1] if i in node_lines else [1.0] * card_list[i]
-                 for i in range(num)]
-
     edges = []
-    edge_pots = {}
+    seen = set()
+    # Edge values are gathered per shape and orientation and converted to
+    # one stack each; the model gets views into those stacks.
+    edge_groups: dict = {}
     for lineno, i, j, vals in edge_lines:
         if not (0 <= i < num and 0 <= j < num):
             raise GraphFormatError(f"line {lineno}: edge ({i}, {j}) out of range")
@@ -567,13 +619,23 @@ def parse_graph_text(text: str) -> PairwiseMRF:
                 f"line {lineno}: edge ({i}, {j}) has {len(vals)} values, "
                 f"expected {ki * kj}")
         key = (min(i, j), max(i, j))
-        if key in edge_pots:
+        if key in seen:
             raise GraphFormatError(f"line {lineno}: duplicate edge {key}")
-        mat = np.array(vals).reshape(ki, kj)
-        edge_pots[key] = mat if i < j else mat.T
+        seen.add(key)
         edges.append(key)
+        keys, flat = edge_groups.setdefault((ki, kj, i > j), ([], []))
+        keys.append(key)
+        flat.extend(vals)
 
     try:
+        _check_cards(card_list)  # as the model would, before any reshape
+        edge_pots = {}
+        for (ki, kj, transposed), (keys, flat) in edge_groups.items():
+            stack = np.array(flat).reshape(len(keys), ki, kj)
+            edge_pots.update(zip(keys, stack.transpose(0, 2, 1)
+                                 if transposed else stack))
+        node_pots = [node_lines[i][1] if i in node_lines else [1.0] * k
+                     for i, k in enumerate(card_list)]
         return PairwiseMRF(num, edges, card_list, node_pots, edge_pots)
     except ModelError as exc:
         raise GraphFormatError(str(exc)) from None

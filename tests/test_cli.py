@@ -1,5 +1,7 @@
 import io
 import math
+import os
+import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -279,11 +281,15 @@ def test_usage_errors_exit_two(capsys):
             ["bounds", "--generate", "cycle:4", "--eta", "0.1:0.9:0.00008"],
             # Checked before the joint (2**36 states) is enumerated.
             ["accuracy", "--generate", "grid:6x6", "--eta", "0.6",
-             "--node", "999"]):
+             "--node", "999"],
+            ["fixed-points", "--eta", "0.7", "--k", "0"],
+            ["fixed-points", "--eta", "0.7", "--degree", "1"]):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert captured.err.startswith("error:"), argv
+        if argv[0] == "fixed-points":  # names the flag given
+            assert f"error: {argv[3]} must be at least" in captured.err, argv
 
 
 def test_argparse_rejects_unknown_condition():
@@ -341,6 +347,8 @@ EDGE_CASE_GRAPHS = {
     "saturated": "nodes 2\nnode 0 1e-300 1\nedge 0 1 1 2 2 1\n",
     # The cross ratio 1e400 overflows a float.
     "overflowing": "nodes 2\nedge 0 1 1 1e200 1e-200 1\n",
+    # Cards -1 and -2 match the two values; no stack of that shape exists.
+    "negative cards": "nodes 2\ncard 0 -1\ncard 1 -2\nedge 0 1 1 1\n",
 }
 
 
@@ -373,3 +381,76 @@ def test_every_subcommand_exits_with_a_documented_code(tmp_path, capsys):
         assert want is None or code == want, argv
         assert "Traceback" not in err, argv
         assert (code == 0) == (err == ""), argv
+
+
+@st.composite
+def graph_texts(draw):
+    """A valid graph file, then at most one corruption of it."""
+    n = draw(st.integers(1, 5))
+    cards = draw(st.lists(st.sampled_from([2, 2, 3]), min_size=n, max_size=n))
+    value = st.floats(0.05, 20.0).map(repr)
+    lines = [f"nodes {n}"]
+    lines += [f"card {v} {c}" for v, c in enumerate(cards) if c != 2]
+    for v in draw(st.lists(st.integers(0, n - 1), unique=True)):
+        lines.append(f"node {v} " + " ".join(
+            draw(st.lists(value, min_size=cards[v], max_size=cards[v]))))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    for i, j in edges:
+        if draw(st.booleans()):
+            i, j = j, i
+        count = cards[i] * cards[j]
+        lines.append(f"edge {i} {j} " + " ".join(
+            draw(st.lists(value, min_size=count, max_size=count))))
+
+    kind = draw(st.sampled_from(["none", "token", "entry", "count", "edge",
+                                 "late card", "no nodes"]))
+    at = draw(st.integers(0, len(lines) - 1))
+    tokens = lines[at].split()
+    if kind == "token":
+        spot = draw(st.integers(0, len(tokens) - 1))
+        tokens[spot] = draw(st.sampled_from(["x", "1..2", "0x10", "--", "1e",
+                                             "nodes", "edge", "#", "½", "-2",
+                                             "0", "1", "3"]))
+    elif kind == "entry" and tokens[0] in ("node", "edge"):
+        spot = draw(st.integers(2 if tokens[0] == "node" else 3,
+                                len(tokens) - 1))
+        tokens[spot] = draw(st.sampled_from(
+            ["0", "-0.0", "-1.5", "nan", "inf", "-inf", "1e-300", "1e300"]))
+    elif kind == "count" and tokens[0] in ("node", "edge"):
+        if draw(st.booleans()):
+            tokens.append("1.0")
+        else:
+            del tokens[-1]
+    lines[at] = " ".join(tokens)
+    if kind == "edge":
+        i, j = draw(st.sampled_from(edges or [(0, 0)]))
+        i, j = draw(st.sampled_from([(i, j), (j, i), (i, i), (0, n), (-1, 0)]))
+        lines.append(f"edge {i} {j} " + " ".join(["1.0"] * 4))
+    elif kind == "late card":
+        lines.append(f"node 0 {' '.join(['1.0'] * cards[0])}")
+        lines.append(f"card 0 {draw(st.sampled_from([2, 3]))}")
+    elif kind == "no nodes":
+        lines = lines[1:]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=graph_texts())
+def test_graph_files_exit_cleanly(text):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.graph")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["run", "--graph", path])
+    err = err.getvalue()
+    assert code in (0, 3)
+    if code == 0:
+        assert err == "" and out.getvalue().startswith("status,")
+    else:
+        assert out.getvalue() == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err

@@ -25,8 +25,10 @@ from loopybp import (
     with_uniform_binary,
 )
 from loopybp.engine import (_NEG, _beliefs_batch, _initial_logm, _Layout,
-                            _log_contraction, _multistart, _random_logm,
+                            _log_contraction, _log_weight_table,
+                            _log_weights, _multistart, _random_logm,
                             _run_one, _run_restarts, _sweep_batch)
+from loopybp.models import _measures
 
 # Paramagnetic-regime fixed point of the 4-regular torus at eta=0.7,
 # pinned by one-dimensional root finding (see test_uniform).
@@ -734,9 +736,50 @@ def test_residual_scheduler_matches_argmax_loop(case):
         assert total == 17 and entries == []
 
 
+@st.composite
+def shape_stacked_models(draw):
+    """Models with cards 2-4 and 7, asymmetric potentials, edges keyed in
+    both orientations, node potentials given or omitted."""
+    n = draw(st.integers(2, 6))
+    cards = draw(st.lists(st.sampled_from([2, 3, 4, 7]), min_size=n,
+                          max_size=n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    edges = [(j, i) if draw(st.booleans()) else (i, j) for i, j in chosen]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    node_pots = None
+    if draw(st.booleans()):
+        node_pots = [rng.lognormal(0.0, 1.0, size=c) for c in cards]
+    return PairwiseMRF(n, edges, cards, node_pots, {
+        (i, j): rng.lognormal(0.0, 1.0, size=(cards[i], cards[j]))
+        for i, j in edges})
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape_stacked_models())
+def test_shape_stacked_tables_match_one_edge_at_a_time(model):
+    kmax = max(model.cards)
+    table = _log_weight_table(model, kmax)
+    for e, (t, s) in enumerate(model.directed_edges()):
+        block = table[e, :model.cards[t], :model.cards[s]]
+        assert block.tobytes() == _log_weights(model, t, s).tobytes()
+        pad = np.ones((kmax, kmax), dtype=bool)
+        pad[:model.cards[t], :model.cards[s]] = False
+        assert np.all(table[e][pad] == _NEG)
+    strengths = compute_strengths(model)
+    got = np.stack([strengths.d_pair, strengths.d_plain, strengths.d_star_row,
+                    strengths.d_star_col, strengths.sigma,
+                    strengths.n_strength])
+    for m, mat in enumerate(model.edge_pot):
+        want = _measures(np.array(mat)[None])[:, 0]
+        want[[0, 2, 3]] = np.maximum(want[[0, 2, 3]], 1.0)  # the table's clamp
+        assert got[:, m].tobytes() == want.tobytes()
+
+
 def test_residual_scheduler_builds_no_sender_rows(monkeypatch):
-    # The scheduler reads its own per-edge tables; the kernel's rows are
-    # most of a layout's build time.
+    # The scheduler slices its update weights out of the log-weight table;
+    # the kernel's sender rows are a second, per-state copy of that table,
+    # which it never reads.
     def refuse(*args):
         raise AssertionError("sender rows built")
 

@@ -79,6 +79,75 @@ def test_model_validation():
         PairwiseMRF(2, [(0, 1)], node_potentials=[[1.0, -1.0], [1.0, 1.0]])
 
 
+ONES = [[1.0, 1.0], [1.0, 1.0]]
+
+
+# Inputs with several faults: the first fault in the documented order names
+# the error. Node faults, in node order, come before edge faults; within an
+# edge a positivity fault comes before a shape fault; a (hi, lo) key is named
+# as given; keys of missing edges are reported last.
+@pytest.mark.parametrize("cards, node_pots, edge_pots, message", [
+    (2, [[1.0, 1.0], [1.0, -1.0], [0.0, 1.0]], {(0, 1): [[0.0, 1.0], [1.0, 1.0]]},
+     "node potential 1 must be strictly positive and finite"),
+    (2, [[1.0, 1.0], [1.0, 1.0, 1.0], [np.nan, 1.0]], None,
+     "node potential 1 has wrong length"),
+    (2, [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0, np.inf]], None,
+     "node potential 2 must be strictly positive and finite"),
+    (2, [[], [1.0, 1.0], [1.0, 1.0]], None,
+     "node potential 0 must be strictly positive and finite"),
+    (2, [[1.0, 1.0]] * 2, None, "node potential count mismatch"),
+    (2, None, {(1, 2): [[1.0, -1.0, 1.0], [1.0, 1.0, 1.0]], (0, 1): [[1.0, 1.0]]},
+     "edge potential (0, 1) has shape (1, 2), expected (2, 2)"),
+    (2, None, {(0, 1): [[1.0, -1.0, 1.0], [1.0, 1.0, 1.0]], (1, 2): ONES},
+     "edge potential (0, 1) must be strictly positive and finite"),
+    (2, None, {(0, 1): ONES, (2, 1): [[1.0, np.nan], [1.0, 1.0]]},
+     "edge potential (2, 1) must be strictly positive and finite"),
+    ([2, 3, 2], None, {(1, 0): [[1.0, 2.0], [3.0, 4.0]]},
+     "edge potential (0, 1) has shape (2, 2), expected (2, 3)"),
+    ([2, 3, 2], None, {(2, 1): [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], (1, 0): []},
+     "edge potential (1, 0) must be strictly positive and finite"),
+    (2, None, {(0, 1): np.ones((2, 2, 1))},
+     "edge potential (0, 1) has shape (2, 2, 1), expected (2, 2)"),
+    (2, None, {(1, 0): np.ones((2, 2, 1))},
+     "edge potential (0, 1) has shape (1, 2, 2), expected (2, 2)"),
+    (2, None, {(0, 2): ONES, (1, 2): [[1.0, 1.0], [1.0, 0.0]]},
+     "edge potential (1, 2) must be strictly positive and finite"),
+    (2, None, {(0, 2): ONES, (1, 2): ONES, (2, 1): ONES, (2, 0): ONES},
+     "edge potentials given for missing edges: [(0, 2), (2, 0), (2, 1)]"),
+])
+def test_model_validation_names_the_first_fault(cards, node_pots, edge_pots,
+                                                message):
+    with pytest.raises(ModelError) as info:
+        PairwiseMRF(3, [(0, 1), (1, 2)], cards, node_pots, edge_pots)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("nodes 3\nnode 2 1 0\nedge 0 1 1 1 1 -1\nnode 1 1 inf\n",
+     "node potential 1 must be strictly positive and finite"),
+    ("nodes 3\nedge 1 2 1 1 1 1\nedge 1 0 1 nan 1 1\nedge 0 2 0 1 1 1\n",
+     "edge potential (0, 1) must be strictly positive and finite"),
+    ("nodes 3\nnode 1 1 0 1\nedge 0 1 1 2\n",
+     "line 2: node 1 has 3 values, expected 2"),
+    ("nodes 3\ncard 2 3\nedge 0 1 1 1 1\nedge 2 1 1 1 1 1 1 0\n",
+     "line 3: edge (0, 1) has 3 values, expected 4"),
+    ("nodes 3\ncard 1 1\nnode 1 -1\nedge 0 1 1 1\n",
+     "every cardinality must be at least 2"),
+    ("nodes 3\nedge 0 1 1 1 1 1\nedge 1 0 1 1 1 1\n",
+     "line 3: duplicate edge (0, 1)"),
+    ("nodes 3\nedge 0 3 1 1 1 1\nedge 1 1 0 0 0 0\n",
+     "line 2: edge (0, 3) out of range"),
+    ("nodes 3\nnode 0 1 1\ncard 0 3\n",
+     "line 3: card for node 0 must precede its node line"),
+    ("node 0 1 1\n", "line 1: the nodes line must come first"),
+    ("# nothing\n", "missing nodes line"),
+])
+def test_graph_text_names_the_first_fault(text, message):
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph_text(text)
+    assert str(info.value) == message
+
+
 def test_edge_matrix_orientation():
     """edge_matrix(t, s) must always be indexed [state of t][state of s]."""
     m = PairwiseMRF(2, [(0, 1)],
