@@ -79,39 +79,6 @@ def bound_variation(kind: str, strengths, log_eps: float) -> float:
 # -- recursion plumbing ----------------------------------------------------
 
 
-class _EdgeTerms:
-    """Per-directed-edge strengths plus the non-backtracking relation: term i
-    says segment seg[i] receives a contribution driven by edge feed[i]."""
-
-    def __init__(self, model: PairwiseMRF, strengths=None):
-        if strengths is None:
-            strengths = compute_strengths(model)
-        self.num_nodes = model.num_nodes
-        self.n_dir = model.num_directed
-        self.dst = model.directed_dst
-        self.dd, self.d2 = strengths.directed_arrays()
-        self.seg, self.feed = model.non_backtracking_pairs()
-
-    def recursion(self, improved: bool) -> _Recursion:
-        """The doubled-log recursion in d*d_star, or (improved) the
-        single-log one in squared edge strength."""
-        coeff, strength = (1.0, self.d2) if improved else (2.0, self.dd)
-        return _Recursion(self.n_dir, self.seg, self.feed, coeff,
-                          strength[self.feed])
-
-    def node_bounds(self, strength: np.ndarray, z) -> np.ndarray:
-        """Assemble per-node bounds: each incoming edge contributes the
-        squared contraction at its own eps. Values below 1e-9 collapse to
-        exactly 0."""
-        t = np.exp(-z) if np.ndim(z) else np.full(self.n_dir, math.exp(-z))
-        contrib = 2.0 * (np.log(strength + t) - np.log1p(strength * t))
-        # astype: bincount over no edges returns integers.
-        out = np.bincount(self.dst, weights=contrib,
-                          minlength=self.num_nodes).astype(float, copy=False)
-        out[out < _ZERO_EPS] = 0.0
-        return out
-
-
 class _Recursion:
     """One error recursion on n values: term i adds
     coeff * (log(v[i] + t) - log1p(v[i] * t)), with t = exp(-z[feed[i]]),
@@ -142,17 +109,15 @@ class _Recursion:
         return np.bincount(self.seg, weights=vals, minlength=self.n)
 
 
-# Solves and edge terms shared within one sharing scope (see
-# _sharing_solves); None outside.
+# The solves of the current sharing scope (see _sharing_solves), or None.
 _SOLVED: ContextVar[Optional[dict]] = ContextVar("_SOLVED", default=None)
 
 
 @contextmanager
 def _sharing_solves():
-    """Within the block, each distinct recursion is solved once (the
-    improved and Ihler bounds read the same fixed point) and each model's
-    edge terms are built once. The store is dropped on exit, so nothing is
-    shared between calls."""
+    """Within the block, each distinct recursion is solved once: the
+    improved and Ihler bounds read the same fixed point. The store is
+    dropped on exit, so nothing is shared between calls."""
     token = _SOLVED.set({})
     try:
         yield
@@ -160,26 +125,37 @@ def _sharing_solves():
         _SOLVED.reset(token)
 
 
-def _shared(key, build):
-    """build(), reused under ``key`` inside a sharing scope."""
+def _solve(solver, rec: _Recursion, *args):
+    """solver(rec, *args), reused inside a sharing scope."""
     store = _SOLVED.get()
     if store is None:
-        return build()
+        return solver(rec, *args)
+    key = (solver, rec.key(), args)
     if key not in store:
-        store[key] = build()
+        store[key] = solver(rec, *args)
     return store[key]
 
 
-def _solve(solver, rec: _Recursion, *args):
-    """solver(rec, *args), reused inside a sharing scope."""
-    return _shared((solver, rec.key(), args), lambda: solver(rec, *args))
+def _recursion(model: PairwiseMRF, strengths, improved: bool) -> _Recursion:
+    """The doubled-log recursion in d*d_star, or (improved) the single-log
+    one in squared edge strength, over the model's non-backtracking
+    relation: segment seg[i] receives a term driven by edge feed[i]."""
+    seg, feed = model.non_backtracking_pairs
+    coeff, strength = (1.0, strengths.d2) if improved else (2.0, strengths.dd)
+    return _Recursion(model.num_directed, seg, feed, coeff, strength[feed])
 
 
-def _edge_terms(model: PairwiseMRF, strengths) -> _EdgeTerms:
-    """_EdgeTerms(model, strengths), reused inside a sharing scope. Models
-    and strength tables hash by identity, so the key names these objects."""
-    return _shared((_EdgeTerms, model, strengths),
-                   lambda: _EdgeTerms(model, strengths))
+def _node_bounds(model: PairwiseMRF, strength: np.ndarray, z) -> np.ndarray:
+    """Assemble per-node bounds: each incoming edge contributes the squared
+    contraction at its own eps. Values below 1e-9 collapse to exactly 0."""
+    n_dir = model.num_directed
+    t = np.exp(-z) if np.ndim(z) else np.full(n_dir, math.exp(-z))
+    contrib = 2.0 * (np.log(strength + t) - np.log1p(strength * t))
+    # astype: bincount over no edges returns integers.
+    out = np.bincount(model.directed_dst, weights=contrib,
+                      minlength=model.num_nodes).astype(float, copy=False)
+    out[out < _ZERO_EPS] = 0.0
+    return out
 
 
 # ndarray.max without its Python-level wrapper; the same reduction.
@@ -250,25 +226,28 @@ def _solve_nonuniform(rec: _Recursion, n: Optional[int]) -> np.ndarray:
 def uniform_distance_bound(model: PairwiseMRF, strengths=None):
     """Per-node log-distance bound from the doubled-log recursion with the
     combined strength d*d_star. Returns (bounds, eps_star)."""
-    terms = _edge_terms(model, strengths)
-    z = _solve(_solve_uniform, terms.recursion(improved=False))
-    return terms.node_bounds(terms.dd, z), math.exp(z)
+    if strengths is None:
+        strengths = compute_strengths(model)
+    z = _solve(_solve_uniform, _recursion(model, strengths, improved=False))
+    return _node_bounds(model, strengths.dd, z), math.exp(z)
 
 
 def improved_uniform_distance_bound(model: PairwiseMRF, strengths=None):
     """Same node assembly, but eps_star comes from the single-log recursion
     in squared edge strength, which has a higher zero threshold."""
-    terms = _edge_terms(model, strengths)
-    z = _solve(_solve_uniform, terms.recursion(improved=True))
-    return terms.node_bounds(terms.dd, z), math.exp(z)
+    if strengths is None:
+        strengths = compute_strengths(model)
+    z = _solve(_solve_uniform, _recursion(model, strengths, improved=True))
+    return _node_bounds(model, strengths.dd, z), math.exp(z)
 
 
 def ihler_uniform_distance_bound(model: PairwiseMRF, strengths=None):
     """Dynamic-range recursion end to end: the single-log eps fixed point
     assembled with the squared edge strength."""
-    terms = _edge_terms(model, strengths)
-    z = _solve(_solve_uniform, terms.recursion(improved=True))
-    return terms.node_bounds(terms.d2, z), math.exp(z)
+    if strengths is None:
+        strengths = compute_strengths(model)
+    z = _solve(_solve_uniform, _recursion(model, strengths, improved=True))
+    return _node_bounds(model, strengths.d2, z), math.exp(z)
 
 
 def nonuniform_distance_bound(model: PairwiseMRF, strengths=None,
@@ -280,16 +259,18 @@ def nonuniform_distance_bound(model: PairwiseMRF, strengths=None,
     recursion to the single-log squared-strength form. Returns
     (bounds, per-directed-edge eps array).
     """
-    terms = _edge_terms(model, strengths)
-    z = _solve(_solve_nonuniform, terms.recursion(improved), n)
-    return terms.node_bounds(terms.dd, z), np.exp(z)
+    if strengths is None:
+        strengths = compute_strengths(model)
+    z = _solve(_solve_nonuniform, _recursion(model, strengths, improved), n)
+    return _node_bounds(model, strengths.dd, z), np.exp(z)
 
 
 def ihler_nonuniform_distance_bound(model: PairwiseMRF, strengths=None,
                                     n: Optional[int] = None):
-    terms = _edge_terms(model, strengths)
-    z = _solve(_solve_nonuniform, terms.recursion(improved=True), n)
-    return terms.node_bounds(terms.d2, z), np.exp(z)
+    if strengths is None:
+        strengths = compute_strengths(model)
+    z = _solve(_solve_nonuniform, _recursion(model, strengths, True), n)
+    return _node_bounds(model, strengths.d2, z), np.exp(z)
 
 
 # -- empirical distance ----------------------------------------------------
@@ -351,16 +332,13 @@ class BoundReport:
 
     node_bounds: dict
     eps_star: dict
-    true_log_distance: Optional[np.ndarray] = None
 
 
-def bound_report(model: PairwiseMRF, strengths=None, n: Optional[int] = None,
-                 true_runs: int = 0, seed: int = 0) -> BoundReport:
+def bound_report(model: PairwiseMRF, strengths=None,
+                 n: Optional[int] = None) -> BoundReport:
     """Compute every bound kind for one model, solving each distinct error
-    recursion once.
-
-    ``n`` is passed to the per-edge recursions; ``true_runs`` >= 2 adds the
-    empirical distance from that many random restarts.
+    recursion once. ``n`` is passed to the per-edge recursions; the
+    empirical distance is ``true_distance``'s.
     """
     if strengths is None:
         strengths = compute_strengths(model)
@@ -385,8 +363,4 @@ def bound_report(model: PairwiseMRF, strengths=None, n: Optional[int] = None,
     for tight, loose in (("improved_udb", "udb"), ("improved_nudb", "nudb")):
         if np.any(node_bounds[tight] > node_bounds[loose] + 1e-9):
             raise AssertionError(f"{tight} exceeded {loose}")
-
-    true_log = None
-    if true_runs >= 2:
-        true_log = true_distance(model, seeds=seed, runs=true_runs)
-    return BoundReport(node_bounds, eps, true_log)
+    return BoundReport(node_bounds, eps)

@@ -12,6 +12,7 @@ failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -340,9 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first main call; parse_args keeps no state between calls.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -59,12 +59,13 @@ class OrderingReport:
 # -- closed-form conditions ------------------------------------------------
 
 
-def _max_edge_sum(strengths: StrengthTable, term):
-    """Maximize, over directed pairs (s, p), the sum of term[g] over the
-    directed edges g = (t -> s) with t != p. ``term`` is indexed by directed
-    edge. The statistic is 0 and the witness None when no sum is positive."""
+def _max_edge_sum(strengths: StrengthTable, v):
+    """Maximize, over directed pairs (s, p), the sum of (v - 1)/(v + 1) at
+    the directed edges g = (t -> s) with t != p, v indexed by directed edge.
+    The statistic is 0 and the witness None when no sum is positive."""
     model = strengths.model
-    seg, feed = model.non_backtracking_pairs()
+    seg, feed = model.non_backtracking_pairs
+    term = (v - 1.0) / (v + 1.0)
     sums = np.bincount(seg, weights=term[feed], minlength=model.num_directed)
     if not np.any(sums > 0.0):
         return 0.0, None
@@ -74,15 +75,13 @@ def _max_edge_sum(strengths: StrengthTable, term):
 
 def uniform_condition(strengths: StrengthTable) -> ConvergenceVerdict:
     """Worst-edge sum of (d*d_star - 1)/(d*d_star + 1) against 1/2."""
-    dd, _ = strengths.directed_arrays()
-    stat, witness = _max_edge_sum(strengths, (dd - 1.0) / (dd + 1.0))
+    stat, witness = _max_edge_sum(strengths, strengths.dd)
     return ConvergenceVerdict("uniform", stat, 0.5, witness)
 
 
 def ihler_uniform_condition(strengths: StrengthTable) -> ConvergenceVerdict:
     """Worst-edge sum of (d^2 - 1)/(d^2 + 1) against 1."""
-    _, d2 = strengths.directed_arrays()
-    stat, witness = _max_edge_sum(strengths, (d2 - 1.0) / (d2 + 1.0))
+    stat, witness = _max_edge_sum(strengths, strengths.d2)
     return ConvergenceVerdict("ihler-uniform", stat, 1.0, witness)
 
 
@@ -91,12 +90,10 @@ def rate_metric(strengths: StrengthTable, edge) -> float:
     derivative magnitude of the error recursion at zero, a proxy for how
     fast messages along (s, p) settle."""
     s, p = edge
-    total = 0.0
-    for t in strengths.model.neighbors(s):
-        if t != p:
-            d2 = strengths.pair(t, s) ** 2
-            total += (d2 - 1.0) / (d2 + 1.0)
-    return abs(total - 1.0)
+    model = strengths.model
+    d2 = [float(strengths.d2[model.directed_index(t, s)])
+          for t in model.neighbors(s) if t != p]
+    return abs(sum((d - 1.0) / (d + 1.0) for d in d2) - 1.0)
 
 
 # -- walk-sum conditions ---------------------------------------------------
@@ -196,7 +193,7 @@ def interaction_matrix(model: PairwiseMRF, strengths=None) -> InteractionMatrix:
         strengths = compute_strengths(model)
     directed = model.directed_edges()
     n_dir = len(directed)
-    seg, feed = model.non_backtracking_pairs()
+    seg, feed = model.non_backtracking_pairs
     mat = np.zeros((n_dir, n_dir))
     # Directed edges 2m and 2m+1 both carry the weight of edge m.
     mat[seg, feed] = strengths.n_strength[feed >> 1]

@@ -25,11 +25,11 @@ the kernel's sender rows are that table cut per sender state.
 The residual scheduler does not update through the kernel: the kernel
 normalizes in log space, while a scheduled update must be
 ``update_message``'s linear-space arithmetic so that its pop log does not
-depend on the route. It slices each edge's log weights out of the table
-and builds its other per-edge tables once (in-edge lists, dependents as
-index arrays), updates the stored logs in place through per-edge views,
-and keeps the priorities in one array, so a pop costs an argmax and a few
-small array operations.
+depend on the route. It slices each edge's log weights out of the table,
+reads its in-edge lists and dependents off the model's in-edge table and
+non-backtracking relation, updates the stored logs in place through
+per-edge views, and keeps the priorities in one array, so a pop costs an
+argmax and a few small array operations.
 """
 
 from __future__ import annotations
@@ -187,11 +187,10 @@ class _Layout:
 
     A batch of runs holds its messages in one (runs, n_dir, kmax) array.
     State slots past an edge target's cardinality hold ``_NEG``, so a run's
-    padded slots never change. ``in_edges[v]`` lists the directed edges into
-    node v in ascending order, padded with the index n_dir of an all-zero
-    slot; a sweep's log-product of a node's incoming messages is the sum of
-    its gathered rows, added in that order. ``belief_edges[v]`` lists the
-    same edges in ``model.neighbors`` order, the order beliefs add them in.
+    padded slots never change. ``in_edges`` (index order, which sweeps add
+    a node's incoming log-messages in) and ``belief_edges`` (neighbour
+    order, for beliefs) are ``model.in_edge_tables``; their padding index
+    n_dir gathers an all-zero slot.
     """
 
     def __init__(self, model: PairwiseMRF):
@@ -206,19 +205,8 @@ class _Layout:
         self.padded = not bool(self.mask.all())
         self.node_mask = np.arange(kmax) < np.array(model.cards)[:, None]
 
-        degree = np.bincount(self.dst, minlength=model.num_nodes)
-        first = np.cumsum(degree) - degree
-        width = max(int(degree.max(initial=0)), 1)
-
-        def table(order):
-            """Edges sorted by target, ``order`` within a target, padded."""
-            out = np.full((model.num_nodes, width), n_dir)
-            out[self.dst[order], np.arange(n_dir) - first[self.dst[order]]] = order
-            return out
-
-        self.in_edges = table(np.argsort(self.dst, kind="stable"))
-        self.belief_edges = table(np.lexsort((self.src, self.dst)))
-        self.in_padded = bool((degree < width).any())
+        self.in_edges, self.belief_edges = model.in_edge_tables
+        self.in_padded = bool((self.in_edges == n_dir).any())
 
     @cached_property
     def sender_rows(self) -> list:
@@ -542,16 +530,15 @@ def run_residual_scheduled(model: PairwiseMRF, max_updates=20000, tol=1e-9,
         msgs = MessageSet._wrap(model,
                                 _initial_logm(layout, init, seed)[0].copy())
 
-    dd, _ = strengths.directed_arrays()
-    seg, feed = model.non_backtracking_pairs()
-    ins = [[] for _ in range(n_dir)]  # ins[f]: the edges feeding f
-    deps = [[] for _ in range(n_dir)]  # deps[g]: the edges g feeds
-    for f, g in zip(seg.tolist(), feed.tolist()):
-        ins[f].append(g)
-        deps[g].append(f)
-    for gs in ins:  # update_message adds them in model.neighbors order
-        gs.sort(key=lambda g: directed[g].src)
-    deps = [np.array(fs, dtype=np.intp) for fs in deps]
+    dd = strengths.dd
+    # ins[f]: the edges feeding f, in model.neighbors order as
+    # update_message adds them; deps[g]: the edges g feeds.
+    rows = layout.belief_edges[layout.src]
+    keep = (rows != n_dir) & (rows != layout.rev[:, None])
+    ins = [row[k].tolist() for row, k in zip(rows, keep)]
+    seg, feed = model.non_backtracking_pairs
+    deps = np.split(seg[np.argsort(feed, kind="stable")],
+                    np.cumsum(np.bincount(feed, minlength=n_dir))[:-1])
     table = _log_weight_table(model, layout.kmax)
     base = [table[e, :model.cards[t], :model.cards[s]]
             for e, (t, s) in enumerate(directed)]

@@ -11,6 +11,7 @@ certificates) consumes the strength measures computed here.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -188,11 +189,8 @@ class PairwiseMRF:
 
     def directed_edges(self) -> list[DirectedEdge]:
         """All messages in canonical order: (lo -> hi, hi -> lo) per edge."""
-        out = []
-        for lo, hi in self.edges:
-            out.append(DirectedEdge(lo, hi))
-            out.append(DirectedEdge(hi, lo))
-        return out
+        return list(map(DirectedEdge, self.directed_src.tolist(),
+                        self.directed_dst.tolist()))
 
     def directed_index(self, src, dst) -> int:
         lo, hi = min(src, dst), max(src, dst)
@@ -202,29 +200,45 @@ class PairwiseMRF:
             raise ModelError(f"no edge between {src} and {dst}") from None
         return 2 * m if src == lo else 2 * m + 1
 
+    @cached_property
+    def in_edge_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (V, width) tables of each node's in-edges, padded with
+        the index n_dir, width the largest in-degree or 1: in index order,
+        which sweeps add them in, and in ``neighbors`` order, which beliefs
+        and ``update_message`` add them in."""
+        dst = self.directed_dst
+        degree = np.bincount(dst, minlength=self.num_nodes)
+        first = np.cumsum(degree) - degree
+        width = max(int(degree.max(initial=0)), 1)
+
+        def table(order):  # edges by target, in ``order`` within a target
+            out = np.full((self.num_nodes, width), self.num_directed)
+            out[dst[order], np.arange(order.size) - first[dst[order]]] = order
+            out.flags.writeable = False
+            return out
+
+        return (table(np.argsort(dst, kind="stable")),
+                table(np.lexsort((self.directed_src, dst))))
+
+    @cached_property
     def non_backtracking_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Hashimoto's non-backtracking relation over directed edges.
 
-        Directed edge g = (v -> u) feeds f = (u -> t) when v != t. Returns
+        Directed edge g = (v -> u) feeds f = (u -> t) when v != t. Read-only
         index arrays (seg, feed), one entry per pair with feed[i] feeding
-        seg[i], sorted by (seg, feed). Weighted by edge strength this is the
-        interaction matrix of Mooij & Kappen, "Sufficient conditions for
-        convergence of the sum-product algorithm" (IEEE Trans. IT 2007).
-        Built in O(sum of squared degrees).
+        seg[i], sorted by (seg, feed); the feeds of f are u's row of the
+        index-order in-edge table less padding and f's reverse. Weighted by
+        edge strength this is the interaction matrix of Mooij & Kappen,
+        "Sufficient conditions for convergence of the sum-product
+        algorithm" (IEEE Trans. IT 2007).
         """
-        src, dst = self.directed_src, self.directed_dst
-        # Edges entering each node, in index order (stable sort).
-        entering = np.argsort(dst, kind="stable")
-        count = np.bincount(dst, minlength=self.num_nodes)
-        first = np.cumsum(count) - count
-        # Row f lists every edge entering src[f]; then f's reverse is dropped.
-        width = count[src]
-        seg = np.repeat(np.arange(self.num_directed), width)
-        offset = np.arange(seg.size) - np.repeat(np.cumsum(width) - width,
-                                                 width)
-        feed = entering[first[src[seg]] + offset]
-        keep = feed != (seg ^ 1)
-        return seg[keep], feed[keep]
+        rows = self.in_edge_tables[0][self.directed_src]
+        seg = np.repeat(np.arange(self.num_directed), rows.shape[1])
+        feed = rows.ravel()
+        keep = (feed != self.num_directed) & (feed != (seg ^ 1))
+        seg, feed = seg[keep], feed[keep]
+        seg.flags.writeable = feed.flags.writeable = False
+        return seg, feed
 
     def edge_matrix(self, t, s) -> np.ndarray:
         """Edge potential with rows indexed by states of t, columns by s."""
@@ -334,7 +348,9 @@ class StrengthTable:
     Arrays are aligned with ``model.edges``. ``d_star_row[m]`` is the summed
     strength for messages sent by the lower-numbered endpoint of edge m,
     ``d_star_col[m]`` for the opposite direction. Each of the model's shape
-    stacks is measured in one batched call.
+    stacks is measured in one batched call. The read-only ``dd`` (d *
+    d_star) and ``d2`` (d ** 2) are per directed edge, in
+    ``model.directed_edges()`` order.
     """
 
     def __init__(self, model: PairwiseMRF):
@@ -345,6 +361,11 @@ class StrengthTable:
         (self.d_pair, self.d_plain, self.d_star_row, self.d_star_col,
          self.sigma, self.n_strength) = table
         self._check(table)
+        star = np.column_stack((self.d_star_row, self.d_star_col)).ravel()
+        self.dd = np.repeat(self.d_pair, 2) * star
+        # Python's float power: bit-equal to pair(t, s) ** 2; d * d is not.
+        self.d2 = np.repeat([d ** 2 for d in self.d_pair.tolist()], 2)
+        self.dd.flags.writeable = self.d2.flags.writeable = False
 
     def _check(self, table):
         if not np.isfinite(table).all():
@@ -387,14 +408,6 @@ class StrengthTable:
 
     def weight(self, i, j) -> float:
         return float(self.n_strength[self._edge(i, j)])
-
-    def directed_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``directed_product`` and ``pair ** 2`` for every directed edge, in
-        ``model.directed_edges()`` order."""
-        star = np.column_stack((self.d_star_row, self.d_star_col)).ravel()
-        # Python's float power, bit-equal to pair(t, s) ** 2; d * d is not.
-        squared = [d ** 2 for d in self.d_pair.tolist()]
-        return np.repeat(self.d_pair, 2) * star, np.repeat(squared, 2)
 
 
 def compute_strengths(model: PairwiseMRF) -> StrengthTable:
@@ -522,6 +535,10 @@ def build_generator(kind: str, eta) -> PairwiseMRF:
 
 # -- text format -----------------------------------------------------------
 
+# Largest cardinality a graph file may give: at 32 states one edge's
+# cross-ratio array in ``_measures`` is 8 MB, at 64 it would be 134 MB.
+_MAX_CARD = 32
+
 
 def parse_graph_text(text: str) -> PairwiseMRF:
     """Parse the line-oriented graph format.
@@ -567,6 +584,8 @@ def parse_graph_text(text: str) -> PairwiseMRF:
                 raise bad("card takes two integers") from None
             if not 0 <= i < num:
                 raise bad(f"node {i} out of range")
+            if k > _MAX_CARD:
+                raise bad(f"cardinality {k} is above the limit of {_MAX_CARD}")
             if i in node_lines:
                 raise bad(f"card for node {i} must precede its node line")
             cards[i] = k

@@ -19,11 +19,14 @@ from .bounds import _Recursion, _solve_uniform
 
 GRID_POINTS = 10000
 _ROOT_TOL = 1e-12
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 def _validate_abk(a, b, k):
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("potential entries must be positive")
+    # Below the smallest normal float, an entry times a factor below 1 can
+    # round to 0, and fixed_points' root functions would read exact zeros.
+    if a < _TINY or b < _TINY:
+        raise ValueError(f"potential entries must be at least {_TINY!r}")
     if k < 1:
         raise ValueError("incoming count k must be at least 1")
     # Near x = 1/2, x**k + (1-x)**k is about 2 * 0.5**k: subnormal, so
@@ -53,16 +56,21 @@ def scalar_update(x, a, b, k):
     return float(out) if out.ndim == 0 else out
 
 
-def scalar_derivative(x, a, b, k):
-    """Analytic F'(x) by the quotient rule, with x^(k-1) and (1-x)^(k-1)
-    divided by the power of two of the larger: exact, cancelled by the
-    quotient, and it keeps den * den from underflowing for large k."""
-    x = _interior(x, a, b, k)
+def _scaled_powers(x, k):
+    """x^(k-1) and (1-x)^(k-1), both divided by the power of two of the
+    larger: exact, and it keeps what is built from them off the subnormal
+    range for large k."""
     xk1 = x ** (k - 1)
     yk1 = (1.0 - x) ** (k - 1)
     _, scale = np.frexp(np.maximum(xk1, yk1))
-    xk1 = np.ldexp(xk1, -scale)
-    yk1 = np.ldexp(yk1, -scale)
+    return np.ldexp(xk1, -scale), np.ldexp(yk1, -scale)
+
+
+def scalar_derivative(x, a, b, k):
+    """Analytic F'(x) by the quotient rule on scaled powers, which the
+    quotient cancels; the scaling keeps den * den from underflowing."""
+    x = _interior(x, a, b, k)
+    xk1, yk1 = _scaled_powers(x, k)
     num = a * x * xk1 + b * (1.0 - x) * yk1
     den = (a + b) * (x * xk1 + (1.0 - x) * yk1)
     dnum = k * (a * xk1 - b * yk1)
@@ -123,6 +131,16 @@ def _sign_roots(g, xs, vals, tol) -> list:
     return merged
 
 
+def _root_function(c, c2, k, x):
+    """x - F(x) for (c, c2) = (b, a), F(x) - (1 - x) for (a, b), each times
+    a positive factor: c (x^(k+1) - (1-x)^(k+1)) + c2 x (1-x) ((1-x)^(k-1)
+    - x^(k-1)) on scaled powers. Factored so, neither rounds to exact zeros
+    away from its roots."""
+    y = 1.0 - x
+    xk1, yk1 = _scaled_powers(x, k)
+    return c * (x * x * xk1 - y * y * yk1) + c2 * x * y * (yk1 - xk1)
+
+
 def fixed_points(a, b, k, tol=_ROOT_TOL) -> FixedPointSet:
     """Locate all fixed and quasi-fixed points of F on (0, 1).
 
@@ -133,8 +151,8 @@ def fixed_points(a, b, k, tol=_ROOT_TOL) -> FixedPointSet:
     xs = np.linspace(0.0, 1.0, GRID_POINTS + 2)[1:-1]
     fixed, quasi_all = (
         _sign_roots(g, xs, g(xs), tol)
-        for g in (lambda x: x - scalar_update(x, a, b, k),
-                  lambda x: 1.0 - x - scalar_update(x, a, b, k)))
+        for g in (partial(_root_function, b, a, k),
+                  partial(_root_function, a, b, k)))
     quasi = [q for q in quasi_all
              if all(abs(q - f) > 1e-9 for f in fixed)]
     stability = [bool(abs(scalar_derivative(f, a, b, k)) < 1.0)

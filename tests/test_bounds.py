@@ -16,6 +16,7 @@ from loopybp import (
     compute_strengths,
     delta1,
     delta2,
+    evaluate_condition,
     grid_graph,
     ihler_nonuniform_distance_bound,
     ihler_uniform_distance_bound,
@@ -23,6 +24,7 @@ from loopybp import (
     k4_minus_edge,
     nonuniform_distance_bound,
     plain_strength,
+    run_residual_scheduled,
     torus_graph,
     true_distance,
     uniform_distance_bound,
@@ -32,6 +34,7 @@ from loopybp import (
 from loopybp import bounds as bounds_mod
 from loopybp import engine as engine_mod
 from loopybp.bounds import BOUND_KEYS
+from loopybp.convergence import CONDITION_NAMES
 
 D73 = math.sqrt(7.0 / 3.0)
 
@@ -289,7 +292,7 @@ def test_bound_sandwich_at_torus_07():
 
 def test_bound_report_shape():
     m = k4_minus_edge(0.85)
-    report = bound_report(m, true_runs=8)
+    report = bound_report(m)
     assert set(report.node_bounds) == set(BOUND_KEYS)
     for key in BOUND_KEYS:
         vals = report.node_bounds[key]
@@ -298,12 +301,6 @@ def test_bound_report_shape():
     assert set(report.eps_star) == set(BOUND_KEYS)
     direct, _ = uniform_distance_bound(m)
     assert np.allclose(report.node_bounds["udb"], direct, atol=1e-12)
-    assert report.true_log_distance is not None
-
-
-def test_bound_report_skips_truth_by_default():
-    report = bound_report(complete_graph(4, 0.8))
-    assert report.true_log_distance is None
 
 
 def test_ihler_nonuniform_matches_uniform_limit():
@@ -403,10 +400,10 @@ def test_bound_report_shares_nothing_between_calls(solve_counts):
 
 def test_recursion_sums_match_allocating_form():
     m = _glass_grid()
-    terms = bounds_mod._EdgeTerms(m)
+    strengths = compute_strengths(m)
     rng = np.random.default_rng(0)
     for improved in (False, True):
-        rec = terms.recursion(improved)
+        rec = bounds_mod._recursion(m, strengths, improved)
         for z in (math.inf, 0.3, rng.uniform(0.0, 3.0, size=rec.n)):
             t = math.exp(-z) if isinstance(z, float) else np.exp(-z[rec.feed])
             vals = rec.coeff * (np.log(rec.v + t) - np.log1p(rec.v * t))
@@ -486,19 +483,24 @@ def test_true_distance_rejects_models_of_another_topology():
     assert true_distance([]) == []
 
 
-def test_bound_report_builds_edge_terms_once(monkeypatch):
+def test_one_converge_and_report_build_the_relation_once(monkeypatch):
+    # Every consumer reads the model's cached tables: the certificates, the
+    # bound reports and the residual scheduler.
     builds = []
+    for name in ("in_edge_tables", "non_backtracking_pairs"):
+        prop = vars(PairwiseMRF)[name]
 
-    class Counting(bounds_mod._EdgeTerms):
-        def __init__(self, *args):
-            builds.append(args)
-            super().__init__(*args)
+        def counted(model, build=prop.func, name=name):
+            builds.append(name)
+            return build(model)
 
-    monkeypatch.setattr(bounds_mod, "_EdgeTerms", Counting)
-    m = _glass_grid()
+        monkeypatch.setattr(prop, "func", counted)
+    m = _glass_grid(3, 4)  # small: the SAW certificate is exponential
+    strengths = compute_strengths(m)
+    for condition in CONDITION_NAMES:
+        evaluate_condition(m, condition, strengths)
     for n in (None, 3):
         bound_report(m, n=n)
-    assert len(builds) == 2
     uniform_distance_bound(m)
-    nonuniform_distance_bound(m)
-    assert len(builds) == 4
+    run_residual_scheduled(m, max_updates=300)
+    assert sorted(builds) == ["in_edge_tables", "non_backtracking_pairs"]

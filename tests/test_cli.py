@@ -137,6 +137,17 @@ def test_converge_verdict_table(capsys):
     assert all(ln.split(",")[3] == "true" for ln in lines[1:])
 
 
+def test_converge_conditions_do_not_leak_between_calls(capsys):
+    # One parser serves every call in a process; the list that
+    # --condition appends to must start empty each time.
+    argv = ["converge", "--generate", "k4minus", "--eta", "0.6"]
+    _, first = run_cli(capsys, *argv, "--condition", "uniform")
+    _, second = run_cli(capsys, *argv)
+    assert [ln.split(",")[0] for ln in first.strip().splitlines()[1:]] == \
+        ["uniform"]
+    assert len(second.strip().splitlines()[1:]) == 5
+
+
 def test_converge_critical_block(capsys):
     code, out = run_cli(capsys, "converge", "--generate", "k4minus",
                         "--eta", "0.8", "--condition", "nonuniform-saw",
@@ -199,6 +210,26 @@ def test_fixed_points_stable_at_high_degree(capsys):
         assert code == 0
         assert [ln.split(",")[2] for ln in out.strip().splitlines()[3:]] == \
             ["true", "false", "true"]
+
+
+@pytest.mark.parametrize("eta,rows", [
+    # The root functions rounded to exact zeros all over the scan grid
+    # here, which printed 10,000 quasi rows and 2,500 fixed rows.
+    ("1e-300", ["fixed,0.5,false,0.5"]),
+    ("1e-17", ["fixed,0.5,false,0.5"]),
+    ("0.9999999999999999", ["fixed,0.5,true,0.5"]),
+])
+def test_fixed_points_at_extreme_eta(capsys, eta, rows):
+    code, out = run_cli(capsys, "fixed-points", "--eta", eta, "--degree", "2")
+    assert code == 0
+    assert out.strip().splitlines()[3:] == rows
+
+
+def test_fixed_points_rejects_subnormal_entries(capsys):
+    for eta in ("5e-324", "1e-310"):
+        assert main(["fixed-points", "--eta", eta, "--degree", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: potential entries must be at least")
 
 
 @settings(max_examples=150, deadline=None)
@@ -352,6 +383,17 @@ EDGE_CASE_GRAPHS = {
 }
 
 
+def test_cards_above_the_cap_exit_three(tmp_path, capsys):
+    path = tmp_path / "cards.graph"
+    for card, want in ((32, 0), (33, 3), (10**19, 3)):
+        path.write_text(f"nodes 1\ncard 0 {card}\n")
+        assert main(["run", "--graph", str(path)]) == want
+        err = capsys.readouterr().err
+        if want == 3:
+            assert err == (f"error: line 2: cardinality {card} is above the "
+                           "limit of 32\n")
+
+
 def test_edgeless_converge_reports_zero_statistics(tmp_path, capsys):
     path = tmp_path / "edgeless.graph"
     path.write_text(EDGE_CASE_GRAPHS["edgeless"])
@@ -404,7 +446,7 @@ def graph_texts(draw):
             draw(st.lists(value, min_size=count, max_size=count))))
 
     kind = draw(st.sampled_from(["none", "token", "entry", "count", "edge",
-                                 "late card", "no nodes"]))
+                                 "late card", "big card", "no nodes"]))
     at = draw(st.integers(0, len(lines) - 1))
     tokens = lines[at].split()
     if kind == "token":
@@ -430,6 +472,9 @@ def graph_texts(draw):
     elif kind == "late card":
         lines.append(f"node 0 {' '.join(['1.0'] * cards[0])}")
         lines.append(f"card 0 {draw(st.sampled_from([2, 3]))}")
+    elif kind == "big card":
+        lines.append(f"card {draw(st.integers(0, n - 1))} "
+                     f"{draw(st.integers(2, 10**20))}")
     elif kind == "no nodes":
         lines = lines[1:]
     return "\n".join(lines) + "\n"

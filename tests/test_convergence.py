@@ -255,7 +255,7 @@ def test_non_backtracking_relation_matches_double_loop(kind, tmp_path):
         m = build_generator(kind, 0.7)
     directed = [tuple(e) for e in m.directed_edges()]
     pairs = oracles.non_backtracking_pairs(directed)
-    seg, feed = m.non_backtracking_pairs()
+    seg, feed = m.non_backtracking_pairs
     assert list(zip(seg.tolist(), feed.tolist())) == pairs
     st = compute_strengths(m)
     expected = oracles.interaction_matrix(directed, st.weight)

@@ -222,7 +222,7 @@ def test_residual_trace_csv(tmp_path):
 
 def test_residual_priority_endpoints():
     # A saturated accumulator gives the cap 2*log(d * d_star); none, zero.
-    dd, _ = compute_strengths(complete_graph(4, 0.7)).directed_arrays()
+    dd = compute_strengths(complete_graph(4, 0.7)).dd
     assert _log_contraction(dd, np.inf) == pytest.approx(2.0 * np.log(dd),
                                                           abs=1e-12)
     assert _log_contraction(dd, 0.0) == pytest.approx(np.zeros_like(dd),
@@ -375,6 +375,34 @@ KERNEL_MODELS = {
     "mixed-card": _mixed_card_grid,
     "isolated-node": _with_isolated_node,
 }
+
+
+def looped_in_edges(model):
+    """Both in-edge tables by a per-node loop: each node's in-edges in
+    index order and in model.neighbors order, padded with n_dir."""
+    n_dir = model.num_directed
+    width = max([model.degree(v) for v in range(model.num_nodes)] + [1])
+    by_index, by_neighbor = [], []
+    for v in range(model.num_nodes):
+        ins = [model.directed_index(u, v) for u in model.neighbors(v)]
+        pad = [n_dir] * (width - len(ins))
+        by_index.append(sorted(ins) + pad)
+        by_neighbor.append(ins + pad)
+    return by_index, by_neighbor
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_MODELS) + ["edgeless"])
+def test_in_edge_tables_match_per_node_loop(kind):
+    m = PairwiseMRF(3, []) if kind == "edgeless" else KERNEL_MODELS[kind]()
+    by_index, by_neighbor = m.in_edge_tables
+    want_index, want_neighbor = looped_in_edges(m)
+    assert by_index.tolist() == want_index
+    assert by_neighbor.tolist() == want_neighbor
+    if kind == "torus:3x3":  # wrap edges: index order is not neighbour order
+        assert want_index != want_neighbor
+    assert m.in_edge_tables is m.in_edge_tables
+    for table in (by_index, by_neighbor, *m.non_backtracking_pairs):
+        assert not table.flags.writeable
 
 
 @pytest.mark.parametrize("kind", sorted(KERNEL_MODELS))
@@ -636,7 +664,7 @@ def argmax_residual(model, max_updates, tol, init, seed=None):
     directed = model.directed_edges()
     n_dir = len(directed)
     vecs = ref_init(model, init, seed)
-    dd, _ = compute_strengths(model).directed_arrays()
+    dd = compute_strengths(model).dd
     dependents = [[] for _ in range(n_dir)]
     for f in range(n_dir):
         t, s = directed[f]

@@ -237,7 +237,7 @@ def test_strength_table_directed_views():
         table.pair(0, 99)
 
 
-def test_strength_table_directed_arrays_match_scalar_views():
+def test_strength_table_directed_products_match_scalar_views():
     # Asymmetric potentials, mixed cardinality, one edge given hi-lo.
     rng = np.random.default_rng(5)
     cards = [2, 3, 4, 2]
@@ -245,10 +245,11 @@ def test_strength_table_directed_arrays_match_scalar_views():
     pots = {(i, j): rng.uniform(0.2, 3.0, size=(cards[i], cards[j]))
             for i, j in edges}
     table = compute_strengths(PairwiseMRF(4, edges, cards, edge_potentials=pots))
-    dd, d2 = table.directed_arrays()
+    dd, d2 = table.dd, table.d2
     directed = table.model.directed_edges()
     assert dd.tolist() == [table.directed_product(t, s) for t, s in directed]
     assert d2.tolist() == [table.pair(t, s) ** 2 for t, s in directed]
+    assert not dd.flags.writeable and not d2.flags.writeable
 
 
 def looped_strengths(model):
