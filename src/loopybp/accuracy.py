@@ -19,6 +19,7 @@ from .models import ModelError, PairwiseMRF, compute_strengths
 from .trees import saw_tree
 
 _MAX_STATES = 1 << 20
+_RUN_TOL = 1e-10  # saw_accuracy's message-change stopping rule
 
 
 class EnumerationLimitError(ValueError):
@@ -89,8 +90,7 @@ def accuracy_bound(belief, delta: float, epsilon: float) -> AccuracyBound:
     return AccuracyBound(b, delta, epsilon, lower, upper)
 
 
-def saw_accuracy(model: PairwiseMRF, node: int, max_iters=5000,
-                 tol=1e-10) -> AccuracyBound:
+def saw_accuracy(model: PairwiseMRF, node: int, max_iters=5000) -> AccuracyBound:
     """Accuracy interval at one node from a converged synchronous run.
 
     The error recursions run for as many steps as the self-avoiding walk
@@ -100,7 +100,7 @@ def saw_accuracy(model: PairwiseMRF, node: int, max_iters=5000,
     the same recursion, solved once.
     """
     result = run_synchronous(model, init="uniform", max_iters=max_iters,
-                             tol=tol)
+                             tol=_RUN_TOL)
     if not result.converged:
         raise ConvergenceFailure(
             f"synchronous run ended as {result.status} after "

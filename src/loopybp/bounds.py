@@ -17,11 +17,13 @@ from typing import Optional
 import numpy as np
 
 from .engine import _check_restarts, _multistart
-from .models import PairwiseMRF, compute_strengths
+from .models import ModelError, PairwiseMRF, compute_strengths
 
 _REL_TOL = 1e-14
 _MAX_SOLVE = 100000
 _ZERO_EPS = 1e-9  # log-eps values below this count as the trivial fixed point
+_RESTART_TOL = 1e-10  # true_distance's message-change stopping rule
+_DEDUP_TOL = 1e-6  # belief sets closer than this per state are one fixed point
 
 
 def delta1(d_pair: float, d_star: float, dE: float) -> float:
@@ -276,9 +278,7 @@ def ihler_nonuniform_distance_bound(model: PairwiseMRF, strengths=None,
 # -- empirical distance ----------------------------------------------------
 
 
-def true_distance(model, seeds: int = 0, runs: int = 12,
-                  max_iters: int = 5000, tol: float = 1e-10,
-                  dedup_tol: float = 1e-6):
+def true_distance(model, seeds: int = 0, runs: int = 12, max_iters: int = 5000):
     """Largest per-node log belief ratio across fixed points discovered by
     seeded random restarts. None when no restart converges; zeros when all
     converged restarts agree.
@@ -293,19 +293,23 @@ def true_distance(model, seeds: int = 0, runs: int = 12,
     if all(m.num_directed == 0 for m in models):
         out = [np.zeros(m.num_nodes) for m in models]
     else:
-        found = _multistart(models, range(seeds, seeds + runs), max_iters, tol)
-        out = [_distance_between(m, beliefs, dedup_tol)
+        found = _multistart(models, range(seeds, seeds + runs), max_iters,
+                            _RESTART_TOL)
+        out = [_distance_between(m, beliefs)
                if np.any(status == 1) else None
                for m, (status, beliefs) in zip(models, found)]
     return out[0] if isinstance(model, PairwiseMRF) else out
 
 
-def _distance_between(model: PairwiseMRF, beliefs, dedup_tol) -> np.ndarray:
+def _distance_between(model: PairwiseMRF, beliefs) -> np.ndarray:
     """Largest per-node log belief ratio between the distinct belief sets."""
     reps: list[np.ndarray] = []
     for b in beliefs:
-        if all(float(np.abs(b - r).max()) > dedup_tol for r in reps):
+        if all(float(np.abs(b - r).max()) > _DEDUP_TOL for r in reps):
             reps.append(b)
+    states = np.arange(beliefs.shape[-1]) < np.array(model.cards)[:, None]
+    if len(reps) > 1 and np.any(states & (np.array(reps) == 0.0)):
+        raise ModelError("a belief saturates a float: no distance can be formed")
     out = np.zeros(model.num_nodes)
     for i in range(len(reps)):
         for j in range(i):
@@ -334,14 +338,12 @@ class BoundReport:
     eps_star: dict
 
 
-def bound_report(model: PairwiseMRF, strengths=None,
-                 n: Optional[int] = None) -> BoundReport:
+def bound_report(model: PairwiseMRF, n: Optional[int] = None) -> BoundReport:
     """Compute every bound kind for one model, solving each distinct error
     recursion once. ``n`` is passed to the per-edge recursions; the
     empirical distance is ``true_distance``'s.
     """
-    if strengths is None:
-        strengths = compute_strengths(model)
+    strengths = compute_strengths(model)
     with _sharing_solves():
         results = {
             "udb": uniform_distance_bound(model, strengths),

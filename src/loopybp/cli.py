@@ -41,6 +41,7 @@ def _parse_eta_single(value: float) -> float:
 
 
 _MAX_ETAS = 10000
+_MAX_COUNT = 100000  # cap on a walk depth, recursion length or restart count
 
 
 def _parse_eta_range(spec: str) -> list:
@@ -74,9 +75,10 @@ def _parse_float(text: str) -> float:
         raise UsageError(f"not a number: {text!r}") from None
 
 
-def _at_least(value, low, flag):
-    if value is not None and value < low:
-        raise UsageError(f"{flag} must be at least {low}")
+def _bounded(value, low, flag, high=math.inf):
+    if value is not None and not low <= value <= high:
+        limit = f"at least {low}" if value < low else f"at most {high}"
+        raise UsageError(f"{flag} must be {limit}")
 
 
 def _load_topology(args):
@@ -124,10 +126,10 @@ def _parse_methods(spec: str) -> list:
 
 def cmd_bounds(args) -> int:
     methods = _parse_methods(args.methods)
-    _at_least(args.nudb_iters, 1, "--nudb-iters")
-    _at_least(args.seed, 0, "--seed")
+    _bounded(args.nudb_iters, 1, "--nudb-iters", _MAX_COUNT)
+    _bounded(args.seed, 0, "--seed")
     if "true_distance" in methods:
-        _at_least(args.true_runs, 2, "--true-runs")
+        _bounded(args.true_runs, 2, "--true-runs", _MAX_COUNT)
     topo = _load_topology(args)
     if args.eta is not None:
         etas = _parse_eta_range(args.eta)
@@ -144,7 +146,8 @@ def cmd_bounds(args) -> int:
               if "true_distance" in columns else [None] * len(models))
     lines = ["eta,node," + ",".join(columns)]
     for eta, model, truth in zip(etas, models, truths):
-        report = bound_report(model, n=args.nudb_iters)
+        report = (bound_report(model, n=args.nudb_iters)
+                  if columns != ["true_distance"] else None)
         for v in range(model.num_nodes):
             cells = [_fmt(eta) if eta is not None else "nan", str(v)]
             for c in columns:
@@ -171,7 +174,7 @@ def _fmt_witness(witness) -> str:
 
 
 def cmd_converge(args) -> int:
-    _at_least(args.depth, 1, "--depth")
+    _bounded(args.depth, 1, "--depth", _MAX_COUNT)
     if not 0.0 < args.tol < math.inf:
         raise UsageError("--tol must be finite and positive")
     model = _load_model(args)
@@ -192,9 +195,9 @@ def cmd_converge(args) -> int:
 
 
 def cmd_run(args) -> int:
-    _at_least(args.max_iters, 1, "--max-iters")
-    _at_least(args.max_updates, 1, "--max-updates")
-    _at_least(args.seed, 0, "--seed")
+    _bounded(args.max_iters, 1, "--max-iters")
+    _bounded(args.max_updates, 1, "--max-updates")
+    _bounded(args.seed, 0, "--seed")
     if args.tol is not None and not 0.0 < args.tol < math.inf:
         raise UsageError("--tol must be finite and positive")
     model = _load_model(args)
@@ -227,8 +230,8 @@ def cmd_run(args) -> int:
 def cmd_fixed_points(args) -> int:
     if (args.degree is None) == (args.k is None):
         raise UsageError("give exactly one of --degree or --k")
-    _at_least(args.k, 1, "--k")
-    _at_least(args.degree, 2, "--degree")
+    _bounded(args.k, 1, "--k")
+    _bounded(args.degree, 2, "--degree")
     k = args.k if args.k is not None else args.degree - 1
     eta = _parse_eta_single(args.eta)
     try:

@@ -17,6 +17,9 @@ import numpy as np
 from .models import (PairwiseMRF, StrengthTable, compute_strengths,
                      with_uniform_binary)
 
+_POWER_TOL, _POWER_STEPS = 1e-10, 100000  # spectral_radius's stopping rule
+_CRITICAL_LO, _CRITICAL_HI = 0.5, 0.9999  # critical_eta's bracket
+
 
 @dataclass
 class ConvergenceVerdict:
@@ -115,11 +118,13 @@ def _bethe_statistic(model: PairwiseMRF, strengths: StrengthTable, N: int):
     has_succ = np.bincount(src, minlength=model.num_nodes)[dst] > 1
 
     g = w.copy()
-    for _ in range(N - 1):
+    # Walk sums past the float range overflow to inf, then to NaN: both read inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(N - 1):
+            node_sum = np.bincount(src, weights=g, minlength=model.num_nodes)
+            g = w * np.where(has_succ, node_sum[dst] - g[rev], 1.0)
         node_sum = np.bincount(src, weights=g, minlength=model.num_nodes)
-        g = w * np.where(has_succ, node_sum[dst] - g[rev], 1.0)
-    node_sum = np.bincount(src, weights=g, minlength=model.num_nodes)
-    h = node_sum[src] - g
+        h = np.nan_to_num(node_sum[src] - g, nan=np.inf, posinf=np.inf)
     if not h.size:
         return 0.0, None
     best = int(np.argmax(h))
@@ -200,7 +205,7 @@ def interaction_matrix(model: PairwiseMRF, strengths=None) -> InteractionMatrix:
     return InteractionMatrix(mat, directed)
 
 
-def spectral_radius(matrix: np.ndarray, tol=1e-10, max_steps=100000) -> float:
+def spectral_radius(matrix: np.ndarray) -> float:
     """Power iteration for a non-negative matrix, run on matrix + identity
     so that sign-alternating dominant pairs (bipartite structure) still
     settle; the shift is subtracted at the end.
@@ -214,14 +219,13 @@ def spectral_radius(matrix: np.ndarray, tol=1e-10, max_steps=100000) -> float:
     if n == 0:
         return 0.0
     x = np.ones(n)
-    lam = None
-    for _ in range(max_steps):
+    lam = math.inf
+    for _ in range(_POWER_STEPS):
         y = matrix @ x + x
         new_lam = float(np.max(y / x))
         x = y / float(np.max(y))
-        if lam is not None and abs(new_lam - lam) <= tol * max(1.0, new_lam):
-            lam = new_lam
-            break
+        if abs(new_lam - lam) <= _POWER_TOL * max(1.0, new_lam):
+            return new_lam - 1.0
         lam = new_lam
     return lam - 1.0
 
@@ -282,7 +286,7 @@ def _bisect(pred, lo, hi, tol) -> float:
 
 
 def critical_eta(model: PairwiseMRF, condition: str, tol=1e-4,
-                 N: Optional[int] = None, lo=0.5, hi=0.9999) -> float:
+                 N: Optional[int] = None) -> float:
     """Bisect the eta at which the certificate flips, on the model's
     topology rebuilt with the symmetric binary potential."""
 
@@ -290,12 +294,12 @@ def critical_eta(model: PairwiseMRF, condition: str, tol=1e-4,
         probe = with_uniform_binary(model, eta)
         return evaluate_condition(probe, condition, N=N).holds
 
-    return _bisect(holds, lo, hi, tol)
+    return _bisect(holds, _CRITICAL_LO, _CRITICAL_HI, tol)
 
 
 def partial_graph_ordering_check(model_small: PairwiseMRF,
                                  model_big: PairwiseMRF, condition: str,
-                                 tol=1e-4, N: Optional[int] = None) -> bool:
+                                 tol=1e-4) -> bool:
     """Whether the denser model's critical eta is at most the sparser one's.
 
     Requires model_small's edges to be a subset of model_big's with no
@@ -311,8 +315,8 @@ def partial_graph_ordering_check(model_small: PairwiseMRF,
     for i, j in small_edges:
         if st_small.pair(i, j) > st_big.pair(i, j) * (1.0 + 1e-9):
             raise ValueError(f"edge ({i},{j}) is stronger in the small model")
-    c_small = critical_eta(model_small, condition, tol=tol, N=N)
-    c_big = critical_eta(model_big, condition, tol=tol, N=N)
+    c_small = critical_eta(model_small, condition, tol=tol)
+    c_big = critical_eta(model_big, condition, tol=tol)
     return c_big <= c_small + 1e-12
 
 
@@ -320,19 +324,17 @@ def _clearly_holds(verdict: ConvergenceVerdict) -> bool:
     return verdict.statistic < verdict.threshold * (1.0 - 1e-9)
 
 
-def condition_ordering_report(model: PairwiseMRF, strengths=None,
-                              N: Optional[int] = None) -> OrderingReport:
+def condition_ordering_report(model: PairwiseMRF) -> OrderingReport:
     """Evaluate every certificate and check the implication chain
-    walksum => bethe(N) => bethe(2N) and saw => bethe(N).
+    walksum => bethe(N) => bethe(2N) and saw => bethe(N), with N twice the
+    node count.
 
     A violation is flagged only when the premise holds by a clear margin,
     so knife-edge statistics that land exactly on a threshold do not
     produce spurious entries.
     """
-    if strengths is None:
-        strengths = compute_strengths(model)
-    if N is None:
-        N = 2 * model.num_nodes
+    strengths = compute_strengths(model)
+    N = 2 * model.num_nodes
     uni = uniform_condition(strengths)
     ihl = ihler_uniform_condition(strengths)
     wsum = walk_summability(model, strengths)

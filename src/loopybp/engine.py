@@ -18,9 +18,9 @@ arithmetic depends on which others share it. Every run, whatever its
 schedule, reads its beliefs off one batch routine, ``_beliefs_batch``.
 
 The kernel and the residual scheduler read a model's potentials through one
-padded (n_dir, kmax, kmax) table of log psi + log phi_sender, built with a
-few array operations per shape stack of the model (``_log_weight_table``):
-the kernel's sender rows are that table cut per sender state.
+padded, sender-major (kmax, n_dir, kmax) table of log psi + log phi_sender,
+built with a few array operations per shape stack of the model
+(``_log_weight_table``): the kernel's sender rows are its rows.
 
 The residual scheduler does not update through the kernel: the kernel
 normalizes in log space, while a scheduled update must be
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -201,6 +200,7 @@ class _Layout:
         self.rev = np.arange(n_dir) ^ 1  # canonical order pairs 2m, 2m+1
 
         self.log_node = _log_node(model, kmax)
+        self.table = _log_weight_table(model, self.log_node)
         self.mask = _target_mask(model)
         self.padded = not bool(self.mask.all())
         self.node_mask = np.arange(kmax) < np.array(model.cards)[:, None]
@@ -208,32 +208,22 @@ class _Layout:
         self.in_edges, self.belief_edges = model.in_edge_tables
         self.in_padded = bool((self.in_edges == n_dir).any())
 
-    @cached_property
-    def sender_rows(self) -> list:
-        """``_sender_rows``, built on first use: not every caller sweeps."""
-        return _sender_rows(self.model, self.kmax)
 
-
-def _sender_rows(model: PairwiseMRF, kmax: int) -> list:
-    """``_log_weight_table`` cut per sender state: one (n_dir, kmax) array
-    per sender state, padded with _NEG."""
-    table = _log_weight_table(model, kmax)
-    return [table[:, i, :].copy() for i in range(kmax)]
-
-
-def _log_weight_table(model: PairwiseMRF, kmax: int) -> np.ndarray:
+def _log_weight_table(model: PairwiseMRF, log_node: np.ndarray) -> np.ndarray:
     """log psi_ts + log phi_t of every directed edge e = (t, s), computed
-    per shape stack: a (n_dir, kmax, kmax) table whose block e, rows the
-    sender's states, is ``_log_weights(model, t, s)`` bit for bit, with
-    _NEG in the other slots."""
-    log_node = _log_node(model, kmax)
-    table = np.full((model.num_directed, kmax, kmax), _NEG)
+    per shape stack from the (V, kmax) ``_log_node``: a sender-major
+    (kmax, n_dir, kmax) table whose block [:, e, :], rows the sender's
+    states, is ``_log_weights(model, t, s)`` bit for bit, with _NEG in the
+    other slots."""
+    kmax, src = log_node.shape[1], model.directed_src
+    table = np.full((kmax, model.num_directed, kmax), _NEG)
     for (a, b), (members, stack) in model.edge_stacks.items():
         logs = np.log(stack)
         fwd, back = 2 * members, 2 * members + 1  # lo -> hi, hi -> lo
-        table[fwd, :a, :b] = logs + log_node[model.directed_src[fwd], :a, None]
-        table[back, :b, :a] = (logs.transpose(0, 2, 1)
-                               + log_node[model.directed_src[back], :b, None])
+        table[:a, fwd, :b] = (logs + log_node[src[fwd], :a, None]
+                              ).transpose(1, 0, 2)
+        table[:b, back, :a] = (logs.transpose(0, 2, 1)
+                               + log_node[src[back], :b, None]).transpose(1, 0, 2)
     return table
 
 
@@ -268,12 +258,12 @@ def _node_sums(layout: _Layout, logm: np.ndarray, table: np.ndarray,
     return total
 
 
-def _sweep_batch(layout: _Layout, logm: np.ndarray, rows) -> np.ndarray:
+def _sweep_batch(layout: _Layout, logm: np.ndarray, table) -> np.ndarray:
     """One synchronous update of every directed edge, for a whole batch.
 
-    ``rows`` holds the sender rows per sender state: the layout's
-    (n_dir, kmax) ones, shared by every run, or (runs, n_dir, kmax) ones
-    for a batch whose runs have their own potentials.
+    ``table`` is a sender-major log-weight table: the layout's
+    (kmax, n_dir, kmax) one, shared by every run, or a (kmax, runs, n_dir,
+    kmax) one for a batch whose runs have their own potentials.
 
     The reductions over sender and target states are written out one state
     at a time: on arrays this small a ufunc call costs far less than a
@@ -282,7 +272,7 @@ def _sweep_batch(layout: _Layout, logm: np.ndarray, rows) -> np.ndarray:
     """
     at_node = _node_sums(layout, logm, layout.in_edges)
     excl = at_node[:, layout.src] - logm[:, layout.rev]
-    terms = [row + excl[:, :, i, None] for i, row in enumerate(rows)]
+    terms = [row + excl[:, :, i, None] for i, row in enumerate(table)]
     peak = terms[0]
     for term in terms[1:]:
         peak = np.maximum(peak, term)
@@ -334,7 +324,7 @@ def _run_one(layout: _Layout, logm: np.ndarray, max_iters: int, tol: float):
     """
     prev2, changes = None, []
     for it in range(1, max_iters + 1):
-        new = _sweep_batch(layout, logm, layout.sender_rows)
+        new = _sweep_batch(layout, logm, layout.table)
         changes.append(float(np.abs(new - logm).max()))
         if changes[-1] < tol:
             return 1, it, new, changes
@@ -347,15 +337,15 @@ def _run_one(layout: _Layout, logm: np.ndarray, max_iters: int, tol: float):
 _CYCLE = 64  # sweeps between a restart batch's exact-repeat checks
 
 
-def _run_restarts(layout: _Layout, logm0: np.ndarray, rows, max_iters: int,
-                  tol: float):
+def _run_restarts(layout: _Layout, logm0: np.ndarray, table: np.ndarray,
+                  max_iters: int, tol: float):
     """Advance a batch of runs until each converges or its budget runs out.
 
-    ``rows`` holds the per-run sender rows of ``_sweep_batch``, a list this
-    call takes over. A run that converges is snapshotted and leaves the
-    batch: its rows are dropped from the iterates and from ``rows`` in
-    place, so later sweeps cost only the runs still going. Each run's
-    arithmetic does not depend on which other runs share its sweep.
+    ``table`` is the (kmax, runs, n_dir, kmax) per-run log-weight table of
+    ``_sweep_batch``. A run that converges is snapshotted and leaves the
+    batch: its rows are dropped from the iterates and from ``table``, so
+    later sweeps cost only the runs still going. Each run's arithmetic does
+    not depend on which other runs share its sweep.
 
     There is no period detection: on bipartite graphs the update alternates
     sign along part of the spectrum, so a slowly converging run matches its
@@ -377,7 +367,7 @@ def _run_restarts(layout: _Layout, logm0: np.ndarray, rows, max_iters: int,
     # The live runs' iterates at the last exact-repeat check, as bits.
     ref = logm0.view(np.uint64) if max_iters % _CYCLE == 0 else None
     for it in range(1, max_iters + 1):
-        new = _sweep_batch(layout, cur, rows)
+        new = _sweep_batch(layout, cur, table)
         done = np.abs(new - cur).reshape(live.size, -1).max(axis=1) < tol
         status[live[done]] = 1
         check = (max_iters - it) % _CYCLE == 0
@@ -392,8 +382,7 @@ def _run_restarts(layout: _Layout, logm0: np.ndarray, rows, max_iters: int,
             new = new[stay]
             if ref is not None:
                 ref = ref[stay]
-            for i, row in enumerate(rows):  # frees each old row as it goes
-                rows[i] = row[stay]
+            table = table[:, stay]
         if check:
             ref = new.view(np.uint64)
         cur = new
@@ -539,8 +528,8 @@ def run_residual_scheduled(model: PairwiseMRF, max_updates=20000, tol=1e-9,
     seg, feed = model.non_backtracking_pairs
     deps = np.split(seg[np.argsort(feed, kind="stable")],
                     np.cumsum(np.bincount(feed, minlength=n_dir))[:-1])
-    table = _log_weight_table(model, layout.kmax)
-    base = [table[e, :model.cards[t], :model.cards[s]]
+    # Copied once: strided views of the sender-major table cost more per pop.
+    base = [layout.table[:model.cards[t], e, :model.cards[s]].copy()
             for e, (t, s) in enumerate(directed)]
     # logs[e]: the stored message e, a column view into msgs.logm.
     logs = [msgs.logm[e, :model.cards[s], None]
@@ -588,27 +577,29 @@ def run_residual_scheduled(model: PairwiseMRF, max_updates=20000, tol=1e-9,
 
 # -- empirical convergence probe -------------------------------------------
 
+# The probe's stopping rule sits far below its agreement tolerance, so that
+# leftover iteration error cannot pass for disagreement at one fixed point.
+_PROBE_TOL, _AGREE_TOL = 1e-12, 1e-8
+_EMPIRICAL_LO, _EMPIRICAL_HI = 0.5, 0.99  # the critical-eta bracket
+
 
 def empirical_convergent(model: PairwiseMRF, runs=20, max_iters=5000,
-                         tol=1e-12, agree_tol=1e-8, base_seed=0) -> bool:
+                         base_seed=0) -> bool:
     """Whether ``runs`` seeded random starts all converge to one belief set.
 
-    Every run must finish with status converged and every run's beliefs must
-    match the first run's within ``agree_tol`` per state. A pair of runs that
-    lands on mirrored belief vectors therefore counts as disagreement.
-
-    ``tol`` (the message-change stopping rule) sits far below ``agree_tol``
-    so that leftover iteration error cannot masquerade as disagreement
-    between runs that share a fixed point.
+    Every run must finish with status converged (message change below
+    ``_PROBE_TOL``) and every run's beliefs must match the first run's
+    within ``_AGREE_TOL`` per state. A pair of runs that lands on mirrored
+    belief vectors therefore counts as disagreement.
     """
     _check_restarts(runs, max_iters)
     if model.num_directed == 0:
         return True
     seeds = range(base_seed, base_seed + runs)
-    [(status, beliefs)] = _multistart([model], seeds, max_iters, tol)
+    [(status, beliefs)] = _multistart([model], seeds, max_iters, _PROBE_TOL)
     if np.any(status != 1):
         return False
-    return float(np.abs(beliefs - beliefs[0]).max()) <= agree_tol
+    return float(np.abs(beliefs - beliefs[0]).max()) <= _AGREE_TOL
 
 
 def _check_restarts(runs, max_iters, least_runs=1) -> None:
@@ -632,19 +623,20 @@ def _multistart(models, seeds, max_iters, tol) -> list:
         if m.edges != first.edges or list(m.cards) != list(first.cards):
             raise ValueError("batched models must share edges and cardinalities")
     layout = _Layout(first)
-    pots = [(layout.sender_rows, layout.log_node)]
-    pots += [(_sender_rows(m, layout.kmax), _log_node(m, layout.kmax))
-             for m in models[1:]]
+    log_nodes = [layout.log_node] + [_log_node(m, layout.kmax)
+                                     for m in models[1:]]
+    tables = [layout.table] + [_log_weight_table(m, n)
+                               for m, n in zip(models[1:], log_nodes[1:])]
 
-    def per_run(arrays):
-        return np.repeat(np.stack(arrays), len(seeds), axis=0)
+    def per_run(arrays, axis):
+        return np.repeat(np.stack(arrays, axis=axis), len(seeds), axis=axis)
 
-    # Per-run rows even for one model: a sweep adds them to the batch
-    # without a second broadcast, which costs less than a shared row.
-    rows = [per_run([r[i] for r, _ in pots]) for i in range(layout.kmax)]
-    log_node = per_run([n for _, n in pots])
+    log_node = per_run(log_nodes, 0)
     logm0 = np.tile(_random_logm(layout.mask, seeds), (len(models), 1, 1))
-    status, snap = _run_restarts(layout, logm0, rows, max_iters, tol)
+    # A per-run table even for one model costs a sweep less than a shared
+    # one. Left unnamed here, it frees the rows of runs as they leave.
+    status, snap = _run_restarts(layout, logm0, per_run(tables, 1),
+                                 max_iters, tol)
     done = status == 1
     beliefs = _beliefs_batch(layout, snap[done], log_node[done])
     counts = done.reshape(len(models), -1).sum(axis=1)
@@ -652,9 +644,8 @@ def _multistart(models, seeds, max_iters, tol) -> list:
                     np.split(beliefs, np.cumsum(counts)[:-1])))
 
 
-def empirical_critical_eta(model: PairwiseMRF, lo=0.5, hi=0.99, tol=1e-3,
-                           runs=20, max_iters=5000, run_tol=1e-12,
-                           agree_tol=1e-8, base_seed=0) -> float:
+def empirical_critical_eta(model: PairwiseMRF, tol=1e-3, runs=20,
+                           max_iters=5000, base_seed=0) -> float:
     """Bisect the edge weight at which the multi-start agreement check flips.
 
     The topology is taken from ``model``; each probe rebuilds it with the
@@ -664,6 +655,6 @@ def empirical_critical_eta(model: PairwiseMRF, lo=0.5, hi=0.99, tol=1e-3,
 
     def agreed(eta):
         return empirical_convergent(with_uniform_binary(model, eta), runs,
-                                    max_iters, run_tol, agree_tol, base_seed)
+                                    max_iters, base_seed)
 
-    return _bisect(agreed, lo, hi, tol)
+    return _bisect(agreed, _EMPIRICAL_LO, _EMPIRICAL_HI, tol)

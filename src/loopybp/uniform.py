@@ -18,6 +18,7 @@ import numpy as np
 from .bounds import _Recursion, _solve_uniform
 
 GRID_POINTS = 10000
+_VARIATION_GRID = 2000  # sign-scan intervals of error_variation_zeros
 _ROOT_TOL = 1e-12
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
@@ -104,15 +105,15 @@ class FixedPointSet:
     slope_at_half: float
 
 
-def _sign_roots(g, xs, vals, tol) -> list:
+def _sign_roots(g, xs, vals) -> list:
     """Roots of g from its values ``vals`` on the ascending grid ``xs``:
     exact zeros on the grid, then a bisection of each sign change down to
-    tol; roots closer than 1e-9 are merged."""
+    _ROOT_TOL; roots closer than 1e-9 are merged."""
     roots = [float(xs[i]) for i in np.nonzero(vals == 0.0)[0]]
     for i in np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]:
         lo, hi = float(xs[i]), float(xs[i + 1])
         glo = float(vals[i])
-        while hi - lo > tol:
+        while hi - lo > _ROOT_TOL:
             mid = 0.5 * (lo + hi)
             gmid = float(g(mid))
             if gmid == 0.0:
@@ -141,7 +142,7 @@ def _root_function(c, c2, k, x):
     return c * (x * x * xk1 - y * y * yk1) + c2 * x * y * (yk1 - xk1)
 
 
-def fixed_points(a, b, k, tol=_ROOT_TOL) -> FixedPointSet:
+def fixed_points(a, b, k) -> FixedPointSet:
     """Locate all fixed and quasi-fixed points of F on (0, 1).
 
     Dense grid plus bisection, so any k works; tangent (double) roots off
@@ -150,7 +151,7 @@ def fixed_points(a, b, k, tol=_ROOT_TOL) -> FixedPointSet:
     _validate_abk(a, b, k)
     xs = np.linspace(0.0, 1.0, GRID_POINTS + 2)[1:-1]
     fixed, quasi_all = (
-        _sign_roots(g, xs, g(xs), tol)
+        _sign_roots(g, xs, g(xs))
         for g in (partial(_root_function, b, a, k),
                   partial(_root_function, a, b, k)))
     quasi = [q for q in quasi_all
@@ -189,11 +190,11 @@ def true_error_variation(a, b, k, M, log_E) -> float:
             - log_E)
 
 
-def error_variation_zeros(a, b, k, M, grid=2000, tol=_ROOT_TOL) -> list:
+def error_variation_zeros(a, b, k, M) -> list:
     """Nonzero crossings of G(log E) inside its domain, by sign scan."""
     g = partial(true_error_variation, a, b, k, M)
-    ls = np.linspace(0.0, math.log(1.0 / M), grid + 1)[1:-1]
-    return _sign_roots(g, ls, np.array([g(l) for l in ls]), tol)
+    ls = np.linspace(0.0, math.log(1.0 / M), _VARIATION_GRID + 1)[1:-1]
+    return _sign_roots(g, ls, np.array([g(l) for l in ls]))
 
 
 def udb_completely_uniform(d_pair, degree) -> float:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from loopybp import (
     MessageSet,
+    ModelError,
     PairwiseMRF,
     bound_report,
     bound_variation,
@@ -264,6 +265,13 @@ def test_true_distance_unique_fixed_point_is_zero():
     got = true_distance(torus_graph(3, 3, 0.6), seeds=0, runs=8)
     assert got is not None
     assert np.all(got == 0.0)
+
+
+def test_true_distance_refuses_saturated_beliefs():
+    # Restarts at eta 5e-324 land on distinct fixed points whose beliefs
+    # hold exact zeros, so no log ratio between them is finite.
+    with pytest.raises(ModelError, match="saturates a float"):
+        true_distance(grid_graph(2, 3, 5e-324), seeds=0, runs=12)
 
 
 def test_true_distance_unavailable_when_nothing_converges():

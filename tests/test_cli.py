@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopybp import PairwiseMRF, torus_graph, write_graph_file
+from loopybp import PairwiseMRF, cli, torus_graph, write_graph_file
+from loopybp.bounds import BOUND_KEYS
 from loopybp.cli import main
+from loopybp.convergence import CONDITION_NAMES
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +101,22 @@ def test_bounds_true_distance_column(capsys):
     first = lines[1].split(",")
     assert float(first[2]) == pytest.approx(2.2784724, abs=1e-4)
     assert float(first[3]) == pytest.approx(2.3318236, abs=1e-4)
+
+
+def test_bounds_true_column_alone_builds_no_bound_report(capsys,
+                                                        monkeypatch):
+    args = ("bounds", "--generate", "grid:3x3", "--eta", "0.6:0.7:0.1")
+    code, both = run_cli(capsys, *args, "--methods", "true,udb")
+    assert code == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bound report built for no bound column")
+
+    monkeypatch.setattr(cli, "bound_report", refuse)
+    code, alone = run_cli(capsys, *args, "--methods", "true")
+    assert code == 0
+    assert alone.splitlines() == [line.rsplit(",", 1)[0]
+                                  for line in both.splitlines()]
 
 
 def test_bounds_output_file_and_determinism(tmp_path, capsys):
@@ -232,28 +250,124 @@ def test_fixed_points_rejects_subnormal_entries(capsys):
         assert err.startswith("error: potential entries must be at least")
 
 
+def main_quietly(argv):
+    """main's exit code, stdout and stderr, with RuntimeWarnings raised and
+    argparse's own usage errors read as their exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    err = err.getvalue()
+    assert "Traceback" not in err
+    if code != 0:
+        assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
+    return code, out.getvalue(), err
+
+
 @settings(max_examples=150, deadline=None)
 @given(eta=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
                      st.floats()),
        flag=st.sampled_from(["--degree", "--k"]),
        count=st.integers(-2, 1100))
 def test_fixed_points_argv_exits_cleanly(eta, flag, count):
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = main(["fixed-points", "--eta", repr(eta), flag,
-                             str(count)])
-            except SystemExit as exc:  # argparse's own usage errors
-                code = exc.code
-    err = err.getvalue()
-    assert "Traceback" not in err
+    code, out, err = main_quietly(["fixed-points", "--eta", repr(eta), flag,
+                                   str(count)])
     if code == 0:
-        assert err == "" and out.getvalue().startswith("regime,")
+        assert err == "" and out.startswith("regime,")
     else:
         assert code == 2
-        assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
+
+
+# Small graphs keep every draw cheap: accuracy enumerates the joint and
+# walks the self-avoiding walk tree, and a sweep runs restarts per eta.
+# Trees are left out for time alone: on their nilpotent interaction matrix
+# the walk-sum power iteration runs its whole step budget, about a second.
+SMALL_GRAPHS = ["complete:3", "complete:4", "k4minus", "cycle:5", "grid:2x3",
+                "torus:2x3"]
+JUNK_GRAPHS = ["", "nope", "grid:3", "grid:x2", "grid:0x4", "grid:-2x3",
+               "complete:1", "complete:-3", "cycle:2", "chain:1e2", "tree:0",
+               "tree:5:-1", "k4minus:2", "complete:4:4", "torus:2x"]
+BAD_SWEEPS = ["0.7:0.5:0.1", "0.5:0.6:0", "0.5:0.6:-0.1", "0.5:0.6",
+              "0:0.5:0.1", "0.5:1.5:0.5", "nan:0.6:0.1", "0.5:nan:0.1",
+              "0.5:0.6:nan", "0.5:0.6:inf", "0.5:0.6:1e-300", "a:b:c",
+              "0.5::0.1", ":::"]
+JUNK = ["x", "", "1.5", "1e3", "0x10", "-1", "0"]
+# Huge counts: refused for the counts that size work with no stop of their
+# own, and harmless for seeds and node numbers.
+HUGE = ["100000000000000000000", "100001"]
+ETAS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(repr)
+TOLS = st.floats(1e-3, 1.0).map(repr)
+
+
+@st.composite
+def subcommand_argvs(draw):
+    """argv for run, converge, bounds or accuracy: valid flags on a small
+    graph with budgets that keep each run to milliseconds, then at most
+    one flag given a bad value or left out."""
+    command = draw(st.sampled_from(["run", "converge", "bounds", "accuracy"]))
+    good = {"--generate": st.sampled_from(SMALL_GRAPHS), "--eta": ETAS}
+    bad = {"--generate": st.sampled_from(JUNK_GRAPHS),
+           "--eta": st.floats().map(repr), "--graph": st.just("no.graph")}
+    counts = st.sampled_from(JUNK + HUGE)
+    if command == "run":
+        good.update({
+            "--schedule": st.sampled_from(["sync", "residual"]),
+            "--init": st.sampled_from(["uniform", "random"]),
+            "--seed": st.sampled_from(["0", "3", HUGE[0]]),
+            "--max-iters": st.sampled_from(["60", "1", "2"]),
+            "--max-updates": st.sampled_from(["400", "1", "5"]),
+            "--tol": TOLS})
+        bad.update({"--seed": counts, "--max-iters": counts,
+                    "--max-updates": counts,
+                    "--tol": st.floats().map(repr)})
+    elif command == "converge":
+        good.update({"--condition": st.sampled_from(CONDITION_NAMES),
+                     # Deep walk sums outgrow the float range.
+                     "--depth": st.sampled_from(["12", "1", "2", "3000"]),
+                     "--critical": st.just(None), "--tol": TOLS})
+        bad.update({"--condition": st.just("nope"), "--depth": counts,
+                    "--tol": st.floats().map(repr)})
+    elif command == "bounds":
+        good.update({
+            "--eta": st.one_of(ETAS, st.sampled_from(["0.5:0.7:0.1",
+                                                      "0.6:0.65:0.05"])),
+            "--methods": st.one_of(st.just("all"), st.lists(
+                st.sampled_from(["true"] + list(BOUND_KEYS)), min_size=1,
+                max_size=3).map(",".join)),
+            "--nudb-iters": st.sampled_from(["8", "1", "3000"]),
+            "--true-runs": st.sampled_from(["3", "2"]),
+            "--seed": st.sampled_from(["0", "3", HUGE[0]])})
+        bad.update({"--eta": st.sampled_from(BAD_SWEEPS),
+                    "--methods": st.sampled_from(["", "nope", "all,udb", " "]),
+                    "--nudb-iters": counts, "--true-runs": counts,
+                    "--seed": counts})
+    else:
+        good["--node"] = st.sampled_from(["0", "3", "5"])
+        bad["--node"] = st.sampled_from(JUNK + HUGE + ["8"])
+    flags = {flag: draw(values) for flag, values in good.items()
+             if flag in ("--generate", "--eta") or draw(st.booleans())}
+    fault = draw(st.sampled_from([None, "drop"] + sorted(bad)))
+    if fault == "drop" and flags:
+        del flags[draw(st.sampled_from(sorted(flags)))]
+    elif fault is not None:
+        flags[fault] = draw(bad[fault])
+    argv = [command]
+    for flag, value in flags.items():
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=subcommand_argvs())
+def test_subcommand_argv_exits_cleanly(argv):
+    code, out, err = main_quietly(argv)
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert err == "" and out != ""
 
 
 def test_accuracy_intervals_contain_exact(capsys):
@@ -296,6 +410,13 @@ def test_usage_errors_exit_two(capsys):
              "--nudb-iters", "0"],
             ["bounds", "--generate", "complete:4", "--eta", "0.6",
              "--methods", "true,udb", "--true-runs", "1"],
+            # Counts that size work with no stop of their own are capped.
+            ["converge", "--generate", "cycle:5", "--eta", "0.6",
+             "--depth", "100001"],
+            ["bounds", "--generate", "cycle:5", "--eta", "0.6",
+             "--nudb-iters", "100000000000000000000"],
+            ["bounds", "--generate", "cycle:5", "--eta", "0.6",
+             "--methods", "true", "--true-runs", "100001"],
             *(["converge", "--generate", "torus:3x3", "--eta", "0.6",
                "--critical", "--tol", tol]
               for tol in ("0", "-1", "nan", "inf")),
@@ -483,19 +604,14 @@ def graph_texts(draw):
 @settings(max_examples=300, deadline=None)
 @given(text=graph_texts())
 def test_graph_files_exit_cleanly(text):
-    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fuzz.graph")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with redirect_stdout(out), redirect_stderr(err):
-                code = main(["run", "--graph", path])
-    err = err.getvalue()
+        code, out, err = main_quietly(["run", "--graph", path])
     assert code in (0, 3)
     if code == 0:
-        assert err == "" and out.getvalue().startswith("status,")
+        assert err == "" and out.startswith("status,")
     else:
-        assert out.getvalue() == ""
+        assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1, err

@@ -206,6 +206,15 @@ def test_bethe_criticals_frozen():
         0.7849328358650207, abs=5e-4)
 
 
+def test_bethe_walk_sums_past_the_float_range_read_inf():
+    # At depth 3000 the walk sums on complete:4 at eta 0.9 overflow, and
+    # the next step would subtract inf from inf.
+    m = complete_graph(4, 0.9)
+    assert nonuniform_condition(m, tree="bethe", N=1100).statistic < math.inf
+    verdict = nonuniform_condition(m, tree="bethe", N=3000)
+    assert verdict.statistic == math.inf and not verdict.holds
+
+
 def test_interaction_matrix_structure():
     m = torus_graph(3, 3, 0.6)
     im = interaction_matrix(m)

@@ -21,11 +21,12 @@ from loopybp import (
     run_residual_scheduled,
     run_synchronous,
     torus_graph,
+    true_distance,
     update_message,
     with_uniform_binary,
 )
 from loopybp.engine import (_NEG, _beliefs_batch, _initial_logm, _Layout,
-                            _log_contraction, _log_weight_table,
+                            _log_contraction, _log_node, _log_weight_table,
                             _log_weights, _multistart, _random_logm,
                             _run_one, _run_restarts, _sweep_batch)
 from loopybp.models import _measures
@@ -274,7 +275,7 @@ def _incidence(layout):
 def dense_sweep(layout, logm):
     at_node = np.einsum("ve,rek->rvk", _incidence(layout), logm)
     excl = at_node[:, layout.src, :] - logm[:, layout.rev, :]
-    combined = np.stack(layout.sender_rows, axis=1)
+    combined = layout.table.transpose(1, 0, 2)
     stacked = combined[None] + excl[:, :, :, None]
     peak = stacked.max(axis=2)
     new = peak + np.log(np.exp(stacked - peak[:, :, None, :]).sum(axis=2))
@@ -414,7 +415,7 @@ def test_sweep_and_beliefs_match_dense_kernel(kind):
     logm = _random_logm(layout.mask, range(4))
     ref = logm.copy()
     for _ in range(300):
-        logm = _sweep_batch(layout, logm, layout.sender_rows)
+        logm = _sweep_batch(layout, logm, layout.table)
         ref = dense_sweep(layout, ref)
         assert np.array_equal(logm, ref)
         # Beliefs follow the per-node loop's order, not the dense form's.
@@ -521,8 +522,8 @@ def test_run_batch_matches_looped_bookkeeping(kind, eta, detect, budget,
             assert np.array(changes).tobytes() == \
                 np.array(want_changes[r]).tobytes()
     else:
-        rows = [np.repeat(row[None], 6, axis=0) for row in layout.sender_rows]
-        status, last = _run_restarts(layout, logm0, rows, budget, 1e-10)
+        table = np.repeat(layout.table[:, None], 6, axis=1)
+        status, last = _run_restarts(layout, logm0, table, budget, 1e-10)
         assert status.tobytes() == want_status.tobytes()
         assert last.tobytes() == want_last.tobytes()
 
@@ -787,13 +788,13 @@ def shape_stacked_models(draw):
 @given(shape_stacked_models())
 def test_shape_stacked_tables_match_one_edge_at_a_time(model):
     kmax = max(model.cards)
-    table = _log_weight_table(model, kmax)
+    table = _log_weight_table(model, _log_node(model, kmax))
     for e, (t, s) in enumerate(model.directed_edges()):
-        block = table[e, :model.cards[t], :model.cards[s]]
+        block = table[:model.cards[t], e, :model.cards[s]]
         assert block.tobytes() == _log_weights(model, t, s).tobytes()
         pad = np.ones((kmax, kmax), dtype=bool)
         pad[:model.cards[t], :model.cards[s]] = False
-        assert np.all(table[e][pad] == _NEG)
+        assert np.all(table[:, e][pad] == _NEG)
     strengths = compute_strengths(model)
     got = np.stack([strengths.d_pair, strengths.d_plain, strengths.d_star_row,
                     strengths.d_star_col, strengths.sigma,
@@ -804,18 +805,34 @@ def test_shape_stacked_tables_match_one_edge_at_a_time(model):
         assert got[:, m].tobytes() == want.tobytes()
 
 
-def test_residual_scheduler_builds_no_sender_rows(monkeypatch):
-    # The scheduler slices its update weights out of the log-weight table;
-    # the kernel's sender rows are a second, per-state copy of that table,
-    # which it never reads.
-    def refuse(*args):
-        raise AssertionError("sender rows built")
+def test_engine_calls_build_each_models_tables_once(monkeypatch):
+    # The kernel, the restart batch and the residual scheduler all read the
+    # layout's one log-weight table, built from the layout's log node
+    # potentials: one of each per model and call.
+    builds = []
+    for name in ("_log_node", "_log_weight_table"):
+        def counted(model, *args, build=getattr(engine, name), name=name):
+            builds.append((name, id(model)))
+            return build(model, *args)
 
-    monkeypatch.setattr(engine, "_sender_rows", refuse)
-    for init in ("uniform", "random"):
-        result, _ = run_residual_scheduled(_mixed_card_grid(), init=init,
-                                           seed=1)
+        monkeypatch.setattr(engine, name, counted)
+    base = _mixed_card_grid()
+    models = [base, _redrawn(base, 1), _redrawn(base, 2)]
+
+    def residual(init):
+        result, _ = run_residual_scheduled(base, init=init, seed=1)
         assert result.converged
+
+    for call, built in ((lambda: run_synchronous(base), [base]),
+                        (lambda: residual("uniform"), [base]),
+                        (lambda: residual("random"), [base]),
+                        (lambda: true_distance(models, runs=3, max_iters=50),
+                         models)):
+        builds.clear()
+        call()
+        assert sorted(builds) == sorted(
+            (name, id(m)) for m in built
+            for name in ("_log_node", "_log_weight_table"))
 
 
 def test_residual_scheduler_rejects_overflowing_strengths():
