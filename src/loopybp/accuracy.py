@@ -15,7 +15,7 @@ import numpy as np
 from .bounds import (_sharing_solves, ihler_nonuniform_distance_bound,
                      nonuniform_distance_bound)
 from .engine import run_synchronous
-from .models import ModelError, PairwiseMRF, compute_strengths
+from .models import ModelError, PairwiseMRF
 from .trees import saw_tree
 
 _MAX_STATES = 1 << 20
@@ -47,8 +47,7 @@ def exact_marginals(model: PairwiseMRF) -> list:
         shape = [1] * n
         shape[v] = model.cards[v]
         logj = logj + np.log(model.node_pot[v]).reshape(shape)
-    for (lo, hi) in model.edges:
-        mat = model.edge_pot[model.edge_index[(lo, hi)]]
+    for (lo, hi), mat in zip(model.edges, model.edge_pot):
         shape = [1] * n
         shape[lo] = model.cards[lo]
         shape[hi] = model.cards[hi]
@@ -112,12 +111,10 @@ def saw_accuracy(model: PairwiseMRF, node: int, max_iters=5000) -> AccuracyBound
     depth = saw_tree(model, node).depth
     if depth == 0:
         return accuracy_bound(belief, 1.0, 1.0)
-    strengths = compute_strengths(model)
     with _sharing_solves():
-        ihler_bounds, _ = ihler_nonuniform_distance_bound(model, strengths,
-                                                          n=depth)
-        improved_bounds, _ = nonuniform_distance_bound(model, strengths,
-                                                       n=depth, improved=True)
+        ihler_bounds, _ = ihler_nonuniform_distance_bound(model, n=depth)
+        improved_bounds, _ = nonuniform_distance_bound(model, n=depth,
+                                                       improved=True)
     delta = float(np.exp(0.5 * ihler_bounds[node]))
     epsilon = float(np.exp(improved_bounds[node]))
     return accuracy_bound(belief, delta, epsilon)

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import _check_restarts, _multistart
-from .models import ModelError, PairwiseMRF, compute_strengths
+from .models import ModelError, PairwiseMRF, StrengthTable
 
 _REL_TOL = 1e-14
 _MAX_SOLVE = 100000
@@ -93,11 +93,6 @@ class _Recursion:
         self._a = np.empty(v.shape)
         self._b = np.empty(v.shape)
 
-    def key(self) -> tuple:
-        """The recursion's exact content; equal keys give equal solves."""
-        return (self.n, self.coeff, self.seg.tobytes(), self.feed.tobytes(),
-                self.v.tobytes())
-
     def sums(self, z) -> np.ndarray:
         """Segment sums at one shared z (a float) or at per-value z (an
         array). z = inf is the saturated initialization: t = 0."""
@@ -127,21 +122,21 @@ def _sharing_solves():
         _SOLVED.reset(token)
 
 
-def _solve(solver, rec: _Recursion, *args):
-    """solver(rec, *args), reused inside a sharing scope."""
+def _solve(solver, strengths: StrengthTable, improved: bool, *args):
+    """solver on the table's recursion, reused inside a sharing scope."""
     store = _SOLVED.get()
-    if store is None:
-        return solver(rec, *args)
-    key = (solver, rec.key(), args)
+    store = {} if store is None else store
+    key = (solver, strengths, improved, args)
     if key not in store:
-        store[key] = solver(rec, *args)
+        store[key] = solver(_recursion(strengths, improved), *args)
     return store[key]
 
 
-def _recursion(model: PairwiseMRF, strengths, improved: bool) -> _Recursion:
+def _recursion(strengths: StrengthTable, improved: bool) -> _Recursion:
     """The doubled-log recursion in d*d_star, or (improved) the single-log
     one in squared edge strength, over the model's non-backtracking
     relation: segment seg[i] receives a term driven by edge feed[i]."""
+    model = strengths.model
     seg, feed = model.non_backtracking_pairs
     coeff, strength = (1.0, strengths.d2) if improved else (2.0, strengths.dd)
     return _Recursion(model.num_directed, seg, feed, coeff, strength[feed])
@@ -186,11 +181,9 @@ def _solve_uniform(rec: _Recursion) -> float:
         return 0.0
     z = top
     for _ in range(_MAX_SOLVE):
-        znew = float(_peak(rec.sums(z)))
-        if abs(znew - z) <= _REL_TOL * max(1.0, z):
-            z = znew
+        z, old = float(_peak(rec.sums(z))), z
+        if abs(z - old) <= _REL_TOL * max(1.0, old):
             break
-        z = znew
     if z <= math.log1p(_ZERO_EPS):
         return 0.0
     return z
@@ -208,12 +201,10 @@ def _solve_nonuniform(rec: _Recursion, n: Optional[int]) -> np.ndarray:
     if n is None:
         gap = np.empty(rec.n)
         for _ in range(_MAX_SOLVE):
-            znew = rec.sums(z)
-            np.abs(np.subtract(znew, z, out=gap), out=gap)
-            if float(_peak(gap)) <= _REL_TOL * max(1.0, float(_peak(z))):
-                z = znew
+            z, old = rec.sums(z), z
+            np.abs(np.subtract(z, old, out=gap), out=gap)
+            if float(_peak(gap)) <= _REL_TOL * max(1.0, float(_peak(old))):
                 break
-            z = znew
     else:
         if n < 1:
             raise ValueError("n must be at least 1")
@@ -225,31 +216,25 @@ def _solve_nonuniform(rec: _Recursion, n: Optional[int]) -> np.ndarray:
 # -- node-level bounds -----------------------------------------------------
 
 
-def uniform_distance_bound(model: PairwiseMRF, strengths=None):
+def uniform_distance_bound(model: PairwiseMRF):
     """Per-node log-distance bound from the doubled-log recursion with the
     combined strength d*d_star. Returns (bounds, eps_star)."""
-    if strengths is None:
-        strengths = compute_strengths(model)
-    z = _solve(_solve_uniform, _recursion(model, strengths, improved=False))
-    return _node_bounds(model, strengths.dd, z), math.exp(z)
+    z = _solve(_solve_uniform, model.strengths, False)
+    return _node_bounds(model, model.strengths.dd, z), math.exp(z)
 
 
-def improved_uniform_distance_bound(model: PairwiseMRF, strengths=None):
+def improved_uniform_distance_bound(model: PairwiseMRF):
     """Same node assembly, but eps_star comes from the single-log recursion
     in squared edge strength, which has a higher zero threshold."""
-    if strengths is None:
-        strengths = compute_strengths(model)
-    z = _solve(_solve_uniform, _recursion(model, strengths, improved=True))
-    return _node_bounds(model, strengths.dd, z), math.exp(z)
+    z = _solve(_solve_uniform, model.strengths, True)
+    return _node_bounds(model, model.strengths.dd, z), math.exp(z)
 
 
-def ihler_uniform_distance_bound(model: PairwiseMRF, strengths=None):
+def ihler_uniform_distance_bound(model: PairwiseMRF):
     """Dynamic-range recursion end to end: the single-log eps fixed point
     assembled with the squared edge strength."""
-    if strengths is None:
-        strengths = compute_strengths(model)
-    z = _solve(_solve_uniform, _recursion(model, strengths, improved=True))
-    return _node_bounds(model, strengths.d2, z), math.exp(z)
+    z = _solve(_solve_uniform, model.strengths, True)
+    return _node_bounds(model, model.strengths.d2, z), math.exp(z)
 
 
 def nonuniform_distance_bound(model: PairwiseMRF, strengths=None,
@@ -258,21 +243,19 @@ def nonuniform_distance_bound(model: PairwiseMRF, strengths=None,
 
     ``n`` counts recursion steps including the saturated initialization;
     None runs to the fixed point. ``improved`` switches the per-edge
-    recursion to the single-log squared-strength form. Returns
-    (bounds, per-directed-edge eps array).
+    recursion to the single-log squared-strength form. ``strengths``
+    defaults to ``model.strengths``. Returns (bounds, per-directed-edge eps
+    array).
     """
-    if strengths is None:
-        strengths = compute_strengths(model)
-    z = _solve(_solve_nonuniform, _recursion(model, strengths, improved), n)
+    strengths = model.strengths if strengths is None else strengths
+    z = _solve(_solve_nonuniform, strengths, improved, n)
     return _node_bounds(model, strengths.dd, z), np.exp(z)
 
 
-def ihler_nonuniform_distance_bound(model: PairwiseMRF, strengths=None,
+def ihler_nonuniform_distance_bound(model: PairwiseMRF,
                                     n: Optional[int] = None):
-    if strengths is None:
-        strengths = compute_strengths(model)
-    z = _solve(_solve_nonuniform, _recursion(model, strengths, True), n)
-    return _node_bounds(model, strengths.d2, z), np.exp(z)
+    z = _solve(_solve_nonuniform, model.strengths, True, n)
+    return _node_bounds(model, model.strengths.d2, z), np.exp(z)
 
 
 # -- empirical distance ----------------------------------------------------
@@ -343,17 +326,15 @@ def bound_report(model: PairwiseMRF, n: Optional[int] = None) -> BoundReport:
     recursion once. ``n`` is passed to the per-edge recursions; the
     empirical distance is ``true_distance``'s.
     """
-    strengths = compute_strengths(model)
     with _sharing_solves():
         results = {
-            "udb": uniform_distance_bound(model, strengths),
-            "improved_udb": improved_uniform_distance_bound(model, strengths),
-            "ihler_udb": ihler_uniform_distance_bound(model, strengths),
-            "nudb": nonuniform_distance_bound(model, strengths, n=n),
-            "improved_nudb": nonuniform_distance_bound(model, strengths, n=n,
+            "udb": uniform_distance_bound(model),
+            "improved_udb": improved_uniform_distance_bound(model),
+            "ihler_udb": ihler_uniform_distance_bound(model),
+            "nudb": nonuniform_distance_bound(model, n=n),
+            "improved_nudb": nonuniform_distance_bound(model, n=n,
                                                        improved=True),
-            "ihler_nudb": ihler_nonuniform_distance_bound(model, strengths,
-                                                          n=n),
+            "ihler_nudb": ihler_nonuniform_distance_bound(model, n=n),
         }
     node_bounds = {key: bounds for key, (bounds, _) in results.items()}
     eps = {key: np.full(model.num_directed, e) if np.ndim(e) == 0 else e

@@ -4,15 +4,16 @@ Subcommands wrap the library modules: ``bounds`` sweeps distance bounds to
 CSV, ``converge`` evaluates certificates and critical values, ``run``
 executes a single message-passing run, ``fixed-points`` and ``accuracy``
 print the scalar dynamics and interval tables. Exit codes: 0 success, 2
-usage problems, 3 graph file or model problems (including potentials the
-strength measures cannot represent), 4 enumeration or convergence budget
-failures.
+usage problems (generator specs above the size caps too), 3 graph file or
+model problems (potentials the strength measures cannot represent too), 4
+enumeration, convergence or memory budget failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 
@@ -22,7 +23,7 @@ from .bounds import BOUND_KEYS, bound_report, true_distance
 from .convergence import CONDITION_NAMES, critical_eta, evaluate_condition
 from .engine import run_residual_scheduled, run_synchronous
 from .models import (GraphFormatError, ModelError, build_generator,
-                     compute_strengths, parse_graph_file, with_uniform_binary)
+                     parse_graph_file, with_uniform_binary)
 from .uniform import fixed_points, uniform_belief
 
 
@@ -56,16 +57,13 @@ def _parse_eta_range(spec: str) -> list:
     if not start < stop:
         raise UsageError("eta start must be below stop")
     values = []
-    i = 0
-    while True:
+    for i in itertools.count():
         v = start + i * step
         if v > stop + 1e-12:
-            break
+            return values
         if len(values) == _MAX_ETAS:
             raise UsageError(f"eta range holds more than {_MAX_ETAS} values")
         values.append(_parse_eta_single(v))
-        i += 1
-    return values
 
 
 def _parse_float(text: str) -> float:
@@ -179,11 +177,11 @@ def cmd_converge(args) -> int:
         raise UsageError("--tol must be finite and positive")
     model = _load_model(args)
     conditions = args.condition or list(CONDITION_NAMES)
-    strengths = compute_strengths(model)
+    model.strengths  # a model the measures reject fails before any output
     N = args.depth if args.depth is not None else 2 * model.num_nodes
     print("condition,statistic,threshold,holds,witness")
     for c in conditions:
-        v = evaluate_condition(model, c, strengths, N=N)
+        v = evaluate_condition(model, c, N=N)
         print(f"{v.condition},{_fmt(v.statistic)},{_fmt(v.threshold)},"
               f"{str(v.holds).lower()},{_fmt_witness(v.witness)}")
     if args.critical:
@@ -358,8 +356,8 @@ def main(argv=None) -> int:
     except (GraphFormatError, ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (EnumerationLimitError, ConvergenceFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (EnumerationLimitError, ConvergenceFailure, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
 
 

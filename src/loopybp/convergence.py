@@ -14,8 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import (PairwiseMRF, StrengthTable, compute_strengths,
-                     with_uniform_binary)
+from .models import PairwiseMRF, StrengthTable, with_uniform_binary
 
 _POWER_TOL, _POWER_STEPS = 1e-10, 100000  # spectral_radius's stopping rule
 _CRITICAL_LO, _CRITICAL_HI = 0.5, 0.9999  # critical_eta's bracket
@@ -102,7 +101,7 @@ def rate_metric(strengths: StrengthTable, edge) -> float:
 # -- walk-sum conditions ---------------------------------------------------
 
 
-def _bethe_statistic(model: PairwiseMRF, strengths: StrengthTable, N: int):
+def _bethe_statistic(strengths: StrengthTable, N: int):
     """Depth-N walk sums per directed edge, bottom up.
 
     g_k over directed edge (v -> x) accumulates the weight of all
@@ -111,6 +110,7 @@ def _bethe_statistic(model: PairwiseMRF, strengths: StrengthTable, N: int):
     """
     if N < 1:
         raise ValueError("depth must be at least 1")
+    model = strengths.model
     src, dst = model.directed_src, model.directed_dst
     rev = np.arange(src.size) ^ 1
     # Directed edges 2m and 2m+1 both carry the weight of edge m.
@@ -131,13 +131,14 @@ def _bethe_statistic(model: PairwiseMRF, strengths: StrengthTable, N: int):
     return float(h[best]), model.directed_edges()[best]
 
 
-def _saw_statistic(model: PairwiseMRF, strengths: StrengthTable):
+def _saw_statistic(strengths: StrengthTable):
     """Walk sums over self-avoiding continuations, rooted per node.
 
     An edge back to an already-visited node terminates the walk with its own
     weight; a node whose only neighbor is its parent terminates with
     contribution 1.
     """
+    model = strengths.model
     # Each node's neighbours with their edge weights, in neighbor order.
     adj = [[(u, strengths.weight(c, u)) for u in model.neighbors(c)]
            for c in range(model.num_nodes)]
@@ -169,7 +170,7 @@ def _saw_statistic(model: PairwiseMRF, strengths: StrengthTable):
     return stat, witness
 
 
-def nonuniform_condition(model: PairwiseMRF, strengths=None, tree="saw",
+def nonuniform_condition(strengths: StrengthTable, tree="saw",
                          N: Optional[int] = None) -> ConvergenceVerdict:
     """Walk-sum certificate on a computation tree.
 
@@ -177,15 +178,13 @@ def nonuniform_condition(model: PairwiseMRF, strengths=None, tree="saw",
     tree="saw" follows self-avoiding walks to their natural end. Threshold 1
     for both.
     """
-    if strengths is None:
-        strengths = compute_strengths(model)
     if tree == "saw":
-        stat, witness = _saw_statistic(model, strengths)
+        stat, witness = _saw_statistic(strengths)
         return ConvergenceVerdict("nonuniform-saw", stat, 1.0, witness)
     if tree == "bethe":
         if N is None:
-            N = 2 * model.num_nodes
-        stat, witness = _bethe_statistic(model, strengths, N)
+            N = 2 * strengths.model.num_nodes
+        stat, witness = _bethe_statistic(strengths, N)
         return ConvergenceVerdict(f"nonuniform-bethe({N})", stat, 1.0, witness)
     raise ValueError(f"unknown tree kind {tree!r}")
 
@@ -193,9 +192,8 @@ def nonuniform_condition(model: PairwiseMRF, strengths=None, tree="saw",
 # -- spectral condition ----------------------------------------------------
 
 
-def interaction_matrix(model: PairwiseMRF, strengths=None) -> InteractionMatrix:
-    if strengths is None:
-        strengths = compute_strengths(model)
+def interaction_matrix(strengths: StrengthTable) -> InteractionMatrix:
+    model = strengths.model
     directed = model.directed_edges()
     n_dir = len(directed)
     seg, feed = model.non_backtracking_pairs
@@ -212,9 +210,8 @@ def spectral_radius(matrix: np.ndarray) -> float:
 
     The per-step estimate is the Collatz max ratio, an upper bound on the
     radius. On an irreducible matrix it converges to the radius itself; on
-    a nilpotent one (tree-structured interaction) it can level off early at
-    a conservative over-estimate, which errs on the safe side for every
-    certificate built on top of this."""
+    a nilpotent one (a forest's interaction) it can level off early at a
+    conservative over-estimate."""
     n = matrix.shape[0]
     if n == 0:
         return 0.0
@@ -230,10 +227,26 @@ def spectral_radius(matrix: np.ndarray) -> float:
     return lam - 1.0
 
 
-def walk_summability(model: PairwiseMRF, strengths=None) -> ConvergenceVerdict:
-    if strengths is None:
-        strengths = compute_strengths(model)
-    rho = spectral_radius(interaction_matrix(model, strengths).matrix)
+def _is_forest(model: PairwiseMRF) -> bool:
+    """Whether no edge closes a cycle, by union-find with path halving."""
+    root = list(range(model.num_nodes))
+    for edge in model.edges:
+        ends = []
+        for v in edge:
+            while root[v] != v:
+                root[v] = v = root[root[v]]
+            ends.append(v)
+        if ends[0] == ends[1]:
+            return False
+        root[ends[0]] = ends[1]
+    return True
+
+
+def walk_summability(strengths: StrengthTable) -> ConvergenceVerdict:
+    """Spectral radius of the interaction matrix against 1; exactly 0 on a
+    forest, whose matrix is nilpotent."""
+    rho = (0.0 if _is_forest(strengths.model)
+           else spectral_radius(interaction_matrix(strengths).matrix))
     return ConvergenceVerdict("walksum", rho, 1.0, None)
 
 
@@ -245,18 +258,18 @@ CONDITION_NAMES = ("uniform", "ihler-uniform", "walksum",
 
 def evaluate_condition(model: PairwiseMRF, condition: str, strengths=None,
                        N: Optional[int] = None) -> ConvergenceVerdict:
-    if strengths is None:
-        strengths = compute_strengths(model)
+    """One certificate, on ``strengths`` if given, else the model's."""
+    strengths = model.strengths if strengths is None else strengths
     if condition == "uniform":
         return uniform_condition(strengths)
     if condition == "ihler-uniform":
         return ihler_uniform_condition(strengths)
     if condition == "walksum":
-        return walk_summability(model, strengths)
+        return walk_summability(strengths)
     if condition in ("saw", "nonuniform-saw"):
-        return nonuniform_condition(model, strengths, tree="saw")
+        return nonuniform_condition(strengths, tree="saw")
     if condition in ("bethe", "nonuniform-bethe"):
-        return nonuniform_condition(model, strengths, tree="bethe", N=N)
+        return nonuniform_condition(strengths, tree="bethe", N=N)
     raise ValueError(f"unknown condition {condition!r}")
 
 
@@ -310,18 +323,13 @@ def partial_graph_ordering_check(model_small: PairwiseMRF,
     small_edges = set(model_small.edges)
     if not small_edges.issubset(set(model_big.edges)):
         raise ValueError("small model has edges outside the big model")
-    st_small = compute_strengths(model_small)
-    st_big = compute_strengths(model_big)
     for i, j in small_edges:
-        if st_small.pair(i, j) > st_big.pair(i, j) * (1.0 + 1e-9):
+        if (model_small.strengths.pair(i, j)
+                > model_big.strengths.pair(i, j) * (1.0 + 1e-9)):
             raise ValueError(f"edge ({i},{j}) is stronger in the small model")
     c_small = critical_eta(model_small, condition, tol=tol)
     c_big = critical_eta(model_big, condition, tol=tol)
     return c_big <= c_small + 1e-12
-
-
-def _clearly_holds(verdict: ConvergenceVerdict) -> bool:
-    return verdict.statistic < verdict.threshold * (1.0 - 1e-9)
 
 
 def condition_ordering_report(model: PairwiseMRF) -> OrderingReport:
@@ -333,19 +341,20 @@ def condition_ordering_report(model: PairwiseMRF) -> OrderingReport:
     so knife-edge statistics that land exactly on a threshold do not
     produce spurious entries.
     """
-    strengths = compute_strengths(model)
+    strengths = model.strengths
     N = 2 * model.num_nodes
     uni = uniform_condition(strengths)
     ihl = ihler_uniform_condition(strengths)
-    wsum = walk_summability(model, strengths)
-    saw = nonuniform_condition(model, strengths, tree="saw")
-    bethe_n = nonuniform_condition(model, strengths, tree="bethe", N=N)
-    bethe_2n = nonuniform_condition(model, strengths, tree="bethe", N=2 * N)
+    wsum = walk_summability(strengths)
+    saw = nonuniform_condition(strengths, tree="saw")
+    bethe_n = nonuniform_condition(strengths, tree="bethe", N=N)
+    bethe_2n = nonuniform_condition(strengths, tree="bethe", N=2 * N)
 
     violations = []
     for premise, conclusion in ((wsum, bethe_n), (bethe_n, bethe_2n),
                                 (saw, bethe_n)):
-        if _clearly_holds(premise) and not conclusion.holds:
+        clearly = premise.statistic < premise.threshold * (1.0 - 1e-9)
+        if clearly and not conclusion.holds:
             violations.append(f"{premise.condition} holds but "
                               f"{conclusion.condition} fails")
     return OrderingReport([uni, ihl, wsum, saw, bethe_n, bethe_2n],

@@ -41,8 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .convergence import _bisect
-from .models import (ModelError, PairwiseMRF, compute_strengths,
-                     with_uniform_binary)
+from .models import ModelError, PairwiseMRF, with_uniform_binary
 
 _NEG = -1.0e30  # padded state slots in log space; finite so arithmetic stays NaN-free
 
@@ -504,8 +503,7 @@ def run_residual_scheduled(model: PairwiseMRF, max_updates=20000, tol=1e-9,
         raise ValueError("max_updates must be at least 1")
     if model.num_directed == 0:
         return _trivial_result(model), ScheduleTrace([], 0)
-    if strengths is None:
-        strengths = compute_strengths(model)
+    dd = (model.strengths if strengths is None else strengths).dd
     directed = model.directed_edges()
     n_dir = len(directed)
 
@@ -519,7 +517,6 @@ def run_residual_scheduled(model: PairwiseMRF, max_updates=20000, tol=1e-9,
         msgs = MessageSet._wrap(model,
                                 _initial_logm(layout, init, seed)[0].copy())
 
-    dd = strengths.dd
     # ins[f]: the edges feeding f, in model.neighbors order as
     # update_message adds them; deps[g]: the edges g feeds.
     rows = layout.belief_edges[layout.src]

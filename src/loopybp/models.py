@@ -70,6 +70,7 @@ def _stacks(shapes, arrays, bad_entries, bad_shape):
                 arr = None
             fill.append(ones if arr is None else arr)
         stack = np.array(fill)
+        stack.flags.writeable = False  # a model's derived tables read it
         members = np.array(members, dtype=np.intp)
         fault[members[_faulty(stack)]] = 1
         stacks[shape] = (members, stack)
@@ -97,7 +98,7 @@ class PairwiseMRF:
     Potentials are stored per shape: ``edge_stacks`` maps each (rows, cols)
     shape to its edge indices and one (g, rows, cols) array, and
     ``node_stacks`` maps each (card,) to its nodes and one (g, card) array.
-    ``edge_pot[m]`` and ``node_pot[v]`` are views into those stacks. Each
+    ``edge_pot[m]`` and ``node_pot[v]`` are read-only views into them. Each
     stack is checked in one pass; the first fault in node order, then edge
     order, is reported, an edge's entries before its shape.
     """
@@ -219,6 +220,12 @@ class PairwiseMRF:
 
         return (table(np.argsort(dst, kind="stable")),
                 table(np.lexsort((self.directed_src, dst))))
+
+    @cached_property
+    def strengths(self) -> "StrengthTable":
+        """The per-edge strength table every bound, certificate and residual
+        run reads, built by ``compute_strengths`` on first use."""
+        return compute_strengths(self)
 
     @cached_property
     def non_backtracking_pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -348,9 +355,9 @@ class StrengthTable:
     Arrays are aligned with ``model.edges``. ``d_star_row[m]`` is the summed
     strength for messages sent by the lower-numbered endpoint of edge m,
     ``d_star_col[m]`` for the opposite direction. Each of the model's shape
-    stacks is measured in one batched call. The read-only ``dd`` (d *
-    d_star) and ``d2`` (d ** 2) are per directed edge, in
-    ``model.directed_edges()`` order.
+    stacks is measured in one batched call. ``dd`` (d * d_star) and ``d2``
+    (d ** 2) are per directed edge, in ``model.directed_edges()`` order.
+    Every array is read-only, as one table is shared by a model's readers.
     """
 
     def __init__(self, model: PairwiseMRF):
@@ -365,7 +372,9 @@ class StrengthTable:
         self.dd = np.repeat(self.d_pair, 2) * star
         # Python's float power: bit-equal to pair(t, s) ** 2; d * d is not.
         self.d2 = np.repeat([d ** 2 for d in self.d_pair.tolist()], 2)
-        self.dd.flags.writeable = self.d2.flags.writeable = False
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
 
     def _check(self, table):
         if not np.isfinite(table).all():
@@ -458,29 +467,18 @@ def chain_graph(n, eta) -> PairwiseMRF:
 
 
 def grid_graph(rows, cols, eta, wrap=False) -> PairwiseMRF:
-    """rows x cols lattice; with wrap=True both dimensions close into rings."""
+    """rows x cols lattice; with wrap=True each dimension of more than two
+    nodes closes into a ring."""
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise ValueError("grid needs at least 2 nodes")
-    idx = lambda r, c: r * cols + c
-    seen = set()
     edges = []
-
-    def add(a, b):
-        key = (min(a, b), max(a, b))
-        if a != b and key not in seen:
-            seen.add(key)
-            edges.append(key)
-
     for r in range(rows):
         for c in range(cols):
-            if c + 1 < cols:
-                add(idx(r, c), idx(r, c + 1))
-            elif wrap and cols > 2:
-                add(idx(r, c), idx(r, 0))
-            if r + 1 < rows:
-                add(idx(r, c), idx(r + 1, c))
-            elif wrap and rows > 2:
-                add(idx(r, c), idx(0, c))
+            v = r * cols + c
+            if c + 1 < cols or (wrap and cols > 2):
+                edges.append((v, r * cols + (c + 1) % cols))
+            if r + 1 < rows or (wrap and rows > 2):
+                edges.append((v, (r + 1) % rows * cols + c))
     return _uniform_binary(rows * cols, edges, eta)
 
 
@@ -503,11 +501,24 @@ def with_uniform_binary(model: PairwiseMRF, eta) -> PairwiseMRF:
     return _uniform_binary(model.num_nodes, list(model.edges), eta)
 
 
+# Size caps on a generator spec (grid:100x100 fits) and on a graph file's
+# ``nodes`` line, checked before anything is built.
+_MAX_NODES, _MAX_EDGES = 10000, 20000
+
+
+def _sized(nodes: int, edges: int) -> int:
+    """``nodes``, if a spec with that many nodes and edges is within the caps."""
+    if nodes > _MAX_NODES or edges > _MAX_EDGES:
+        raise ValueError(f"{nodes} nodes and {edges} edges: the limits are "
+                         f"{_MAX_NODES} and {_MAX_EDGES}")
+    return nodes
+
+
 def build_generator(kind: str, eta) -> PairwiseMRF:
     """Build a named topology, e.g. ``complete:4``, ``torus:3x3``, ``k4minus``.
 
     Recognized forms: complete:N, cycle:N, chain:N, grid:RxC, torus:RxC,
-    k4minus, tree:N or tree:N:SEED.
+    k4minus, tree:N or tree:N:SEED. At most 10,000 nodes and 20,000 edges.
     """
     parts = kind.strip().lower().split(":")
     name, args = parts[0], parts[1:]
@@ -515,19 +526,21 @@ def build_generator(kind: str, eta) -> PairwiseMRF:
         if name == "k4minus" and not args:
             return k4_minus_edge(eta)
         if name == "complete" and len(args) == 1:
-            return complete_graph(int(args[0]), eta)
-        if name == "cycle" and len(args) == 1:
-            return cycle_graph(int(args[0]), eta)
-        if name == "chain" and len(args) == 1:
-            return chain_graph(int(args[0]), eta)
+            n = int(args[0])
+            return complete_graph(_sized(n, n * (n - 1) // 2), eta)
+        # A cycle, chain or tree has at most as many edges as nodes, a
+        # grid or torus at most twice as many.
+        if name in ("cycle", "chain") and len(args) == 1:
+            n = _sized(int(args[0]), int(args[0]))
+            return (cycle_graph if name == "cycle" else chain_graph)(n, eta)
         if name in ("grid", "torus") and len(args) == 1:
             r, _, c = args[0].partition("x")
-            if name == "grid":
-                return grid_graph(int(r), int(c), eta)
-            return torus_graph(int(r), int(c), eta)
+            r, c = int(r), int(c)
+            _sized(r * c, 2 * r * c)
+            return grid_graph(r, c, eta, wrap=name == "torus")
         if name == "tree" and len(args) in (1, 2):
             seed = int(args[1]) if len(args) == 2 else 0
-            return random_tree(int(args[0]), eta, seed)
+            return random_tree(_sized(int(args[0]), int(args[0])), eta, seed)
     except ValueError as exc:
         raise ValueError(f"bad generator spec {kind!r}: {exc}") from None
     raise ValueError(f"unknown generator spec {kind!r}")
@@ -572,6 +585,9 @@ def parse_graph_text(text: str) -> PairwiseMRF:
                 raise bad(f"bad node count {tokens[1]!r}") from None
             if num < 1:
                 raise bad("node count must be positive")
+            if num > _MAX_NODES:
+                raise bad(f"node count {num} is above the limit of "
+                          f"{_MAX_NODES}")
             continue
         if num is None:
             raise bad("the nodes line must come first")

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from loopybp import bounds as bounds_mod
+from loopybp import models as models_mod
 from loopybp import (
     ConvergenceFailure,
     EnumerationLimitError,
@@ -160,10 +161,13 @@ def test_saw_accuracy_solves_its_recursion_once(monkeypatch):
     monkeypatch.setattr(bounds_mod, "_solve_nonuniform",
                         lambda *args: calls.append(args) or solve(*args))
 
-    def no_second_table(model):
-        raise AssertionError("bounds built their own strength table")
-    monkeypatch.setattr(bounds_mod, "compute_strengths", no_second_table)
+    # The bound calls above built the model's one table; none is built again.
+    builds = []
+    build = models_mod.compute_strengths
+    monkeypatch.setattr(models_mod, "compute_strengths",
+                        lambda model: builds.append(model) or build(model))
     ab = saw_accuracy(m, 0)
+    assert builds == []
     assert len(calls) == 1
     assert ab.delta == float(np.exp(0.5 * ihler[0]))
     assert ab.epsilon == float(np.exp(improved[0]))

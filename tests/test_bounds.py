@@ -351,19 +351,17 @@ def _glass_grid(rows=6, cols=6, seed=3):
 def _six_solve_report(model, n=None):
     # bound_report as it was before solves were shared: every public bound
     # function called on its own, so each solves its recursion afresh.
-    strengths = compute_strengths(model)
     node_bounds, eps = {}, {}
     for key, (b, e) in (
-            ("udb", uniform_distance_bound(model, strengths)),
-            ("improved_udb", improved_uniform_distance_bound(model, strengths)),
-            ("ihler_udb", ihler_uniform_distance_bound(model, strengths))):
+            ("udb", uniform_distance_bound(model)),
+            ("improved_udb", improved_uniform_distance_bound(model)),
+            ("ihler_udb", ihler_uniform_distance_bound(model))):
         node_bounds[key], eps[key] = b, np.full(model.num_directed, e)
     for key, (b, e) in (
-            ("nudb", nonuniform_distance_bound(model, strengths, n=n)),
+            ("nudb", nonuniform_distance_bound(model, n=n)),
             ("improved_nudb", nonuniform_distance_bound(
-                model, strengths, n=n, improved=True)),
-            ("ihler_nudb", ihler_nonuniform_distance_bound(
-                model, strengths, n=n))):
+                model, n=n, improved=True)),
+            ("ihler_nudb", ihler_nonuniform_distance_bound(model, n=n))):
         node_bounds[key], eps[key] = b, e
     return node_bounds, eps
 
@@ -411,7 +409,7 @@ def test_recursion_sums_match_allocating_form():
     strengths = compute_strengths(m)
     rng = np.random.default_rng(0)
     for improved in (False, True):
-        rec = bounds_mod._recursion(m, strengths, improved)
+        rec = bounds_mod._recursion(strengths, improved)
         for z in (math.inf, 0.3, rng.uniform(0.0, 3.0, size=rec.n)):
             t = math.exp(-z) if isinstance(z, float) else np.exp(-z[rec.feed])
             vals = rec.coeff * (np.log(rec.v + t) - np.log1p(rec.v * t))

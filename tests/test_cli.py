@@ -1,6 +1,8 @@
 import io
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -284,13 +286,12 @@ def test_fixed_points_argv_exits_cleanly(eta, flag, count):
 
 # Small graphs keep every draw cheap: accuracy enumerates the joint and
 # walks the self-avoiding walk tree, and a sweep runs restarts per eta.
-# Trees are left out for time alone: on their nilpotent interaction matrix
-# the walk-sum power iteration runs its whole step budget, about a second.
 SMALL_GRAPHS = ["complete:3", "complete:4", "k4minus", "cycle:5", "grid:2x3",
-                "torus:2x3"]
+                "torus:2x3", "tree:6:2", "chain:4"]
 JUNK_GRAPHS = ["", "nope", "grid:3", "grid:x2", "grid:0x4", "grid:-2x3",
                "complete:1", "complete:-3", "cycle:2", "chain:1e2", "tree:0",
-               "tree:5:-1", "k4minus:2", "complete:4:4", "torus:2x"]
+               "tree:5:-1", "k4minus:2", "complete:4:4", "torus:2x",
+               "complete:100000", "grid:1000x1000"]
 BAD_SWEEPS = ["0.7:0.5:0.1", "0.5:0.6:0", "0.5:0.6:-0.1", "0.5:0.6",
               "0:0.5:0.1", "0.5:1.5:0.5", "nan:0.6:0.1", "0.5:nan:0.1",
               "0.5:0.6:nan", "0.5:0.6:inf", "0.5:0.6:1e-300", "a:b:c",
@@ -431,6 +432,9 @@ def test_usage_errors_exit_two(capsys):
             # Refused, not built: about 1e299 etas.
             ["bounds", "--generate", "cycle:4", "--eta", "0.5:0.6:1e-300"],
             ["bounds", "--generate", "cycle:4", "--eta", "0.1:0.9:0.00008"],
+            # Refused before anything is built: 5e9 edges, 1e6 nodes.
+            ["run", "--generate", "complete:100000", "--eta", "0.6"],
+            ["run", "--generate", "grid:1000x1000", "--eta", "0.6"],
             # Checked before the joint (2**36 states) is enumerated.
             ["accuracy", "--generate", "grid:6x6", "--eta", "0.6",
              "--node", "999"],
@@ -513,6 +517,34 @@ def test_cards_above_the_cap_exit_three(tmp_path, capsys):
         if want == 3:
             assert err == (f"error: line 2: cardinality {card} is above the "
                            "limit of 32\n")
+    for nodes, want in ((10000, 0), (10001, 3), (2000000000, 3)):
+        path.write_text(f"nodes {nodes}\n")
+        assert main(["run", "--graph", str(path)]) == want
+        err = capsys.readouterr().err
+        if want == 3:
+            assert err == (f"error: line 1: node count {nodes} is above the "
+                           "limit of 10000\n")
+
+
+def test_out_of_memory_exits_four_without_traceback():
+    # Within the size caps, the walk-sum certificate on grid:60x60 still
+    # fills a dense 14,160 x 14,160 matrix, 1.6 GB: above the child's 1 GiB
+    # address-space limit. One OpenBLAS thread keeps numpy's own
+    # reservation small.
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "loopybp.cli", "converge", "--generate",
+         "grid:60x60", "--eta", "0.6", "--condition", "walksum"],
+        env=env, capture_output=True, text=True, timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("error:"), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_edgeless_converge_reports_zero_statistics(tmp_path, capsys):

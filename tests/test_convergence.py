@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -121,9 +122,11 @@ def test_saw_statistic_closed_forms():
     to small polynomials in the interaction weight on the K4 family."""
     for eta in (0.6, 0.72, 0.8):
         w = eta_weight(eta)
-        got = nonuniform_condition(complete_graph(4, eta), tree="saw").statistic
+        got = nonuniform_condition(complete_graph(4, eta).strengths,
+                                   tree="saw").statistic
         assert got == pytest.approx(6 * w ** 3 + 12 * w ** 4, abs=1e-12)
-        got = nonuniform_condition(k4_minus_edge(eta), tree="saw").statistic
+        got = nonuniform_condition(k4_minus_edge(eta).strengths,
+                                   tree="saw").statistic
         want = max(2 * w ** 3 + 6 * w ** 4, 4 * w ** 3 + 2 * w ** 4)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -166,7 +169,7 @@ def _saw_by_lookup(model, strengths):
 def test_saw_statistic_equals_per_lookup_recursion(make):
     m = make()
     strengths = compute_strengths(m)
-    assert _saw_statistic(m, strengths) == _saw_by_lookup(m, strengths)
+    assert _saw_statistic(strengths) == _saw_by_lookup(m, strengths)
 
 
 def test_saw_criticals_match_polynomial_roots():
@@ -190,8 +193,8 @@ def test_bethe_uniform_closed_form():
     for N in (2, 5, 9):
         for eta in (0.6, 0.7):
             w = eta_weight(eta)
-            got = nonuniform_condition(torus_graph(3, 3, eta), tree="bethe",
-                                       N=N).statistic
+            got = nonuniform_condition(torus_graph(3, 3, eta).strengths,
+                                       tree="bethe", N=N).statistic
             assert got == pytest.approx((3 * w) ** N, rel=1e-10)
 
 
@@ -210,14 +213,15 @@ def test_bethe_walk_sums_past_the_float_range_read_inf():
     # At depth 3000 the walk sums on complete:4 at eta 0.9 overflow, and
     # the next step would subtract inf from inf.
     m = complete_graph(4, 0.9)
-    assert nonuniform_condition(m, tree="bethe", N=1100).statistic < math.inf
-    verdict = nonuniform_condition(m, tree="bethe", N=3000)
+    deep = nonuniform_condition(m.strengths, tree="bethe", N=1100)
+    assert deep.statistic < math.inf
+    verdict = nonuniform_condition(m.strengths, tree="bethe", N=3000)
     assert verdict.statistic == math.inf and not verdict.holds
 
 
 def test_interaction_matrix_structure():
     m = torus_graph(3, 3, 0.6)
-    im = interaction_matrix(m)
+    im = interaction_matrix(m.strengths)
     n_dir = m.num_directed
     assert im.matrix.shape == (n_dir, n_dir)
     # Every directed edge of the 4-regular torus feeds 3 non-backtracking
@@ -268,7 +272,7 @@ def test_non_backtracking_relation_matches_double_loop(kind, tmp_path):
     assert list(zip(seg.tolist(), feed.tolist())) == pairs
     st = compute_strengths(m)
     expected = oracles.interaction_matrix(directed, st.weight)
-    assert np.array_equal(interaction_matrix(m, st).matrix, np.array(expected))
+    assert np.array_equal(interaction_matrix(st).matrix, np.array(expected))
     # The uniform certificate sums over the same relation.
     sums = [0.0] * len(directed)
     for f, g in pairs:
@@ -284,9 +288,30 @@ def test_interaction_matrix_tree_radius_is_conservative():
     # Collatz estimate may level off at an over-estimate but must stay below
     # one so the certificate still fires.
     m = chain_graph(4, 0.8)
-    rho = spectral_radius(interaction_matrix(m).matrix)
+    rho = spectral_radius(interaction_matrix(m.strengths).matrix)
     assert 0.0 <= rho <= eta_weight(0.8) + 1e-9
-    assert walk_summability(m).holds
+    assert walk_summability(m.strengths).holds
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_generator("tree:6:2", 0.06),
+    lambda: build_generator("chain:4", 0.7),
+    lambda: with_uniform_binary(PairwiseMRF(5, [(0, 1), (2, 3), (3, 4)]),
+                                0.9)])
+def test_walk_summability_is_zero_on_forests(make):
+    # A forest's interaction matrix is nilpotent; the power iteration would
+    # creep toward 0 through its whole step budget.
+    table = make().strengths
+    start = time.perf_counter()
+    assert walk_summability(table).statistic == 0.0
+    assert time.perf_counter() - start < 0.1
+
+
+def test_walk_summability_sees_a_cycle_beside_a_tree():
+    m = with_uniform_binary(PairwiseMRF(5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+                            0.9)
+    assert walk_summability(m.strengths).statistic == pytest.approx(
+        eta_weight(0.9), abs=1e-8)
 
 
 def test_spectral_radius_handles_periodic_matrices():
@@ -301,7 +326,7 @@ def test_walk_summability_on_grid_is_bipartite_safe():
     # The grid's non-backtracking matrix has a +/- leading pair; radius
     # sqrt(3) times the weight.
     m = grid_graph(3, 3, 0.7)
-    verdict = walk_summability(m)
+    verdict = walk_summability(m.strengths)
     assert verdict.statistic == pytest.approx(math.sqrt(3.0) * eta_weight(0.7),
                                               abs=1e-8)
     assert verdict.threshold == 1.0
@@ -321,7 +346,7 @@ def test_walk_summability_criticals():
 
 def test_edgeless_graph_certificates_are_zero():
     m = PairwiseMRF(2, [])
-    assert walk_summability(m).statistic == 0.0
+    assert walk_summability(m.strengths).statistic == 0.0
     for name in CONDITION_NAMES:
         verdict = evaluate_condition(m, name)
         assert (verdict.statistic, verdict.witness) == (0.0, None), name

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from loopybp import models as models_mod
 from loopybp import (
     GraphFormatError,
     ModelError,
     PairwiseMRF,
+    bound_report,
+    build_generator,
     chain_graph,
     complete_graph,
     compute_strengths,
@@ -24,11 +27,13 @@ from loopybp import (
     plain_strength,
     potential_strength,
     random_tree,
+    run_residual_scheduled,
     symmetric_binary_potential,
     torus_graph,
     with_uniform_binary,
     write_graph_file,
 )
+from loopybp.cli import main
 
 EXAMPLE_MAT = [[0.9, 0.3], [0.1, 0.7]]
 
@@ -250,6 +255,48 @@ def test_strength_table_directed_products_match_scalar_views():
     assert dd.tolist() == [table.directed_product(t, s) for t, s in directed]
     assert d2.tolist() == [table.pair(t, s) ** 2 for t, s in directed]
     assert not dd.flags.writeable and not d2.flags.writeable
+
+
+def test_strength_table_arrays_are_read_only():
+    # One table is shared by every reader of a model.
+    table = _mixed_shape_model().strengths
+    arrays = [a for a in vars(table).values() if isinstance(a, np.ndarray)]
+    assert len(arrays) == 8
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_potentials_are_read_only():
+    # The strength table and the engine's tables are derived from them once.
+    m = _mixed_shape_model()
+    views = list(m.edge_pot) + list(m.node_pot)
+    stacks = [s for _, s in (*m.edge_stacks.values(), *m.node_stacks.values())]
+    for arr in views + stacks:
+        with pytest.raises(ValueError):
+            arr[0] = 5.0
+    with pytest.raises(ValueError):
+        m.edge_pot[0][0, 0] = 5.0
+
+
+def test_each_model_builds_its_strength_table_once(monkeypatch, capsys):
+    builds = []
+    build = models_mod.compute_strengths
+    monkeypatch.setattr(models_mod, "compute_strengths",
+                        lambda model: builds.append(model) or build(model))
+    for call in (bound_report,
+                 lambda m: run_residual_scheduled(m, max_updates=300)):
+        m = build_generator("grid:3x3", 0.7)
+        call(m)
+        assert builds == [m]
+        builds.clear()
+    # accuracy reads the table at every node, converge in every condition.
+    for argv in (["accuracy", "--generate", "grid:3x3", "--eta", "0.6"],
+                 ["converge", "--generate", "grid:3x3", "--eta", "0.6"]):
+        assert main(argv) == 0
+        assert len(builds) == 1, argv
+        builds.clear()
+    capsys.readouterr()
 
 
 def looped_strengths(model):
