@@ -11,8 +11,8 @@ from .bounds import (BoundReport, bound_report, bound_variation, delta1,
                      improved_uniform_distance_bound,
                      nonuniform_distance_bound, true_distance,
                      uniform_distance_bound)
-from .convergence import (ConvergenceVerdict, InteractionMatrix,
-                          OrderingReport, condition_ordering_report,
+from .convergence import (ConvergenceVerdict, OrderingReport,
+                          condition_ordering_report,
                           critical_eta, evaluate_condition,
                           ihler_uniform_condition, interaction_matrix,
                           nonuniform_condition, partial_graph_ordering_check,

@@ -19,7 +19,7 @@ from .models import ModelError, PairwiseMRF
 from .trees import saw_tree
 
 _MAX_STATES = 1 << 20
-_RUN_TOL = 1e-10  # saw_accuracy's message-change stopping rule
+_RUN_TOL, _RUN_ITERS = 1e-10, 5000  # saw_accuracy's synchronous run
 
 
 class EnumerationLimitError(ValueError):
@@ -89,7 +89,7 @@ def accuracy_bound(belief, delta: float, epsilon: float) -> AccuracyBound:
     return AccuracyBound(b, delta, epsilon, lower, upper)
 
 
-def saw_accuracy(model: PairwiseMRF, node: int, max_iters=5000) -> AccuracyBound:
+def saw_accuracy(model: PairwiseMRF, node: int) -> AccuracyBound:
     """Accuracy interval at one node from a converged synchronous run.
 
     The error recursions run for as many steps as the self-avoiding walk
@@ -98,7 +98,7 @@ def saw_accuracy(model: PairwiseMRF, node: int, max_iters=5000) -> AccuracyBound
     from the dynamic-range recursion, eps from the single-log one; both read
     the same recursion, solved once.
     """
-    result = run_synchronous(model, init="uniform", max_iters=max_iters,
+    result = run_synchronous(model, init="uniform", max_iters=_RUN_ITERS,
                              tol=_RUN_TOL)
     if not result.converged:
         raise ConvergenceFailure(

@@ -16,13 +16,13 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import _check_restarts, _multistart
+from .engine import _multistart
 from .models import ModelError, PairwiseMRF, StrengthTable
 
 _REL_TOL = 1e-14
 _MAX_SOLVE = 100000
 _ZERO_EPS = 1e-9  # log-eps values below this count as the trivial fixed point
-_RESTART_TOL = 1e-10  # true_distance's message-change stopping rule
+_RESTART_TOL, _RESTART_ITERS = 1e-10, 5000  # true_distance's restarts
 _DEDUP_TOL = 1e-6  # belief sets closer than this per state are one fixed point
 
 
@@ -261,7 +261,7 @@ def ihler_nonuniform_distance_bound(model: PairwiseMRF,
 # -- empirical distance ----------------------------------------------------
 
 
-def true_distance(model, seeds: int = 0, runs: int = 12, max_iters: int = 5000):
+def true_distance(model, seeds: int = 0, runs: int = 12):
     """Largest per-node log belief ratio across fixed points discovered by
     seeded random restarts. None when no restart converges; zeros when all
     converged restarts agree.
@@ -271,13 +271,14 @@ def true_distance(model, seeds: int = 0, runs: int = 12, max_iters: int = 5000):
     restarts run as one batch, and the result is a list with one entry per
     model, each equal to that model's own call.
     """
-    _check_restarts(runs, max_iters, least_runs=2)
+    if runs < 2:
+        raise ValueError("runs must be at least 2")
     models = [model] if isinstance(model, PairwiseMRF) else list(model)
     if all(m.num_directed == 0 for m in models):
         out = [np.zeros(m.num_nodes) for m in models]
     else:
-        found = _multistart(models, range(seeds, seeds + runs), max_iters,
-                            _RESTART_TOL)
+        found = _multistart(models, range(seeds, seeds + runs),
+                            _RESTART_ITERS, _RESTART_TOL)
         out = [_distance_between(m, beliefs)
                if np.any(status == 1) else None
                for m, (status, beliefs) in zip(models, found)]

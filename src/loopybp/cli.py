@@ -6,7 +6,7 @@ executes a single message-passing run, ``fixed-points`` and ``accuracy``
 print the scalar dynamics and interval tables. Exit codes: 0 success, 2
 usage problems (generator specs above the size caps too), 3 graph file or
 model problems (potentials the strength measures cannot represent too), 4
-enumeration, convergence or memory budget failures.
+enumeration, convergence or memory budget failures. Closed stdout: 0.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import functools
 import itertools
 import math
+import os
 import sys
 
 from .accuracy import (ConvergenceFailure, EnumerationLimitError,
@@ -349,7 +350,13 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        print(end="", flush=True)  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:  # the reader left early: drop what is buffered
+        if sys.stdout is not None and sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,7 @@ potential strengths, which is what makes the critical-eta bisection valid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,7 +32,7 @@ class ConvergenceVerdict:
     condition: str
     statistic: float
     threshold: float
-    witness: object = None
+    witness: object
 
     @property
     def holds(self) -> bool:
@@ -40,18 +40,9 @@ class ConvergenceVerdict:
 
 
 @dataclass
-class InteractionMatrix:
-    """Directed-edge square matrix: row (i -> j) has the weight of edge
-    (p, i) in column (p -> i) for every p adjacent to i except j."""
-
-    matrix: np.ndarray
-    directed: list
-
-
-@dataclass
 class OrderingReport:
-    verdicts: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
+    verdicts: list
+    violations: list
 
     @property
     def ok(self) -> bool:
@@ -170,7 +161,7 @@ def _saw_statistic(strengths: StrengthTable):
     return stat, witness
 
 
-def nonuniform_condition(strengths: StrengthTable, tree="saw",
+def nonuniform_condition(strengths: StrengthTable, tree: str,
                          N: Optional[int] = None) -> ConvergenceVerdict:
     """Walk-sum certificate on a computation tree.
 
@@ -192,15 +183,16 @@ def nonuniform_condition(strengths: StrengthTable, tree="saw",
 # -- spectral condition ----------------------------------------------------
 
 
-def interaction_matrix(strengths: StrengthTable) -> InteractionMatrix:
+def interaction_matrix(strengths: StrengthTable) -> np.ndarray:
+    """Mooij & Kappen's matrix over directed edges: row (i -> j) holds the
+    weight of edge (p, i) at column (p -> i) for each neighbour p != j of i."""
     model = strengths.model
-    directed = model.directed_edges()
-    n_dir = len(directed)
+    n_dir = model.num_directed
     seg, feed = model.non_backtracking_pairs
     mat = np.zeros((n_dir, n_dir))
     # Directed edges 2m and 2m+1 both carry the weight of edge m.
     mat[seg, feed] = strengths.n_strength[feed >> 1]
-    return InteractionMatrix(mat, directed)
+    return mat
 
 
 def spectral_radius(matrix: np.ndarray) -> float:
@@ -246,7 +238,7 @@ def walk_summability(strengths: StrengthTable) -> ConvergenceVerdict:
     """Spectral radius of the interaction matrix against 1; exactly 0 on a
     forest, whose matrix is nilpotent."""
     rho = (0.0 if _is_forest(strengths.model)
-           else spectral_radius(interaction_matrix(strengths).matrix))
+           else spectral_radius(interaction_matrix(strengths)))
     return ConvergenceVerdict("walksum", rho, 1.0, None)
 
 
@@ -266,9 +258,9 @@ def evaluate_condition(model: PairwiseMRF, condition: str, strengths=None,
         return ihler_uniform_condition(strengths)
     if condition == "walksum":
         return walk_summability(strengths)
-    if condition in ("saw", "nonuniform-saw"):
+    if condition == "nonuniform-saw":
         return nonuniform_condition(strengths, tree="saw")
-    if condition in ("bethe", "nonuniform-bethe"):
+    if condition == "nonuniform-bethe":
         return nonuniform_condition(strengths, tree="bethe", N=N)
     raise ValueError(f"unknown condition {condition!r}")
 
@@ -311,8 +303,8 @@ def critical_eta(model: PairwiseMRF, condition: str, tol=1e-4,
 
 
 def partial_graph_ordering_check(model_small: PairwiseMRF,
-                                 model_big: PairwiseMRF, condition: str,
-                                 tol=1e-4) -> bool:
+                                 model_big: PairwiseMRF,
+                                 condition: str) -> bool:
     """Whether the denser model's critical eta is at most the sparser one's.
 
     Requires model_small's edges to be a subset of model_big's with no
@@ -327,8 +319,8 @@ def partial_graph_ordering_check(model_small: PairwiseMRF,
         if (model_small.strengths.pair(i, j)
                 > model_big.strengths.pair(i, j) * (1.0 + 1e-9)):
             raise ValueError(f"edge ({i},{j}) is stronger in the small model")
-    c_small = critical_eta(model_small, condition, tol=tol)
-    c_big = critical_eta(model_big, condition, tol=tol)
+    c_small = critical_eta(model_small, condition)
+    c_big = critical_eta(model_big, condition)
     return c_big <= c_small + 1e-12
 
 

@@ -599,9 +599,9 @@ def empirical_convergent(model: PairwiseMRF, runs=20, max_iters=5000,
     return float(np.abs(beliefs - beliefs[0]).max()) <= _AGREE_TOL
 
 
-def _check_restarts(runs, max_iters, least_runs=1) -> None:
-    if runs < least_runs:
-        raise ValueError(f"runs must be at least {least_runs}")
+def _check_restarts(runs, max_iters) -> None:
+    if runs < 1:
+        raise ValueError("runs must be at least 1")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
 

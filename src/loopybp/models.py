@@ -354,8 +354,8 @@ class StrengthTable:
 
     Arrays are aligned with ``model.edges``. ``d_star_row[m]`` is the summed
     strength for messages sent by the lower-numbered endpoint of edge m,
-    ``d_star_col[m]`` for the opposite direction. Each of the model's shape
-    stacks is measured in one batched call. ``dd`` (d * d_star) and ``d2``
+    ``d_star_col[m]`` for the opposite direction. Shape stacks are measured
+    in batched slices of bounded memory. ``dd`` (d * d_star) and ``d2``
     (d ** 2) are per directed edge, in ``model.directed_edges()`` order.
     Every array is read-only, as one table is shared by a model's readers.
     """
@@ -364,7 +364,10 @@ class StrengthTable:
         self.model = model
         table = np.empty((6, len(model.edges)))
         for members, stack in model.edge_stacks.values():
-            table[:, members] = _measures(stack)
+            step = max(1, _CROSS_SLICE // stack[0].size ** 2)
+            for lo in range(0, len(members), step):
+                rows = slice(lo, lo + step)
+                table[:, members[rows]] = _measures(stack[rows])
         (self.d_pair, self.d_plain, self.d_star_row, self.d_star_col,
          self.sigma, self.n_strength) = table
         self._check(table)
@@ -397,11 +400,7 @@ class StrengthTable:
         np.maximum(self.d_star_col, 1.0, out=self.d_star_col)
 
     def _edge(self, i, j) -> int:
-        key = (min(i, j), max(i, j))
-        try:
-            return self.model.edge_index[key]
-        except KeyError:
-            raise ModelError(f"no edge between {i} and {j}") from None
+        return self.model.directed_index(i, j) >> 1
 
     def pair(self, i, j) -> float:
         return float(self.d_pair[self._edge(i, j)])
@@ -548,9 +547,10 @@ def build_generator(kind: str, eta) -> PairwiseMRF:
 
 # -- text format -----------------------------------------------------------
 
-# Largest cardinality a graph file may give: at 32 states one edge's
-# cross-ratio array in ``_measures`` is 8 MB, at 64 it would be 134 MB.
-_MAX_CARD = 32
+# Largest cardinality a graph file may give. ``StrengthTable`` measures at
+# most ``_CROSS_SLICE`` cross ratios (8 MB) per call, whatever the edge
+# count; at 32 states one edge fills that, at 64 one edge would take 134 MB.
+_MAX_CARD, _CROSS_SLICE = 32, 1 << 20
 
 
 def parse_graph_text(text: str) -> PairwiseMRF:

@@ -276,9 +276,9 @@ def test_criterion_7_condition_ordering():
                                     for v in rep.violations)
     pair_ok = all((
         partial_graph_ordering_check(k4_minus_edge(0.7),
-                                     complete_graph(4, 0.7), cond, tol=1e-3),
+                                     complete_graph(4, 0.7), cond),
         partial_graph_ordering_check(grid_graph(3, 3, 0.7),
-                                     torus_graph(3, 3, 0.7), cond, tol=1e-3),
+                                     torus_graph(3, 3, 0.7), cond),
     ) for cond in ("nonuniform-saw", "walksum"))
     ok = not chain_violations and pair_ok
     _report("criterion 7 (condition ordering)", ok,

@@ -137,7 +137,7 @@ def test_saw_accuracy_requires_convergence():
                     node_potentials=[[1.0, 2.0]] * 9,
                     edge_potentials={e: base.edge_matrix(*e) for e in base.edges})
     with pytest.raises(ConvergenceFailure):
-        saw_accuracy(m, 0, max_iters=200)
+        saw_accuracy(m, 0)
 
 
 def test_saw_accuracy_rejects_a_saturated_belief():

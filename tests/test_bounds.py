@@ -275,11 +275,10 @@ def test_true_distance_refuses_saturated_beliefs():
 
 
 def test_true_distance_unavailable_when_nothing_converges():
-    assert true_distance(torus_graph(3, 3, 0.3), seeds=0, runs=6,
-                         max_iters=800) is None
+    assert true_distance(torus_graph(3, 3, 0.3), seeds=0, runs=6) is None
 
 
-@pytest.mark.parametrize("kwargs", [{"runs": 1}, {"runs": 3, "max_iters": 0}])
+@pytest.mark.parametrize("kwargs", [{"runs": 1}])
 def test_true_distance_rejects_empty_budgets(kwargs):
     with pytest.raises(ValueError, match="must be at least"):
         true_distance(torus_graph(3, 3, 0.7), **kwargs)

@@ -547,6 +547,31 @@ def test_out_of_memory_exits_four_without_traceback():
     assert "Traceback" not in proc.stderr
 
 
+def _cli_process(argv, **kwargs):
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    return subprocess.Popen([sys.executable, "-m", "loopybp.cli", *argv],
+                            env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+def test_closed_stdout_exits_zero_quietly():
+    # The reader takes one line and closes the pipe. grid:100x100 prints
+    # about 218 KB, beyond the pipe's and the stream's buffers, so the rest
+    # of the output meets a broken pipe; at exit nothing may be left to
+    # flush either. Neither an error line nor a traceback may appear.
+    argv = ["run", "--generate", "grid:100x100", "--eta", "0.6"]
+    proc = _cli_process(argv, stdout=subprocess.PIPE)
+    assert proc.stdout.readline() == b"status,iterations,period\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=300), err) == (0, b"")
+    # Started with stdout closed, a run prints nothing and succeeds.
+    proc = _cli_process(argv[:2] + ["grid:2x2", "--eta", "0.6"],
+                        preexec_fn=lambda: os.close(1))
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=300), err) == (0, b"")
+
+
 def test_edgeless_converge_reports_zero_statistics(tmp_path, capsys):
     path = tmp_path / "edgeless.graph"
     path.write_text(EDGE_CASE_GRAPHS["edgeless"])

@@ -826,7 +826,7 @@ def test_engine_calls_build_each_models_tables_once(monkeypatch):
     for call, built in ((lambda: run_synchronous(base), [base]),
                         (lambda: residual("uniform"), [base]),
                         (lambda: residual("random"), [base]),
-                        (lambda: true_distance(models, runs=3, max_iters=50),
+                        (lambda: true_distance(models, runs=3),
                          models)):
         builds.clear()
         call()

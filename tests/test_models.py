@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from loopybp import (
     write_graph_file,
 )
 from loopybp.cli import main
+from loopybp.models import _measures
 
 EXAMPLE_MAT = [[0.9, 0.3], [0.1, 0.7]]
 
@@ -238,7 +240,7 @@ def test_strength_table_directed_views():
     assert table.star(1, 0) == pytest.approx(1.0, abs=1e-14)
     assert table.directed_product(0, 1) == pytest.approx(d, abs=1e-12)
     assert table.weight(0, 2) == pytest.approx(0.4, abs=1e-12)
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="no edge between 0 and 99"):
         table.pair(0, 99)
 
 
@@ -357,6 +359,42 @@ def test_strength_table_matches_per_edge_loop(build):
                                             edge_potentials={(0, 1): mat}))
         # No measure falls below 1, so the clamping changes nothing here.
         assert one == [float(w[0]) for w in want]
+
+
+def _chain_of_random_potentials(nodes, card, seed):
+    rng = np.random.default_rng(seed)
+    edges = [(i, i + 1) for i in range(nodes - 1)]
+    return PairwiseMRF(nodes, edges, card, edge_potentials={
+        e: rng.lognormal(0.0, 1.0, size=(card, card)) for e in edges})
+
+
+@pytest.mark.parametrize("card", [2, 3, 4, 7, 32])
+def test_strength_table_slices_give_the_bits_of_one_call(card, monkeypatch):
+    # Slices of two potentials split the stack of three 2 + 1; every
+    # measure is per potential, so the table must hold the bits of one
+    # ``_measures`` call on the whole stack.
+    model = _chain_of_random_potentials(4, card, seed=card)
+    monkeypatch.setattr(models_mod, "_CROSS_SLICE", 2 * card ** 4)
+    table = compute_strengths(model)
+    [(_, stack)] = model.edge_stacks.values()
+    want = _measures(stack)
+    want[[0, 2, 3]] = np.maximum(want[[0, 2, 3]], 1.0)  # the table's clamp
+    got = np.stack([table.d_pair, table.d_plain, table.d_star_row,
+                    table.d_star_col, table.sigma, table.n_strength])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_strength_table_memory_does_not_grow_with_the_edge_count():
+    # Eight 32-state edges: measured as one stack, their cross ratios alone
+    # would take 64 MB, and the peak was about 128 MB.
+    model = _chain_of_random_potentials(9, 32, seed=1)
+    tracemalloc.start()
+    try:
+        compute_strengths(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
 
 
 def test_graph_text_roundtrip():
