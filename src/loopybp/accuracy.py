@@ -12,18 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (_sharing_solves, ihler_nonuniform_distance_bound,
-                     nonuniform_distance_bound)
+from .bounds import _node_bounds, _recursion, _solve_nonuniform
 from .engine import run_synchronous
-from .models import ModelError, PairwiseMRF
+from .models import EnumerationLimitError, ModelError, PairwiseMRF
 from .trees import saw_tree
 
 _MAX_STATES = 1 << 20
 _RUN_TOL, _RUN_ITERS = 1e-10, 5000  # saw_accuracy's synchronous run
-
-
-class EnumerationLimitError(ValueError):
-    pass
 
 
 class ConvergenceFailure(RuntimeError):
@@ -94,9 +89,9 @@ def saw_accuracy(model: PairwiseMRF, node: int) -> AccuracyBound:
 
     The error recursions run for as many steps as the self-avoiding walk
     tree rooted at the node is deep, starting saturated, which worst-cases
-    whatever configuration the walks' endpoints are pinned to. delta comes
-    from the dynamic-range recursion, eps from the single-log one; both read
-    the same recursion, solved once.
+    whatever configuration the walks' endpoints are pinned to. Both read the
+    improved per-edge recursion, solved once: delta assembles it with the
+    squared edge strength (the dynamic-range bound), eps with d * d_star.
     """
     result = run_synchronous(model, init="uniform", max_iters=_RUN_ITERS,
                              tol=_RUN_TOL)
@@ -111,10 +106,8 @@ def saw_accuracy(model: PairwiseMRF, node: int) -> AccuracyBound:
     depth = saw_tree(model, node).depth
     if depth == 0:
         return accuracy_bound(belief, 1.0, 1.0)
-    with _sharing_solves():
-        ihler_bounds, _ = ihler_nonuniform_distance_bound(model, n=depth)
-        improved_bounds, _ = nonuniform_distance_bound(model, n=depth,
-                                                       improved=True)
-    delta = float(np.exp(0.5 * ihler_bounds[node]))
-    epsilon = float(np.exp(improved_bounds[node]))
+    strengths = model.strengths
+    z = _solve_nonuniform(_recursion(strengths, True), depth)
+    delta = float(np.exp(0.5 * _node_bounds(model, strengths.d2, z)[node]))
+    epsilon = float(np.exp(_node_bounds(model, strengths.dd, z)[node]))
     return accuracy_bound(belief, delta, epsilon)

@@ -9,7 +9,6 @@ t = exp(-log eps), which keeps the arithmetic stable when eps saturates.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Optional
@@ -36,9 +35,9 @@ def delta1(d_pair: float, d_star: float, dE: float) -> float:
     if d_pair < 1.0 or d_star < 1.0 or dE < 1.0:
         raise ValueError("strengths and error range must be at least 1")
     dd = d_pair * d_star
-    if math.isinf(dE):
-        return dd * dd
-    return ((dd * dE + 1.0) / (dd + dE)) ** 2
+    # (dd*dE + 1)/(dd + dE), each rounding monotone in dE, so the cap is too.
+    root = dd - (dd * dd - 1.0) / (dd + dE)
+    return root * root
 
 
 def delta2(d_pair: float, dE: float) -> float:
@@ -106,24 +105,12 @@ class _Recursion:
         return np.bincount(self.seg, weights=vals, minlength=self.n)
 
 
-# The solves of the current sharing scope (see _sharing_solves), or None.
+# The solves shared inside one bound_report, or None outside one.
 _SOLVED: ContextVar[Optional[dict]] = ContextVar("_SOLVED", default=None)
 
 
-@contextmanager
-def _sharing_solves():
-    """Within the block, each distinct recursion is solved once: the
-    improved and Ihler bounds read the same fixed point. The store is
-    dropped on exit, so nothing is shared between calls."""
-    token = _SOLVED.set({})
-    try:
-        yield
-    finally:
-        _SOLVED.reset(token)
-
-
 def _solve(solver, strengths: StrengthTable, improved: bool, *args):
-    """solver on the table's recursion, reused inside a sharing scope."""
+    """solver on the table's recursion, reused inside one bound_report."""
     store = _SOLVED.get()
     store = {} if store is None else store
     key = (solver, strengths, improved, args)
@@ -327,7 +314,9 @@ def bound_report(model: PairwiseMRF, n: Optional[int] = None) -> BoundReport:
     recursion once. ``n`` is passed to the per-edge recursions; the
     empirical distance is ``true_distance``'s.
     """
-    with _sharing_solves():
+    # The improved and Ihler bounds read one solve; nothing outlives the call.
+    token = _SOLVED.set({})
+    try:
         results = {
             "udb": uniform_distance_bound(model),
             "improved_udb": improved_uniform_distance_bound(model),
@@ -337,6 +326,8 @@ def bound_report(model: PairwiseMRF, n: Optional[int] = None) -> BoundReport:
                                                        improved=True),
             "ihler_nudb": ihler_nonuniform_distance_bound(model, n=n),
         }
+    finally:
+        _SOLVED.reset(token)
     node_bounds = {key: bounds for key, (bounds, _) in results.items()}
     eps = {key: np.full(model.num_directed, e) if np.ndim(e) == 0 else e
            for key, (_, e) in results.items()}

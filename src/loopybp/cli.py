@@ -18,13 +18,12 @@ import math
 import os
 import sys
 
-from .accuracy import (ConvergenceFailure, EnumerationLimitError,
-                       exact_marginals, saw_accuracy)
+from .accuracy import ConvergenceFailure, exact_marginals, saw_accuracy
 from .bounds import BOUND_KEYS, bound_report, true_distance
 from .convergence import CONDITION_NAMES, critical_eta, evaluate_condition
 from .engine import run_residual_scheduled, run_synchronous
-from .models import (GraphFormatError, ModelError, build_generator,
-                     parse_graph_file, with_uniform_binary)
+from .models import (EnumerationLimitError, GraphFormatError, ModelError,
+                     build_generator, parse_graph_file, with_uniform_binary)
 from .uniform import fixed_points, uniform_belief
 
 
@@ -178,18 +177,20 @@ def cmd_converge(args) -> int:
         raise UsageError("--tol must be finite and positive")
     model = _load_model(args)
     conditions = args.condition or list(CONDITION_NAMES)
-    model.strengths  # a model the measures reject fails before any output
     N = args.depth if args.depth is not None else 2 * model.num_nodes
+    # Every value before any output, so a failure leaves stdout empty.
+    verdicts = [evaluate_condition(model, c, N=N) for c in conditions]
+    criticals = ([critical_eta(model, c, tol=args.tol, N=N)
+                  for c in conditions] if args.critical else [])
     print("condition,statistic,threshold,holds,witness")
-    for c in conditions:
-        v = evaluate_condition(model, c, N=N)
+    for v in verdicts:
         print(f"{v.condition},{_fmt(v.statistic)},{_fmt(v.threshold)},"
               f"{str(v.holds).lower()},{_fmt_witness(v.witness)}")
     if args.critical:
         print()
         print("condition,critical_eta")
-        for c in conditions:
-            print(f"{c},{_fmt(critical_eta(model, c, tol=args.tol, N=N))}")
+        for c, eta in zip(conditions, criticals):
+            print(f"{c},{_fmt(eta)}")
     return 0
 
 

@@ -14,7 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .models import PairwiseMRF, StrengthTable, with_uniform_binary
+from .models import (_MAX_WALKS, EnumerationLimitError, PairwiseMRF,
+                     StrengthTable, with_uniform_binary)
 
 _POWER_TOL, _POWER_STEPS = 1e-10, 100000  # spectral_radius's stopping rule
 _CRITICAL_LO, _CRITICAL_HI = 0.5, 0.9999  # critical_eta's bracket
@@ -127,24 +128,33 @@ def _saw_statistic(strengths: StrengthTable):
 
     An edge back to an already-visited node terminates the walk with its own
     weight; a node whose only neighbor is its parent terminates with
-    contribution 1.
+    contribution 1. Raises EnumerationLimitError past ``_MAX_WALKS`` walks
+    out of one node.
     """
     model = strengths.model
     # Each node's neighbours with their edge weights, in neighbor order.
     adj = [[(u, strengths.weight(c, u)) for u in model.neighbors(c)]
            for c in range(model.num_nodes)]
+    on_walk = [False] * model.num_nodes  # the nodes of the current walk
 
-    def rec(c, parent, visited):
+    def rec(c, parent):
+        nonlocal walks
+        walks += 1
+        if walks > _MAX_WALKS:
+            raise EnumerationLimitError(f"more than {_MAX_WALKS} "
+                                        f"self-avoiding walks out of node {v}")
         total = 0.0
         extended = False
         for u, w in adj[c]:
             if u == parent:
                 continue
-            if u in visited:
+            if on_walk[u]:
                 total += w
             else:
                 extended = True
-                total += w * rec(u, c, visited | {u})
+                on_walk[u] = True
+                total += w * rec(u, c)
+                on_walk[u] = False
         if not extended and total == 0.0:
             return 1.0
         return total
@@ -152,9 +162,13 @@ def _saw_statistic(strengths: StrengthTable):
     stat = 0.0
     witness = None
     for v in range(model.num_nodes):
-        total = 0.0
+        total, walks = 0.0, 1  # the walk of v alone
+        on_walk[v] = True
         for c, w in adj[v]:
-            total += w * rec(c, v, {v, c})
+            on_walk[c] = True
+            total += w * rec(c, v)
+            on_walk[c] = False
+        on_walk[v] = False
         if total > stat:
             stat = total
             witness = v

@@ -25,6 +25,15 @@ class GraphFormatError(ValueError):
     """Malformed graph text; the message carries the offending line number."""
 
 
+class EnumerationLimitError(ValueError):
+    """An enumeration above its budget: joint states or self-avoiding walks."""
+
+
+# Most self-avoiding walks out of one node, the empty walk too, that an
+# enumeration follows: grid:5x5 has up to 153,745, complete:10 986,410.
+_MAX_WALKS = 200000
+
+
 class DirectedEdge(NamedTuple):
     src: int
     dst: int
@@ -276,10 +285,9 @@ def _measures(stack) -> np.ndarray:
 
     Returns a (6, B) array whose rows are, per potential: d (the pairwise
     strength), the raw dynamic range, the row and column summed strengths,
-    sigma and N. Each row is the elementwise formula of the measure's
-    one-matrix function below, which calls this with B = 1. A measure too
-    large for a float reads inf or NaN, without a warning. The entries must
-    be strictly positive and finite.
+    sigma and N, as ``StrengthTable`` defines them. A measure too large for
+    a float reads inf or NaN, without a warning. The entries must be
+    strictly positive and finite.
     """
     count = stack.shape[0]
     # log(M[a,c] M[b,d] / (M[b,c] M[a,d])) over every quadruple, per matrix.
@@ -302,62 +310,26 @@ def _measures(stack) -> np.ndarray:
     ))
 
 
-def _measure(edge_potential, row) -> float:
-    mat = np.asarray(edge_potential, dtype=float)
-    if not _positive(mat):
-        raise ModelError("edge potential must be strictly positive and finite")
-    return float(_measures(mat[None])[row, 0])
-
-
-def potential_strength(edge_potential) -> float:
-    """Pairwise strength d with separable per-variable factors divided out.
-
-    d**4 equals the largest cross ratio M[a,c]M[b,d] / (M[b,c]M[a,d]); any
-    row or column rescaling cancels inside the ratio, so d is the strength
-    of the hardest non-separable core of the potential.
-    """
-    return _measure(edge_potential, 0)
-
-
-def plain_strength(edge_potential) -> float:
-    """Raw dynamic range sqrt(max / min); diagnostic, not scale invariant."""
-    return _measure(edge_potential, 1)
-
-
-def marginal_strength(edge_potential, axis) -> float:
-    """Dynamic range of the potential after summing out one variable.
-
-    axis names the summed-out index exactly as in numpy: axis=1 sums columns,
-    leaving a function of the row variable.
-    """
-    if axis not in (0, 1):
-        raise ValueError("axis must be 0 or 1")
-    return _measure(edge_potential, 2 if axis == 1 else 3)
-
-
-def heskes_strength(edge_potential) -> float:
-    """sigma in [0, 1): one minus the reciprocal of the largest cross ratio."""
-    return _measure(edge_potential, 4)
-
-
-def mooij_strength(edge_potential) -> float:
-    """N(psi) in [0, 1), computed through sigma.
-
-    Identically equal to (d*d - 1)/(d*d + 1) with d = potential_strength,
-    which the tests cross-check.
-    """
-    return _measure(edge_potential, 5)
-
-
 class StrengthTable:
-    """Per-edge strength measures for one model.
+    """Per-edge strength measures of one model, read as ``model.strengths``.
 
-    Arrays are aligned with ``model.edges``. ``d_star_row[m]`` is the summed
-    strength for messages sent by the lower-numbered endpoint of edge m,
-    ``d_star_col[m]`` for the opposite direction. Shape stacks are measured
-    in batched slices of bounded memory. ``dd`` (d * d_star) and ``d2``
-    (d ** 2) are per directed edge, in ``model.directed_edges()`` order.
-    Every array is read-only, as one table is shared by a model's readers.
+    Arrays follow ``model.edges``; M is an edge potential, its rows indexed
+    by the state of the lower-numbered endpoint. ``d_pair`` is the pairwise
+    strength d, whose fourth power is the largest cross ratio
+    M[a,c] M[b,d] / (M[b,c] M[a,d]): any row or column rescaling cancels in
+    it, so d measures the hardest non-separable core of M. ``d_plain`` is
+    the raw dynamic range sqrt(max / min), not scale invariant.
+    ``d_star_row`` is the range of M with its columns summed out (numpy
+    axis=1): the summed strength of the messages the lower endpoint sends.
+    ``d_star_col`` sums the rows out (axis=0), for the other direction.
+    ``sigma`` in [0, 1) is Heskes' one minus the reciprocal of the largest
+    cross ratio. ``n_strength`` in [0, 1) is N of Mooij & Kappen, computed
+    through sigma, and equals (d**2 - 1)/(d**2 + 1). d and the summed
+    strengths are at least 1.
+
+    ``dd`` (d * d_star) and ``d2`` (d ** 2) are per directed edge, in
+    ``model.directed_edges()`` order. Shape stacks are measured in slices
+    of bounded memory. Every array is read-only: a model's readers share it.
     """
 
     def __init__(self, model: PairwiseMRF):
@@ -395,24 +367,14 @@ class StrengthTable:
             raise ModelError("sigma out of [0, 1)")
         if np.any((self.n_strength < 0.0) | (self.n_strength >= 1.0)):
             raise ModelError("interaction weight out of [0, 1)")
-        np.maximum(self.d_pair, 1.0, out=self.d_pair)
-        np.maximum(self.d_star_row, 1.0, out=self.d_star_row)
-        np.maximum(self.d_star_col, 1.0, out=self.d_star_col)
+        for row in (self.d_pair, self.d_star_row, self.d_star_col):
+            np.maximum(row, 1.0, out=row)
 
     def _edge(self, i, j) -> int:
         return self.model.directed_index(i, j) >> 1
 
     def pair(self, i, j) -> float:
         return float(self.d_pair[self._edge(i, j)])
-
-    def star(self, t, s) -> float:
-        """Summed strength for the message t -> s."""
-        m = self._edge(t, s)
-        return float(self.d_star_row[m] if t < s else self.d_star_col[m])
-
-    def directed_product(self, t, s) -> float:
-        """d_pair * d_star for the message t -> s; the contraction driver."""
-        return self.pair(t, s) * self.star(t, s)
 
     def weight(self, i, j) -> float:
         return float(self.n_strength[self._edge(i, j)])

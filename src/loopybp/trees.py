@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .models import PairwiseMRF
+from .models import _MAX_WALKS, EnumerationLimitError, PairwiseMRF
 
 
 @dataclass
@@ -49,7 +49,8 @@ def saw_tree(model: PairwiseMRF, root: int) -> ComputationTree:
     """All self-avoiding walks out of root, as a tree.
 
     Each root-to-node path visits pairwise distinct labels, so the tree is
-    finite with depth below the node count.
+    finite with depth below the node count. Raises EnumerationLimitError
+    past ``_MAX_WALKS`` nodes.
     """
     tree = ComputationTree(model, root)
 
@@ -59,6 +60,10 @@ def saw_tree(model: PairwiseMRF, root: int) -> ComputationTree:
             if u in visited:
                 continue
             child = tree.add_child(idx, u)
+            if child >= _MAX_WALKS:
+                raise EnumerationLimitError(
+                    f"more than {_MAX_WALKS} self-avoiding walks out of "
+                    f"node {root}")
             grow(child, visited | {u})
 
     grow(0, {root})

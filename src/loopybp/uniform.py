@@ -80,17 +80,12 @@ def scalar_derivative(x, a, b, k):
     return float(out) if out.ndim == 0 else out
 
 
-def incoming_product(x, k) -> float:
-    """Normalized product of k equal incoming messages with value x."""
-    if not 0.0 < x < 1.0:
-        raise ValueError("x must lie in (0, 1)")
-    xk = x ** k
-    return xk / (xk + (1.0 - x) ** k)
-
-
 def uniform_belief(x, degree) -> float:
     """Belief at a node of the given degree when every message equals x."""
-    return incoming_product(x, degree)
+    if not 0.0 < x < 1.0:
+        raise ValueError("x must lie in (0, 1)")
+    xk = x ** degree
+    return xk / (xk + (1.0 - x) ** degree)
 
 
 @dataclass

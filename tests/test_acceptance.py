@@ -185,7 +185,8 @@ def _symmetric_one_step_trial(rng):
         incoming *= np.asarray(pert.get(u, 0)) / np.asarray(base.get(u, 0))
     dE = math.sqrt(float(incoming.max() / incoming.min()))
     table = compute_strengths(model)
-    cap = delta1(table.pair(0, 1), table.star(1, 0), max(dE, 1.0))
+    # The summed strength of 1 -> 0 sums out node 0: the column one.
+    cap = delta1(table.pair(0, 1), float(table.d_star_col[0]), max(dE, 1.0))
     ratio = out_pert / out_base
     return float(ratio.max()), float(ratio.min()), cap
 

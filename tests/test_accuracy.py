@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from loopybp import accuracy as accuracy_mod
 from loopybp import bounds as bounds_mod
 from loopybp import models as models_mod
 from loopybp import (
@@ -140,6 +141,15 @@ def test_saw_accuracy_requires_convergence():
         saw_accuracy(m, 0)
 
 
+def test_saw_accuracy_refuses_a_walk_tree_over_the_budget():
+    # complete:10 has 986,410 self-avoiding walks out of each node, above
+    # the budget of 200,000, though its run converges.
+    m = complete_graph(10, 0.52)
+    assert run_synchronous(m, init="uniform").converged
+    with pytest.raises(EnumerationLimitError, match="out of node 0"):
+        saw_accuracy(m, 0)
+
+
 def test_saw_accuracy_rejects_a_saturated_belief():
     # Node 0's belief is (1e-300, 1/(1 + 1e-300)) = (1e-300, 1.0) in floats;
     # the interval formulas need entries strictly inside (0, 1).
@@ -158,8 +168,10 @@ def test_saw_accuracy_solves_its_recursion_once(monkeypatch):
     improved, _ = nonuniform_distance_bound(m, n=depth, improved=True)
     calls = []
     solve = bounds_mod._solve_nonuniform
-    monkeypatch.setattr(bounds_mod, "_solve_nonuniform",
-                        lambda *args: calls.append(args) or solve(*args))
+    # Counted both where bounds calls it and where accuracy does.
+    for mod in (bounds_mod, accuracy_mod):
+        monkeypatch.setattr(mod, "_solve_nonuniform",
+                            lambda *args: calls.append(args) or solve(*args))
 
     # The bound calls above built the model's one table; none is built again.
     builds = []

@@ -24,7 +24,6 @@ from loopybp import (
     improved_uniform_distance_bound,
     k4_minus_edge,
     nonuniform_distance_bound,
-    plain_strength,
     run_residual_scheduled,
     torus_graph,
     true_distance,
@@ -131,7 +130,7 @@ def one_step_error_trial(rng):
     dE = math.sqrt(incoming.max() / incoming.min())
 
     mat = m.edge_matrix(0, 1)
-    d_pair = plain_strength(mat)
+    d_pair = float(m.strengths.d_plain[m.edge_index[(0, 1)]])
     d_row = math.sqrt(max(mat.sum(axis=1)) / min(mat.sum(axis=1)))
     return ratio, dE, d_pair, d_row
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -495,6 +496,22 @@ def test_numeric_budget_exit_four(tmp_path, capsys):
     write_graph_file(biased, path)
     assert main(["accuracy", "--graph", str(path), "--node", "0"]) == 4
     capsys.readouterr()
+
+
+def test_walk_budget_exits_four_with_empty_stdout():
+    # grid:6x6 has more than 200,000 self-avoiding walks out of node 0: the
+    # SAW statistic used to run for more than ten minutes. complete:10's run
+    # converges, but its SAW trees hold 986,410 nodes each.
+    grid = ["--generate", "grid:6x6", "--eta", "0.6"]
+    for argv in (["converge", *grid, "--condition", "nonuniform-saw"],
+                 ["converge", *grid, "--critical"],
+                 ["accuracy", "--generate", "complete:10", "--eta", "0.52"]):
+        start = time.perf_counter()
+        code, out, err = main_quietly(argv)
+        assert time.perf_counter() - start < 30.0, argv
+        assert (code, out) == (4, ""), argv
+        assert err == ("error: more than 200000 self-avoiding walks out of "
+                       "node 0\n"), argv
 
 
 EDGE_CASE_GRAPHS = {

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from loopybp import (
+    EnumerationLimitError,
     PairwiseMRF,
     build_generator,
     chain_graph,
@@ -23,12 +24,15 @@ from loopybp import (
     partial_graph_ordering_check,
     random_tree,
     rate_metric,
+    saw_tree,
     spectral_radius,
     torus_graph,
     uniform_condition,
     walk_summability,
     with_uniform_binary,
 )
+from loopybp import convergence as convergence_mod
+from loopybp import trees as trees_mod
 from loopybp.convergence import CONDITION_NAMES, _saw_statistic
 from test_engine import _mixed_card_grid
 
@@ -175,6 +179,55 @@ def test_saw_statistic_equals_per_lookup_recursion(make):
     assert _saw_statistic(strengths) == _saw_by_lookup(m, strengths)
 
 
+# The SAW statistic and its witness, and every root's SAW tree depth, on the
+# desk graphs at eta 0.6, as they were before the walk budget.
+DESK_SAW = {
+    "complete:4": (0.06719999999999995, 0, [3] * 4),
+    "k4minus": (0.035199999999999974, 0, [3] * 4),
+    "grid:3x3": (0.013336575999999989, 4, [8, 7] * 4 + [8]),
+    "torus:3x3": (0.1056788479999999, 0, [8] * 9),
+    "grid:4x4": (0.01766045387325438, 5, [15] * 16),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(DESK_SAW))
+def test_desk_saw_statistics_and_depths_are_unchanged(spec):
+    m = build_generator(spec, 0.6)
+    stat, witness, depths = DESK_SAW[spec]
+    got = _saw_statistic(m.strengths)
+    assert got[0] == pytest.approx(stat, rel=1e-14)
+    assert got[1] == witness
+    assert [saw_tree(m, v).depth for v in range(m.num_nodes)] == depths
+
+
+def test_both_walk_enumerators_share_one_budget(monkeypatch):
+    # torus:3x3 has 1,009 self-avoiding walks out of each node, the empty
+    # walk included: both enumerators admit exactly that many.
+    m = torus_graph(3, 3, 0.6)
+    for budget, fits in ((1009, True), (1008, False)):
+        for mod in (convergence_mod, trees_mod):
+            monkeypatch.setattr(mod, "_MAX_WALKS", budget)
+        for enumerate_walks in (lambda: _saw_statistic(m.strengths),
+                                lambda: saw_tree(m, 0)):
+            if fits:
+                enumerate_walks()
+            else:
+                with pytest.raises(EnumerationLimitError,
+                                   match="more than 1008 self-avoiding "
+                                         "walks out of node 0"):
+                    enumerate_walks()
+
+
+def test_walk_budget_admits_grid_5x5_and_torus_4x4_not_grid_6x6():
+    # The largest SAW trees of grid:5x5 (at node 0) and torus:4x4.
+    assert len(saw_tree(grid_graph(5, 5, 0.6), 0)) == 153745
+    assert len(saw_tree(torus_graph(4, 4, 0.6), 0)) == 90677
+    start = time.perf_counter()
+    with pytest.raises(EnumerationLimitError):
+        _saw_statistic(grid_graph(6, 6, 0.6).strengths)
+    assert time.perf_counter() - start < 30.0
+
+
 def test_saw_criticals_match_polynomial_roots():
     root_k4 = oracles.bisect_root(lambda w: 6 * w ** 3 + 12 * w ** 4 - 1, 0.1, 0.9)
     got = critical_eta(complete_graph(4, 0.9), SAW)
@@ -279,7 +332,7 @@ def test_non_backtracking_relation_matches_double_loop(kind, tmp_path):
     # The uniform certificate sums over the same relation.
     sums = [0.0] * len(directed)
     for f, g in pairs:
-        dd = st.directed_product(*directed[g])
+        dd = st.dd[g]
         sums[f] += (dd - 1.0) / (dd + 1.0)
     verdict = uniform_condition(st)
     assert verdict.statistic == pytest.approx(max(sums), rel=1e-14)

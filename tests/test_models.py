@@ -19,14 +19,9 @@ from loopybp import (
     compute_strengths,
     format_graph_text,
     grid_graph,
-    heskes_strength,
     k4_minus_edge,
-    marginal_strength,
-    mooij_strength,
     parse_graph_file,
     parse_graph_text,
-    plain_strength,
-    potential_strength,
     random_tree,
     run_residual_scheduled,
     symmetric_binary_potential,
@@ -181,45 +176,54 @@ def test_with_uniform_binary_replaces_potentials():
     assert np.allclose(redone.edge_matrix(0, 1), symmetric_binary_potential(0.55))
 
 
+def one_edge(mat):
+    """The strength table of a two-node model whose one edge carries mat."""
+    mat = np.asarray(mat, dtype=float)
+    return PairwiseMRF(2, [(0, 1)], list(mat.shape),
+                       edge_potentials={(0, 1): mat}).strengths
+
+
 def test_strength_frozen_values():
-    assert potential_strength(EXAMPLE_MAT) == pytest.approx(21.0 ** 0.25, abs=1e-14)
-    assert plain_strength(EXAMPLE_MAT) == pytest.approx(3.0, abs=1e-14)
-    assert marginal_strength(EXAMPLE_MAT, axis=1) == pytest.approx(
-        1.224744871391589, abs=1e-14)
-    assert heskes_strength(EXAMPLE_MAT) == pytest.approx(1 - 1 / 21, abs=1e-14)
+    table = one_edge(EXAMPLE_MAT)
+    assert table.d_pair[0] == pytest.approx(21.0 ** 0.25, abs=1e-14)
+    assert table.d_plain[0] == pytest.approx(3.0, abs=1e-14)
+    assert table.d_star_row[0] == pytest.approx(1.224744871391589, abs=1e-14)
+    assert table.sigma[0] == pytest.approx(1 - 1 / 21, abs=1e-14)
     d2 = math.sqrt(21.0)
-    assert mooij_strength(EXAMPLE_MAT) == pytest.approx((d2 - 1) / (d2 + 1), abs=1e-14)
+    assert table.n_strength[0] == pytest.approx((d2 - 1) / (d2 + 1),
+                                                abs=1e-14)
 
 
 def test_symmetric_binary_strengths():
-    mat = symmetric_binary_potential(0.7)
-    assert potential_strength(mat) == pytest.approx(math.sqrt(7 / 3), abs=1e-12)
-    assert marginal_strength(mat, axis=1) == pytest.approx(1.0, abs=1e-14)
-    assert mooij_strength(mat) == pytest.approx(0.4, abs=1e-12)
+    table = one_edge(symmetric_binary_potential(0.7))
+    assert table.d_pair[0] == pytest.approx(math.sqrt(7 / 3), abs=1e-12)
+    assert table.d_star_row[0] == pytest.approx(1.0, abs=1e-14)
+    assert table.n_strength[0] == pytest.approx(0.4, abs=1e-12)
 
 
 @settings(max_examples=150, deadline=None)
 @given(square_mats(2))
 def test_minimized_strength_matches_enumeration(mat):
-    assert potential_strength(mat) == pytest.approx(
+    assert one_edge(mat).d_pair[0] == pytest.approx(
         oracles.minimized_strength(mat), rel=1e-10)
 
 
 @settings(max_examples=80, deadline=None)
 @given(square_mats(3))
 def test_minimized_strength_matches_enumeration_3x3(mat):
-    assert potential_strength(mat) == pytest.approx(
+    assert one_edge(mat).d_pair[0] == pytest.approx(
         oracles.minimized_strength(mat), rel=1e-10)
 
 
 @settings(max_examples=150, deadline=None)
 @given(square_mats(2))
 def test_summed_and_sigma_match_enumeration(mat):
-    assert marginal_strength(mat, 0) == pytest.approx(
+    table = one_edge(mat)
+    assert table.d_star_col[0] == pytest.approx(
         oracles.summed_strength(mat, 0), rel=1e-10)
-    assert marginal_strength(mat, 1) == pytest.approx(
+    assert table.d_star_row[0] == pytest.approx(
         oracles.summed_strength(mat, 1), rel=1e-10)
-    assert heskes_strength(mat) == pytest.approx(
+    assert table.sigma[0] == pytest.approx(
         oracles.cross_ratio_sigma(mat), rel=1e-10)
 
 
@@ -228,8 +232,9 @@ def test_summed_and_sigma_match_enumeration(mat):
 def test_marginal_strength_never_exceeds_plain(mat):
     # Row or column sums cannot spread further than the raw entries do.
     cap = oracles.plain_strength(mat) * (1 + 1e-12)
-    assert marginal_strength(mat, 0) <= cap
-    assert marginal_strength(mat, 1) <= cap
+    table = one_edge(mat)
+    assert table.d_star_col[0] <= cap
+    assert table.d_star_row[0] <= cap
 
 
 def test_strength_table_directed_views():
@@ -237,8 +242,9 @@ def test_strength_table_directed_views():
     table = compute_strengths(m)
     d = math.sqrt(7 / 3)
     assert table.pair(0, 1) == pytest.approx(d, abs=1e-12)
-    assert table.star(1, 0) == pytest.approx(1.0, abs=1e-14)
-    assert table.directed_product(0, 1) == pytest.approx(d, abs=1e-12)
+    assert table.d_star_col[m.edge_index[(0, 1)]] == pytest.approx(1.0,
+                                                                 abs=1e-14)
+    assert table.dd[m.directed_index(0, 1)] == pytest.approx(d, abs=1e-12)
     assert table.weight(0, 2) == pytest.approx(0.4, abs=1e-12)
     with pytest.raises(ModelError, match="no edge between 0 and 99"):
         table.pair(0, 99)
@@ -253,8 +259,13 @@ def test_strength_table_directed_products_match_scalar_views():
             for i, j in edges}
     table = compute_strengths(PairwiseMRF(4, edges, cards, edge_potentials=pots))
     dd, d2 = table.dd, table.d2
-    directed = table.model.directed_edges()
-    assert dd.tolist() == [table.directed_product(t, s) for t, s in directed]
+    model = table.model
+    directed = model.directed_edges()
+    # The summed strength of t -> s sums out s: the row one when t < s.
+    star = [(table.d_star_row if t < s else table.d_star_col)[
+        model.edge_index[(min(t, s), max(t, s))]] for t, s in directed]
+    assert dd.tolist() == [table.pair(t, s) * float(d)
+                           for (t, s), d in zip(directed, star)]
     assert d2.tolist() == [table.pair(t, s) ** 2 for t, s in directed]
     assert not dd.flags.writeable and not d2.flags.writeable
 
@@ -352,13 +363,11 @@ def test_strength_table_matches_per_edge_loop(build):
         assert a.shape == (len(m.edges),)
         assert np.array_equal(a, b)
     for mat in m.edge_pot:
-        one = [potential_strength(mat), plain_strength(mat),
-               marginal_strength(mat, 1), marginal_strength(mat, 0),
-               heskes_strength(mat), mooij_strength(mat)]
+        one = _measures(mat[None])[:, 0]
         want = looped_strengths(PairwiseMRF(2, [(0, 1)], list(mat.shape),
                                             edge_potentials={(0, 1): mat}))
         # No measure falls below 1, so the clamping changes nothing here.
-        assert one == [float(w[0]) for w in want]
+        assert one.tolist() == [float(w[0]) for w in want]
 
 
 def _chain_of_random_potentials(nodes, card, seed):

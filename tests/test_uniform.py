@@ -11,7 +11,6 @@ from loopybp import (
     compute_strengths,
     error_variation_zeros,
     fixed_points,
-    incoming_product,
     ihler_uniform_distance_bound,
     scalar_derivative,
     scalar_update,
@@ -112,9 +111,13 @@ def test_quasi_points_swap_under_the_map():
 
 
 def test_belief_and_incoming_product_anchors():
-    assert incoming_product(X_STAR, 3) == pytest.approx(M3, abs=1e-10)
+    # The belief of a degree-k node is the product of k incoming messages.
+    assert uniform_belief(X_STAR, 3) == pytest.approx(M3, abs=1e-10)
     assert uniform_belief(X_STAR, 4) == pytest.approx(BELIEF_DEG4, abs=1e-10)
     assert uniform_belief(0.5, 4) == pytest.approx(0.5, abs=1e-14)
+    for x in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"x must lie in \(0, 1\)"):
+            uniform_belief(x, 4)
 
 
 def test_error_variation_vanishes_at_origin():
