@@ -5,16 +5,14 @@ intervals around converged beliefs."""
 from .accuracy import (AccuracyBound, ConvergenceFailure, accuracy_bound,
                        exact_marginals, saw_accuracy)
 from .bounds import (BoundReport, bound_report, bound_variation, delta1,
-                     delta2, ihler_nonuniform_distance_bound,
+                     ihler_nonuniform_distance_bound,
                      ihler_uniform_distance_bound,
                      improved_uniform_distance_bound,
                      nonuniform_distance_bound, true_distance,
                      uniform_distance_bound)
-from .convergence import (ConvergenceVerdict, OrderingReport,
-                          condition_ordering_report,
-                          critical_eta, evaluate_condition,
-                          ihler_uniform_condition, interaction_matrix,
-                          nonuniform_condition, partial_graph_ordering_check,
+from .convergence import (ConvergenceVerdict, critical_eta,
+                          evaluate_condition, ihler_uniform_condition,
+                          interaction_matrix, nonuniform_condition,
                           rate_metric, spectral_radius, uniform_condition,
                           walk_summability)
 from .engine import (MessageSet, RunResult, ScheduleTrace,

@@ -1,7 +1,7 @@
 """Distance bounds between sum-product fixed points.
 
-Single-update contractions (delta1, delta2), the per-edge error recursions
-they generate, and the node-level log-distance bounds assembled from the
+The single-update contraction delta1, the per-edge error recursions it
+generates, and the node-level log-distance bounds assembled from the
 recursions' largest fixed points. All recursions run in log space through
 t = exp(-log eps), which keeps the arithmetic stable when eps saturates.
 """
@@ -38,12 +38,6 @@ def delta1(d_pair: float, d_star: float, dE: float) -> float:
     # (dd*dE + 1)/(dd + dE), each rounding monotone in dE, so the cap is too.
     root = dd - (dd * dd - 1.0) / (dd + dE)
     return root * root
-
-
-def delta2(d_pair: float, dE: float) -> float:
-    """Squared-ratio cap using the edge strength alone (squared inside):
-    delta1 with the edge strength in place of the summed strength."""
-    return delta1(d_pair, d_pair, dE)
 
 
 _VARIATION_KINDS = {

@@ -40,16 +40,6 @@ class ConvergenceVerdict:
         return self.statistic < self.threshold
 
 
-@dataclass
-class OrderingReport:
-    verdicts: list
-    violations: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 # -- closed-form conditions ------------------------------------------------
 
 
@@ -129,7 +119,8 @@ def _saw_statistic(strengths: StrengthTable):
     An edge back to an already-visited node terminates the walk with its own
     weight; a node whose only neighbor is its parent terminates with
     contribution 1. Raises EnumerationLimitError past ``_MAX_WALKS`` walks
-    out of one node.
+    out of one node, or on a walk deeper than the interpreter's recursion
+    limit.
     """
     model = strengths.model
     # Each node's neighbours with their edge weights, in neighbor order.
@@ -164,10 +155,14 @@ def _saw_statistic(strengths: StrengthTable):
     for v in range(model.num_nodes):
         total, walks = 0.0, 1  # the walk of v alone
         on_walk[v] = True
-        for c, w in adj[v]:
-            on_walk[c] = True
-            total += w * rec(c, v)
-            on_walk[c] = False
+        try:
+            for c, w in adj[v]:
+                on_walk[c] = True
+                total += w * rec(c, v)
+                on_walk[c] = False
+        except RecursionError:
+            raise EnumerationLimitError(f"a self-avoiding walk out of node "
+                                        f"{v} is too long to follow") from None
         on_walk[v] = False
         if total > stat:
             stat = total
@@ -256,7 +251,7 @@ def walk_summability(strengths: StrengthTable) -> ConvergenceVerdict:
     return ConvergenceVerdict("walksum", rho, 1.0, None)
 
 
-# -- dispatch, criticals, orderings ----------------------------------------
+# -- dispatch and criticals -----------------------------------------------
 
 CONDITION_NAMES = ("uniform", "ihler-uniform", "walksum",
                    "nonuniform-saw", "nonuniform-bethe")
@@ -314,54 +309,3 @@ def critical_eta(model: PairwiseMRF, condition: str, tol=1e-4,
         return evaluate_condition(probe, condition, N=N).holds
 
     return _bisect(holds, _CRITICAL_LO, _CRITICAL_HI, tol)
-
-
-def partial_graph_ordering_check(model_small: PairwiseMRF,
-                                 model_big: PairwiseMRF,
-                                 condition: str) -> bool:
-    """Whether the denser model's critical eta is at most the sparser one's.
-
-    Requires model_small's edges to be a subset of model_big's with no
-    stronger potentials on the shared edges.
-    """
-    if model_small.num_nodes != model_big.num_nodes:
-        raise ValueError("models must share a node set")
-    small_edges = set(model_small.edges)
-    if not small_edges.issubset(set(model_big.edges)):
-        raise ValueError("small model has edges outside the big model")
-    for i, j in small_edges:
-        if (model_small.strengths.pair(i, j)
-                > model_big.strengths.pair(i, j) * (1.0 + 1e-9)):
-            raise ValueError(f"edge ({i},{j}) is stronger in the small model")
-    c_small = critical_eta(model_small, condition)
-    c_big = critical_eta(model_big, condition)
-    return c_big <= c_small + 1e-12
-
-
-def condition_ordering_report(model: PairwiseMRF) -> OrderingReport:
-    """Evaluate every certificate and check the implication chain
-    walksum => bethe(N) => bethe(2N) and saw => bethe(N), with N twice the
-    node count.
-
-    A violation is flagged only when the premise holds by a clear margin,
-    so knife-edge statistics that land exactly on a threshold do not
-    produce spurious entries.
-    """
-    strengths = model.strengths
-    N = 2 * model.num_nodes
-    uni = uniform_condition(strengths)
-    ihl = ihler_uniform_condition(strengths)
-    wsum = walk_summability(strengths)
-    saw = nonuniform_condition(strengths, tree="saw")
-    bethe_n = nonuniform_condition(strengths, tree="bethe", N=N)
-    bethe_2n = nonuniform_condition(strengths, tree="bethe", N=2 * N)
-
-    violations = []
-    for premise, conclusion in ((wsum, bethe_n), (bethe_n, bethe_2n),
-                                (saw, bethe_n)):
-        clearly = premise.statistic < premise.threshold * (1.0 - 1e-9)
-        if clearly and not conclusion.holds:
-            violations.append(f"{premise.condition} holds but "
-                              f"{conclusion.condition} fails")
-    return OrderingReport([uni, ihl, wsum, saw, bethe_n, bethe_2n],
-                          violations)

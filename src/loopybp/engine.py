@@ -93,10 +93,6 @@ class MessageSet:
     def copy(self) -> "MessageSet":
         return MessageSet._wrap(self.model, self.logm.copy())
 
-    def max_abs_log_ratio(self, other: "MessageSet") -> float:
-        """Largest |log(self / other)| over all edges and states."""
-        return float(np.abs(self.logm - other.logm).max(initial=0.0))
-
 
 def _target_mask(model: PairwiseMRF) -> np.ndarray:
     """(n_dir, kmax) mask of the states of each directed edge's target."""

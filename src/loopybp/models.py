@@ -190,9 +190,6 @@ class PairwiseMRF:
     def neighbors(self, v) -> list[int]:
         return self._adj[v]
 
-    def degree(self, v) -> int:
-        return len(self._adj[v])
-
     @property
     def num_directed(self) -> int:
         return 2 * len(self.edges)
@@ -520,7 +517,8 @@ def parse_graph_text(text: str) -> PairwiseMRF:
 
     Lines: ``nodes N``, ``card i k``, ``node i v0 v1 ...``,
     ``edge i j m00 m01 ...`` (row major, rows indexed by the state of i).
-    '#' starts a comment; blank lines are ignored. ``nodes`` must come first.
+    '#' starts a comment; blank lines are ignored. ``nodes`` must come first,
+    and a node has at most one ``card`` and one ``node`` line.
     """
     num = None
     cards: dict[int, int] = {}
@@ -564,6 +562,8 @@ def parse_graph_text(text: str) -> PairwiseMRF:
                 raise bad(f"node {i} out of range")
             if k > _MAX_CARD:
                 raise bad(f"cardinality {k} is above the limit of {_MAX_CARD}")
+            if i in cards:
+                raise bad(f"duplicate card line for node {i}")
             if i in node_lines:
                 raise bad(f"card for node {i} must precede its node line")
             cards[i] = k
@@ -577,6 +577,8 @@ def parse_graph_text(text: str) -> PairwiseMRF:
                 raise bad("bad number in node line") from None
             if not 0 <= i < num:
                 raise bad(f"node {i} out of range")
+            if i in node_lines:
+                raise bad(f"duplicate node line for node {i}")
             node_lines[i] = (lineno, vals)
         elif kw == "edge":
             if len(tokens) < 4:
@@ -649,7 +651,7 @@ def format_graph_text(model: PairwiseMRF) -> str:
         if c != 2:
             lines.append(f"card {v} {c}")
     for v, pot in enumerate(model.node_pot):
-        if not np.allclose(pot, 1.0):
+        if not np.all(pot == 1.0):
             lines.append("node " + str(v) + " " + " ".join(repr(float(x)) for x in pot))
     for (lo, hi), mat in zip(model.edges, model.edge_pot):
         flat = " ".join(repr(float(x)) for x in mat.ravel())

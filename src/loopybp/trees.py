@@ -50,7 +50,8 @@ def saw_tree(model: PairwiseMRF, root: int) -> ComputationTree:
 
     Each root-to-node path visits pairwise distinct labels, so the tree is
     finite with depth below the node count. Raises EnumerationLimitError
-    past ``_MAX_WALKS`` nodes.
+    past ``_MAX_WALKS`` nodes, or on a walk deeper than the interpreter's
+    recursion limit.
     """
     tree = ComputationTree(model, root)
 
@@ -66,5 +67,9 @@ def saw_tree(model: PairwiseMRF, root: int) -> ComputationTree:
                     f"node {root}")
             grow(child, visited | {u})
 
-    grow(0, {root})
+    try:
+        grow(0, {root})
+    except RecursionError:
+        raise EnumerationLimitError(f"a self-avoiding walk out of node "
+                                    f"{root} is too long to follow") from None
     return tree

@@ -2,12 +2,15 @@
 
 Everything in this file is written with plain Python loops and itertools on
 purpose, so that the vectorized library code is always checked against an
-independent route. Keep this module free of loopybp imports.
+independent route. Keep the references free of loopybp code; only the claim
+checks at the end, which compare results of public calls, import it.
 """
 
 import itertools
 import math
 import types
+
+from loopybp import critical_eta, evaluate_condition
 
 
 def enumerate_marginals(cards, node_pots, edge_pots):
@@ -266,3 +269,46 @@ def scalar_fixed_point(a, b, k):
     if f(probe) <= 0.0:
         return None
     return bisect_root(f, probe, 1.0 - 1e-12)
+
+
+# -- claim checks ------------------------------------------------------------
+
+
+def condition_ordering_violations(model):
+    """The broken links of the implication chain walksum => bethe(N) =>
+    bethe(2N) and saw => bethe(N), with N twice the node count.
+
+    A link counts as broken only when its premise holds by a clear margin,
+    so statistics that land exactly on a threshold flag nothing.
+    """
+    N = 2 * model.num_nodes
+    wsum = evaluate_condition(model, "walksum")
+    saw = evaluate_condition(model, "nonuniform-saw")
+    bethe_n = evaluate_condition(model, "nonuniform-bethe", N=N)
+    bethe_2n = evaluate_condition(model, "nonuniform-bethe", N=2 * N)
+    return [f"{premise.condition} holds but {conclusion.condition} fails"
+            for premise, conclusion in ((wsum, bethe_n), (bethe_n, bethe_2n),
+                                        (saw, bethe_n))
+            if premise.statistic < premise.threshold * (1.0 - 1e-9)
+            and not conclusion.holds]
+
+
+def partial_graph_ordering_check(model_small, model_big, condition):
+    """Whether the denser model's critical eta is at most the sparser one's.
+
+    Requires model_small's edges to be a subset of model_big's with no
+    stronger potentials on the shared edges (Mooij & Kappen's interaction
+    ordering); raises ValueError otherwise.
+    """
+    if model_small.num_nodes != model_big.num_nodes:
+        raise ValueError("models must share a node set")
+    small_edges = set(model_small.edges)
+    if not small_edges.issubset(set(model_big.edges)):
+        raise ValueError("small model has edges outside the big model")
+    for i, j in small_edges:
+        if (model_small.strengths.pair(i, j)
+                > model_big.strengths.pair(i, j) * (1.0 + 1e-9)):
+            raise ValueError(f"edge ({i},{j}) is stronger in the small model")
+    c_small = critical_eta(model_small, condition)
+    c_big = critical_eta(model_big, condition)
+    return c_big <= c_small + 1e-12

@@ -16,7 +16,6 @@ from loopybp import (
     complete_graph,
     compute_strengths,
     delta1,
-    delta2,
     evaluate_condition,
     grid_graph,
     ihler_nonuniform_distance_bound,
@@ -55,19 +54,19 @@ strengths_triples = st.tuples(
 def test_delta_frozen_values():
     assert delta1(D73, 1.0, 2.0) == pytest.approx(
         ((D73 * 2 + 1) / (D73 + 2)) ** 2, abs=1e-14)
-    assert delta2(D73, 2.0) == pytest.approx(
+    assert delta1(D73, D73, 2.0) == pytest.approx(
         ((7 / 3 * 2 + 1) / (7 / 3 + 2)) ** 2, abs=1e-14)
     # Decimal anchors for the two expressions above.
     assert delta1(D73, 1.0, 2.0) == pytest.approx(1.3214546656847872, abs=1e-12)
-    assert delta2(D73, 2.0) == pytest.approx(1.7100591715976325, abs=1e-12)
+    assert delta1(D73, D73, 2.0) == pytest.approx(1.7100591715976325, abs=1e-12)
 
 
 def test_delta_trivial_cases():
     assert delta1(2.0, 1.5, 1.0) == pytest.approx(1.0, abs=1e-14)
     assert delta1(1.0, 1.0, 50.0) == pytest.approx(1.0, abs=1e-14)
-    assert delta2(1.0, 50.0) == pytest.approx(1.0, abs=1e-14)
+    assert delta1(1.0, 1.0, 50.0) == pytest.approx(1.0, abs=1e-14)
     assert delta1(2.0, 1.5, np.inf) == pytest.approx(9.0, abs=1e-12)
-    assert delta2(3.0, np.inf) == pytest.approx(81.0, abs=1e-12)
+    assert delta1(3.0, 3.0, np.inf) == pytest.approx(81.0, abs=1e-12)
 
 
 def test_delta_domain_checks():
@@ -78,7 +77,7 @@ def test_delta_domain_checks():
     with pytest.raises(ValueError):
         delta1(2.0, 1.0, 0.99)
     with pytest.raises(ValueError):
-        delta2(2.0, 0.5)
+        delta1(2.0, 2.0, 0.5)
 
 
 @settings(max_examples=250, deadline=None)
@@ -86,7 +85,7 @@ def test_delta_domain_checks():
 def test_delta1_bracket_and_ordering(triple):
     d_pair, d_star, dE = triple
     v1 = delta1(d_pair, d_star, dE)
-    v2 = delta2(d_pair, dE)
+    v2 = delta1(d_pair, d_pair, dE)
     cap = (d_pair * d_star) ** 2
     assert 1.0 - 1e-12 <= v1 <= cap * (1 + 1e-12)
     # With d_star <= d_pair the two-strength contraction is the tighter one.

@@ -457,8 +457,11 @@ def test_argparse_rejects_unknown_condition():
 
 def test_parse_failure_exit_three(tmp_path, capsys):
     bad = tmp_path / "bad.graph"
-    bad.write_text("nodes 2\nedge 0 1 1 2 3\n")
-    assert main(["run", "--graph", str(bad)]) == 3
+    for text in ("nodes 2\nedge 0 1 1 2 3\n",
+                 "nodes 2\nnode 0 1 2\nnode 0 3 4\n",
+                 "nodes 2\ncard 1 3\ncard 1 3\n"):
+        bad.write_text(text)
+        assert main(["run", "--graph", str(bad)]) == 3
     assert main(["run", "--graph", str(tmp_path / "missing.graph")]) == 3
     capsys.readouterr()
 
@@ -512,6 +515,20 @@ def test_walk_budget_exits_four_with_empty_stdout():
         assert (code, out) == (4, ""), argv
         assert err == ("error: more than 200000 self-avoiding walks out of "
                        "node 0\n"), argv
+
+
+def test_walk_deeper_than_the_recursion_limit_exits_four():
+    # A 1,200-node path or cycle has few self-avoiding walks, but one of them
+    # is deeper than the interpreter's recursion limit; chain:900 still fits.
+    long_walks = ["converge", "--eta", "0.6", "--generate"]
+    for argv in ([*long_walks, "chain:1200"],
+                 [*long_walks, "cycle:1200", "--condition", "nonuniform-saw"]):
+        code, out, err = main_quietly(argv)
+        assert (code, out) == (4, ""), argv
+        assert err == ("error: a self-avoiding walk out of node 0 is too "
+                       "long to follow\n"), argv
+    code, out, _ = main_quietly([*long_walks, "chain:900"])
+    assert code == 0 and "nonuniform-saw" in out
 
 
 EDGE_CASE_GRAPHS = {

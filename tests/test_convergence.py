@@ -12,7 +12,6 @@ from loopybp import (
     chain_graph,
     complete_graph,
     compute_strengths,
-    condition_ordering_report,
     critical_eta,
     evaluate_condition,
     grid_graph,
@@ -21,7 +20,6 @@ from loopybp import (
     k4_minus_edge,
     nonuniform_condition,
     parse_graph_file,
-    partial_graph_ordering_check,
     random_tree,
     rate_metric,
     saw_tree,
@@ -420,26 +418,29 @@ def test_evaluate_condition_names_and_aliases():
             evaluate_condition(m, name)
 
 
+def test_walk_deeper_than_the_recursion_limit_is_an_enumeration_limit():
+    model = chain_graph(1200, 0.6)
+    with pytest.raises(EnumerationLimitError, match="too long to follow"):
+        evaluate_condition(model, SAW)
+    with pytest.raises(EnumerationLimitError, match="too long to follow"):
+        saw_tree(model, 0)
+
+
 def test_condition_ordering_report_clean():
     for m in (complete_graph(4, 0.7), torus_graph(3, 3, 0.64),
               grid_graph(3, 3, 0.77), k4_minus_edge(0.81)):
-        report = condition_ordering_report(m)
-        assert report.ok
-        assert report.violations == []
+        assert oracles.condition_ordering_violations(m) == []
 
 
 def test_partial_graph_ordering():
-    assert partial_graph_ordering_check(k4_minus_edge(0.9),
-                                        complete_graph(4, 0.9), SAW)
-    assert partial_graph_ordering_check(grid_graph(3, 3, 0.9),
-                                        torus_graph(3, 3, 0.9), "walksum")
+    check = oracles.partial_graph_ordering_check
+    assert check(k4_minus_edge(0.9), complete_graph(4, 0.9), SAW)
+    assert check(grid_graph(3, 3, 0.9), torus_graph(3, 3, 0.9), "walksum")
     with pytest.raises(ValueError):
-        partial_graph_ordering_check(chain_graph(3, 0.7),
-                                     complete_graph(4, 0.7), SAW)
+        check(chain_graph(3, 0.7), complete_graph(4, 0.7), SAW)
     with pytest.raises(ValueError):
         # Neither edge set contains the other.
-        partial_graph_ordering_check(chain_graph(4, 0.7),
-                                     torus_graph(2, 2, 0.7), SAW)
+        check(chain_graph(4, 0.7), torus_graph(2, 2, 0.7), SAW)
 
 
 def test_condition_strictness_at_single_eta():

@@ -54,12 +54,12 @@ def test_generator_shapes():
 
 def test_torus_is_uniform_degree_four():
     m = torus_graph(3, 3, 0.6)
-    assert all(m.degree(v) == 4 for v in range(m.num_nodes))
+    assert all(len(m.neighbors(v)) == 4 for v in range(m.num_nodes))
 
 
 def test_grid_degree_profile():
     m = grid_graph(3, 3, 0.6)
-    degs = sorted(m.degree(v) for v in range(9))
+    degs = sorted(len(m.neighbors(v)) for v in range(9))
     assert degs == [2, 2, 2, 2, 3, 3, 3, 3, 4]
 
 
@@ -141,6 +141,10 @@ def test_model_validation_names_the_first_fault(cards, node_pots, edge_pots,
      "line 2: edge (0, 3) out of range"),
     ("nodes 3\nnode 0 1 1\ncard 0 3\n",
      "line 3: card for node 0 must precede its node line"),
+    ("nodes 2\nnode 0 1 2\nnode 0 3 4\n",
+     "line 3: duplicate node line for node 0"),
+    ("nodes 2\ncard 1 3\ncard 1 3\n",
+     "line 3: duplicate card line for node 1"),
     ("node 0 1 1\n", "line 1: the nodes line must come first"),
     ("# nothing\n", "missing nodes line"),
 ])
@@ -427,6 +431,42 @@ def test_graph_file_roundtrip(tmp_path):
     back = parse_graph_file(path)
     assert back.edges == m.edges
     assert np.allclose(back.edge_matrix(0, 1), m.edge_matrix(0, 1))
+
+
+# A node potential within np.allclose of all ones was once written as no
+# node line and read back as all ones.
+near_one = st.sampled_from([1.0, 1.0 + 2.0 ** -52, 1.000001])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_graph_text_roundtrips_exactly(data):
+    cards = data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
+    n = len(cards)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)
+                      if pairs else st.just([]))
+
+    def pots(*shape):
+        size = math.prod(shape)
+        flat = data.draw(st.lists(positive | near_one, min_size=size,
+                                  max_size=size))
+        return np.reshape(flat, shape)
+
+    m = PairwiseMRF(n, edges, cards, [pots(c) for c in cards],
+                    {(i, j): pots(cards[i], cards[j]) for i, j in edges})
+    back = parse_graph_text(format_graph_text(m))
+    assert (back.cards, back.edges) == (m.cards, m.edges)
+    for got, want in zip(back.node_pot + back.edge_pot,
+                         m.node_pot + m.edge_pot):
+        assert np.array_equal(got, want)
+
+
+def test_graph_file_keeps_a_node_potential_near_one(tmp_path):
+    m = PairwiseMRF(2, [(0, 1)], node_potentials=[[1.0, 1.000001], [1, 1]])
+    path = tmp_path / "near_one.graph"
+    write_graph_file(m, path)
+    assert np.array_equal(parse_graph_file(path).node_pot[0], [1.0, 1.000001])
 
 
 def test_parse_reversed_edge_row():
