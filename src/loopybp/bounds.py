@@ -41,7 +41,7 @@ def delta1(d_pair: float, d_star: float, dE: float) -> float:
 
 
 _VARIATION_KINDS = {
-    # kind -> (use d_pair*d_star, log coefficient)
+    # kind -> (use d_pair*d_star, log coefficient); G_O plain, G_II improved
     "G_O": (True, 2.0),
     "G_I": (False, 2.0),
     "G_II": (False, 1.0),
@@ -61,14 +61,13 @@ def bound_variation(kind: str, strengths, log_eps: float) -> float:
         raise ValueError(f"unknown kind {kind!r}") from None
     if log_eps < 0.0:
         raise ValueError("log_eps must be non-negative")
-    t = math.exp(-log_eps)
-    total = 0.0
-    for d_pair, d_star in strengths:
-        if d_pair < 1.0 or d_star < 1.0:
-            raise ValueError("strengths must be at least 1")
-        v = d_pair * d_star if use_star else d_pair * d_pair
-        total += coeff * (math.log(v + t) - math.log1p(v * t))
-    return total - log_eps
+    pairs = np.asarray(strengths, dtype=float).reshape(-1, 2)
+    if np.any(pairs < 1.0):
+        raise ValueError("strengths must be at least 1")
+    v = pairs[:, 0] * (pairs[:, 1] if use_star else pairs[:, 0])
+    one_segment = np.zeros(len(v), dtype=int)
+    rec = _Recursion(1, one_segment, one_segment, coeff, v)
+    return float(rec.sums(float(log_eps))[0]) - log_eps
 
 
 # -- recursion plumbing ----------------------------------------------------
@@ -119,19 +118,19 @@ def _recursion(strengths: StrengthTable, improved: bool) -> _Recursion:
     relation: segment seg[i] receives a term driven by edge feed[i]."""
     model = strengths.model
     seg, feed = model.non_backtracking_pairs
-    coeff, strength = (1.0, strengths.d2) if improved else (2.0, strengths.dd)
+    use_star, coeff = _VARIATION_KINDS["G_II" if improved else "G_O"]
+    strength = strengths.dd if use_star else strengths.d2
     return _Recursion(model.num_directed, seg, feed, coeff, strength[feed])
 
 
 def _node_bounds(model: PairwiseMRF, strength: np.ndarray, z) -> np.ndarray:
     """Assemble per-node bounds: each incoming edge contributes the squared
-    contraction at its own eps. Values below 1e-9 collapse to exactly 0."""
-    n_dir = model.num_directed
-    t = np.exp(-z) if np.ndim(z) else np.full(n_dir, math.exp(-z))
-    contrib = 2.0 * (np.log(strength + t) - np.log1p(strength * t))
+    contraction at its own eps, a recursion whose segments are the nodes.
+    Values below 1e-9 collapse to exactly 0."""
+    edges = np.arange(model.num_directed)
     # astype: bincount over no edges returns integers.
-    out = np.bincount(model.directed_dst, weights=contrib,
-                      minlength=model.num_nodes).astype(float, copy=False)
+    out = _Recursion(model.num_nodes, model.directed_dst, edges, 2.0,
+                     strength).sums(z).astype(float, copy=False)
     out[out < _ZERO_EPS] = 0.0
     return out
 
@@ -199,14 +198,16 @@ def _solve_nonuniform(rec: _Recursion, n: Optional[int]) -> np.ndarray:
 
 def uniform_distance_bound(model: PairwiseMRF):
     """Per-node log-distance bound from the doubled-log recursion with the
-    combined strength d*d_star. Returns (bounds, eps_star)."""
+    combined strength d*d_star. Returns (bounds, eps_star). Not proven on
+    asymmetric potentials; it holds by 0.18 on ``bound_report``'s model."""
     z = _solve(_solve_uniform, model.strengths, False)
     return _node_bounds(model, model.strengths.dd, z), math.exp(z)
 
 
 def improved_uniform_distance_bound(model: PairwiseMRF):
     """Same node assembly, but eps_star comes from the single-log recursion
-    in squared edge strength, which has a higher zero threshold."""
+    in squared edge strength, which has a higher zero threshold. Not a bound
+    on ``bound_report``'s asymmetric model: 5.491 against a true 5.598."""
     z = _solve(_solve_uniform, model.strengths, True)
     return _node_bounds(model, model.strengths.dd, z), math.exp(z)
 
@@ -226,7 +227,8 @@ def nonuniform_distance_bound(model: PairwiseMRF, strengths=None,
     None runs to the fixed point. ``improved`` switches the per-edge
     recursion to the single-log squared-strength form. ``strengths``
     defaults to ``model.strengths``. Returns (bounds, per-directed-edge eps
-    array).
+    array). Not proven on asymmetric potentials: on ``bound_report``'s
+    model it holds by 0.14, and improved reads 5.325 against a true 5.598.
     """
     strengths = model.strengths if strengths is None else strengths
     z = _solve(_solve_nonuniform, strengths, improved, n)
@@ -307,6 +309,11 @@ def bound_report(model: PairwiseMRF, n: Optional[int] = None) -> BoundReport:
     """Compute every bound kind for one model, solving each distinct error
     recursion once. ``n`` is passed to the per-edge recursions; the
     empirical distance is ``true_distance``'s.
+
+    On asymmetric potentials the d*d_star columns can read below the
+    distance between two fixed points: 5.491 (improved_udb) and 5.325
+    (improved_nudb) against 5.598, at node 2 of a complete:4 model in the
+    tests. The Ihler columns held on all 61 multistable models of 360 drawn.
     """
     # The improved and Ihler bounds read one solve; nothing outlives the call.
     token = _SOLVED.set({})

@@ -79,29 +79,31 @@ def _bounded(value, low, flag, high=math.inf):
         raise UsageError(f"{flag} must be {limit}")
 
 
-def _load_topology(args):
+def _load_models(args, sweep=False):
+    """(etas, models), one per --eta value: file potentials as-is without
+    --eta, else the topology re-potentialed at each. --eta is read first, so
+    a refused value (a sweep unless ``sweep``) builds nothing."""
+    if args.eta is None:
+        if args.generate is not None:
+            raise UsageError("--generate needs --eta")
+        etas = [None]
+    elif ":" in args.eta and not sweep:
+        raise UsageError("--eta takes one value; only bounds takes a sweep")
+    else:
+        etas = _parse_eta_range(args.eta)
     if args.graph is not None and args.generate is not None:
         raise UsageError("give either --graph or --generate, not both")
     if args.graph is not None:
-        return parse_graph_file(args.graph)
-    if args.generate is not None:
+        topo = parse_graph_file(args.graph)
+    elif args.generate is not None:
         try:
-            return build_generator(args.generate, 0.5)
+            topo = build_generator(args.generate, 0.5)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-    raise UsageError("a graph is required: --graph FILE or --generate KIND")
-
-
-def _load_model(args):
-    """Topology plus potentials: file potentials as-is unless --eta is set,
-    generators always re-potentialed at --eta."""
-    topo = _load_topology(args)
-    eta = getattr(args, "eta", None)
-    if args.generate is not None and eta is None:
-        raise UsageError("--generate needs --eta")
-    if eta is not None:
-        return with_uniform_binary(topo, _parse_eta_single(eta))
-    return topo
+    else:
+        raise UsageError("a graph is required: --graph FILE or --generate KIND")
+    return etas, [topo if eta is None else with_uniform_binary(topo, eta)
+                  for eta in etas]
 
 
 # -- subcommands -----------------------------------------------------------
@@ -128,17 +130,8 @@ def cmd_bounds(args) -> int:
     _bounded(args.seed, 0, "--seed")
     if "true_distance" in methods:
         _bounded(args.true_runs, 2, "--true-runs", _MAX_COUNT)
-    topo = _load_topology(args)
-    if args.eta is not None:
-        etas = _parse_eta_range(args.eta)
-    elif args.generate is not None:
-        raise UsageError("--generate needs --eta")
-    else:
-        etas = [None]
-
+    etas, models = _load_models(args, sweep=True)
     columns = [c for c in _BOUND_COLUMNS if c in methods]
-    models = [topo if eta is None else with_uniform_binary(topo, eta)
-              for eta in etas]
     # One restart batch for the whole sweep: every eta shares the topology.
     truths = (true_distance(models, seeds=args.seed, runs=args.true_runs)
               if "true_distance" in columns else [None] * len(models))
@@ -175,7 +168,7 @@ def cmd_converge(args) -> int:
     _bounded(args.depth, 1, "--depth", _MAX_COUNT)
     if not 0.0 < args.tol < math.inf:
         raise UsageError("--tol must be finite and positive")
-    model = _load_model(args)
+    _, [model] = _load_models(args)
     conditions = args.condition or list(CONDITION_NAMES)
     N = args.depth if args.depth is not None else 2 * model.num_nodes
     # Every value before any output, so a failure leaves stdout empty.
@@ -200,7 +193,7 @@ def cmd_run(args) -> int:
     _bounded(args.seed, 0, "--seed")
     if args.tol is not None and not 0.0 < args.tol < math.inf:
         raise UsageError("--tol must be finite and positive")
-    model = _load_model(args)
+    _, [model] = _load_models(args)
     if args.schedule == "sync":
         result = run_synchronous(model, init=args.init,
                                  max_iters=args.max_iters,
@@ -228,30 +221,27 @@ def cmd_run(args) -> int:
 
 
 def cmd_fixed_points(args) -> int:
-    if (args.degree is None) == (args.k is None):
-        raise UsageError("give exactly one of --degree or --k")
-    _bounded(args.k, 1, "--k")
+    if args.degree is None:
+        raise UsageError("--degree is required")
     _bounded(args.degree, 2, "--degree")
-    k = args.k if args.k is not None else args.degree - 1
     eta = _parse_eta_single(args.eta)
     try:
-        fp = fixed_points(eta, 1.0 - eta, k)
-    except ValueError as exc:  # k past the float range of x**k
+        fp = fixed_points(eta, 1.0 - eta, args.degree - 1)
+    except ValueError as exc:  # degree past the float range of x**k
         raise UsageError(str(exc)) from None
-    degree = k + 1
     print(f"regime,{fp.regime}")
     print(f"slope_at_half,{_fmt(fp.slope_at_half)}")
     print("kind,x,stable,belief")
     for x, stable in zip(fp.fixed, fp.stability):
         print(f"fixed,{_fmt(x)},{str(stable).lower()},"
-              f"{_fmt(uniform_belief(x, degree))}")
+              f"{_fmt(uniform_belief(x, args.degree))}")
     for q in fp.quasi:
-        print(f"quasi,{_fmt(q)},,{_fmt(uniform_belief(q, degree))}")
+        print(f"quasi,{_fmt(q)},,{_fmt(uniform_belief(q, args.degree))}")
     return 0
 
 
 def cmd_accuracy(args) -> int:
-    model = _load_model(args)
+    _, [model] = _load_models(args)
     if args.node is not None and not 0 <= args.node < model.num_nodes:
         raise UsageError(f"node {args.node} out of range")
     exact = exact_marginals(model)
@@ -268,17 +258,14 @@ def cmd_accuracy(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
-def _add_graph_args(sub, eta_kind="float"):
+def _add_graph_args(sub):
     sub.add_argument("--graph", help="graph description file")
     sub.add_argument("--generate",
                      help="generator spec, e.g. complete:4, grid:3x3, "
                           "torus:3x3, cycle:5, chain:6, k4minus, tree:8:1")
-    if eta_kind == "float":
-        sub.add_argument("--eta", type=float,
-                         help="symmetric binary potential strength")
-    else:
-        sub.add_argument("--eta",
-                         help="eta value or sweep start:stop:step")
+    sub.add_argument("--eta",
+                     help="symmetric binary potential strength; bounds also "
+                          "takes a sweep start:stop:step")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("bounds", help="distance-bound sweep as CSV")
-    _add_graph_args(p, eta_kind="range")
+    _add_graph_args(p)
     p.add_argument("--methods", default="all",
                    help="comma list from true,udb,improved_udb,ihler_udb,"
                         "nudb,improved_nudb,ihler_nudb (default all)")
@@ -332,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("fixed-points", help="scalar fixed-point table")
     p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--degree", type=int, help="node degree (k = degree - 1)")
-    p.add_argument("--k", type=int, help="incoming message count")
+    p.add_argument("--degree", type=int,
+                   help="node degree, so degree - 1 incoming messages")
     p.set_defaults(func=cmd_fixed_points)
 
     p = subs.add_parser("accuracy", help="belief accuracy intervals")

@@ -43,18 +43,23 @@ class ConvergenceVerdict:
 # -- closed-form conditions ------------------------------------------------
 
 
-def _max_edge_sum(strengths: StrengthTable, v):
-    """Maximize, over directed pairs (s, p), the sum of (v - 1)/(v + 1) at
-    the directed edges g = (t -> s) with t != p, v indexed by directed edge.
-    The statistic is 0 and the witness None when no sum is positive."""
+def _edge_sums(strengths: StrengthTable, v) -> np.ndarray:
+    """Per directed pair (s, p), the sum of (v - 1)/(v + 1) at the directed
+    edges g = (t -> s) with t != p, v indexed by directed edge."""
     model = strengths.model
     seg, feed = model.non_backtracking_pairs
     term = (v - 1.0) / (v + 1.0)
-    sums = np.bincount(seg, weights=term[feed], minlength=model.num_directed)
+    return np.bincount(seg, weights=term[feed], minlength=model.num_directed)
+
+
+def _max_edge_sum(strengths: StrengthTable, v):
+    """The largest of ``_edge_sums`` and its directed pair. The statistic is
+    0 and the witness None when no sum is positive."""
+    sums = _edge_sums(strengths, v)
     if not np.any(sums > 0.0):
         return 0.0, None
     best = int(np.argmax(sums))
-    return float(sums[best]), model.directed_edges()[best]
+    return float(sums[best]), strengths.model.directed_edges()[best]
 
 
 def uniform_condition(strengths: StrengthTable) -> ConvergenceVerdict:
@@ -73,11 +78,8 @@ def rate_metric(strengths: StrengthTable, edge) -> float:
     """Distance of the ihler-uniform edge sum from its threshold; the
     derivative magnitude of the error recursion at zero, a proxy for how
     fast messages along (s, p) settle."""
-    s, p = edge
-    model = strengths.model
-    d2 = [float(strengths.d2[model.directed_index(t, s)])
-          for t in model.neighbors(s) if t != p]
-    return abs(sum((d - 1.0) / (d + 1.0) for d in d2) - 1.0)
+    at = strengths.model.directed_index(*edge)
+    return abs(float(_edge_sums(strengths, strengths.d2)[at]) - 1.0)
 
 
 # -- walk-sum conditions ---------------------------------------------------

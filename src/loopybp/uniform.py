@@ -193,19 +193,15 @@ def error_variation_zeros(a, b, k, M) -> list:
 
 
 def udb_completely_uniform(d_pair, degree) -> float:
-    """Belief-level distance bound specialized to one strength and one
-    degree: the graph solver's single-log eps recursion on one segment fed
-    by degree-1 equal terms, assembled over the full degree.
-    """
+    """Belief-level distance bound of one strength and one degree: half of
+    ``ihler_uniform_distance_bound`` at a node of such a graph, bit for bit,
+    by its recursion on one segment of degree-1 equal terms, assembled over
+    the full degree."""
     if d_pair < 1.0:
         raise ValueError("strength must be at least 1")
     if degree < 2:
         raise ValueError("degree must be at least 2")
-    d2 = d_pair * d_pair
-    one_segment = np.zeros(degree - 1, dtype=int)
-    z = _solve_uniform(_Recursion(1, one_segment, one_segment, 1.0,
-                                  np.full(degree - 1, d2)))
-    if z == 0.0:
-        return 0.0
-    t = math.exp(-z)
-    return degree * (math.log(d2 + t) - math.log1p(d2 * t))
+    # Squared as StrengthTable.d2 squares; one segment, one term per edge.
+    seg, v = np.zeros(degree, dtype=int), np.full(degree, float(d_pair) ** 2)
+    z = _solve_uniform(_Recursion(1, seg[1:], seg[1:], 1.0, v[1:]))
+    return float(_Recursion(1, seg, seg, 1.0, v).sums(z)[0]) if z else 0.0

@@ -23,6 +23,7 @@ from loopybp import (
     improved_uniform_distance_bound,
     k4_minus_edge,
     nonuniform_distance_bound,
+    parse_graph_text,
     run_residual_scheduled,
     torus_graph,
     true_distance,
@@ -132,6 +133,18 @@ def one_step_error_trial(rng):
     d_pair = float(m.strengths.d_plain[m.edge_index[(0, 1)]])
     d_row = math.sqrt(max(mat.sum(axis=1)) / min(mat.sum(axis=1)))
     return ratio, dE, d_pair, d_row
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.floats(1.0, 30.0), st.floats(1.0, 30.0),
+       st.one_of(st.floats(1.0, 1e12), st.just(math.inf)))
+def test_delta1_is_one_term_of_the_recursion(d_pair, d_star, dE):
+    # delta1 writes the cap as a ratio; every bound sums it as the
+    # recursion's log term. The two forms must stay one rule.
+    one = np.zeros(1, dtype=int)
+    rec = bounds_mod._Recursion(1, one, one, 2.0, np.array([d_pair * d_star]))
+    assert math.exp(rec.sums(math.log(dE))[0]) == pytest.approx(
+        delta1(d_pair, d_star, dE), rel=1e-13)
 
 
 def test_one_step_containment_plain_strength():
@@ -251,6 +264,37 @@ def test_improved_variants_never_looser():
     improved_nudb, _ = nonuniform_distance_bound(m, improved=True)
     assert np.all(improved <= udb + 1e-9)
     assert np.all(improved_nudb <= nudb + 1e-9)
+
+
+# ROADMAP item 2's counterexample: a binary complete:4 model with
+# asymmetric potentials. Restarts find two fixed points 5.598 nats apart at
+# node 2, where the d*d_star assemblies of the d^2 solve read below that.
+ASYMMETRIC_K4 = """nodes 4
+node 0 0.9976296428023672 1.0127899428301497
+node 1 0.9687979278890199 0.9932320574684886
+node 2 1.0331033313598756 0.999380828260759
+node 3 0.9895928709934941 0.9878857976359449
+edge 0 1 5.954847997732856 0.4761375588575133 1.0924429047657374 4.107118612943997
+edge 0 2 6.466554457938668 0.5684903516972809 1.4815525645004481 6.813914237740092
+edge 0 3 3.609699000425821 1.126470369677585 0.7560100691164943 12.74135285028798
+edge 1 2 7.544076560260429 0.7450468655974323 1.1214199382682597 6.12091909944984
+edge 1 3 10.016670701459999 1.1830124691403616 1.2599100125382268 3.968316491173939
+edge 2 3 8.52525603873645 2.37249959786352 1.3249266531185917 6.11542865139377
+"""
+BELOW_TRUE = pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: at node 2 this column reads below the distance between "
+    "two fixed points"))
+
+
+@pytest.mark.parametrize("key", [
+    "udb", "nudb", "ihler_udb", "ihler_nudb",
+    pytest.param("improved_udb", marks=BELOW_TRUE),
+    pytest.param("improved_nudb", marks=BELOW_TRUE)])
+def test_bounds_hold_on_the_asymmetric_counterexample(key):
+    m = parse_graph_text(ASYMMETRIC_K4)
+    truth = true_distance(m)
+    assert truth[2] == pytest.approx(5.59809532361, abs=1e-9)
+    assert np.all(bound_report(m).node_bounds[key] >= truth)
 
 
 def test_true_distance_torus_07():

@@ -203,12 +203,6 @@ def test_fixed_points_table(capsys):
     assert beliefs[2] == pytest.approx(0.90707837, abs=1e-6)
 
 
-def test_fixed_points_k_equals_degree_minus_one(capsys):
-    _, via_degree = run_cli(capsys, "fixed-points", "--eta", "0.7", "--degree", "4")
-    _, via_k = run_cli(capsys, "fixed-points", "--eta", "0.7", "--k", "3")
-    assert via_degree == via_k
-
-
 def test_fixed_points_paramagnetic_single_row(capsys):
     code, out = run_cli(capsys, "fixed-points", "--eta", "0.5", "--degree", "4")
     assert code == 0
@@ -227,7 +221,7 @@ def test_fixed_points_stable_at_high_degree(capsys):
         assert code == 0
         assert out.strip().splitlines()[3:] == ["fixed,0.5,true,0.5"]
         code, out = run_cli(capsys, "fixed-points", "--eta", "0.7",
-                            "--k", "1022")
+                            "--degree", "1023")
         assert code == 0
         assert [ln.split(",")[2] for ln in out.strip().splitlines()[3:]] == \
             ["true", "false", "true"]
@@ -274,11 +268,10 @@ def main_quietly(argv):
 @settings(max_examples=150, deadline=None)
 @given(eta=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
                      st.floats()),
-       flag=st.sampled_from(["--degree", "--k"]),
        count=st.integers(-2, 1100))
-def test_fixed_points_argv_exits_cleanly(eta, flag, count):
-    code, out, err = main_quietly(["fixed-points", "--eta", repr(eta), flag,
-                                   str(count)])
+def test_fixed_points_argv_exits_cleanly(eta, count):
+    code, out, err = main_quietly(["fixed-points", "--eta", repr(eta),
+                                   "--degree", str(count)])
     if code == 0:
         assert err == "" and out.startswith("regime,")
     else:
@@ -399,7 +392,6 @@ def test_usage_errors_exit_two(capsys):
     assert main(["bounds", "--eta", "0.6", "--methods", "udb"]) == 2
     assert main(["run", "--generate", "complete:4"]) == 2  # generate needs eta
     assert main(["fixed-points", "--eta", "0.7"]) == 2
-    assert main(["fixed-points", "--eta", "0.7", "--degree", "4", "--k", "3"]) == 2
     capsys.readouterr()
     for argv in (
             ["run", "--generate", "complete:4", "--eta", "0.6",
@@ -439,7 +431,6 @@ def test_usage_errors_exit_two(capsys):
             # Checked before the joint (2**36 states) is enumerated.
             ["accuracy", "--generate", "grid:6x6", "--eta", "0.6",
              "--node", "999"],
-            ["fixed-points", "--eta", "0.7", "--k", "0"],
             ["fixed-points", "--eta", "0.7", "--degree", "1"]):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
@@ -447,6 +438,31 @@ def test_usage_errors_exit_two(capsys):
         assert captured.err.startswith("error:"), argv
         if argv[0] == "fixed-points":  # names the flag given
             assert f"error: {argv[3]} must be at least" in captured.err, argv
+
+
+def test_only_bounds_takes_an_eta_sweep(tmp_path, capsys, monkeypatch):
+    # --eta is read before the graph: a refused value builds no model, and
+    # main itself returns 2 with one error line.
+    def no_model(*args):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(cli, "build_generator", no_model)
+    for argv in (["run", "--eta", "0.5:0.7:0.1"],
+                 ["converge", "--eta", "0.5:0.7:0.1", "--critical"],
+                 ["accuracy", "--eta", "0.6:0.65:0.05"],
+                 ["run", "--eta", "abc"],
+                 ["bounds", "--eta", "a:b:c"]):
+        assert main([*argv, "--generate", "complete:4"]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error:"), argv
+        assert captured.err.count("\n") == 1, argv
+    monkeypatch.undo()
+    # A missing graph file exits 3, but a bad sweep is read first.
+    missing = str(tmp_path / "missing.graph")
+    assert main(["bounds", "--graph", missing, "--eta", "a:b:c"]) == 2
+    code, out, _ = main_quietly(["fixed-points", "--eta", "0.7", "--k", "3"])
+    assert (code, out) == (2, "")
 
 
 def test_argparse_rejects_unknown_condition():

@@ -25,6 +25,7 @@ from loopybp import (
     update_message,
     with_uniform_binary,
 )
+from loopybp.bounds import _Recursion
 from loopybp.engine import (_NEG, _beliefs_batch, _initial_logm, _Layout,
                             _log_contraction, _log_node, _log_weight_table,
                             _log_weights, _multistart, _random_logm,
@@ -228,6 +229,22 @@ def test_residual_priority_endpoints():
                                                           abs=1e-12)
     assert _log_contraction(dd, 0.0) == pytest.approx(np.zeros_like(dd),
                                                        abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["complete:4", "k4minus", "grid:3x3",
+                                  "torus:3x3"])
+def test_residual_priority_is_the_recursion_term(kind):
+    # The scheduler keeps its own copy of the cap term, cheaper per pop than
+    # a recursion; it must stay the recursion's term bit for bit.
+    rng = np.random.default_rng(0)
+    for eta in (0.55, 0.7, 0.9):
+        dd = build_generator(kind, eta).strengths.dd
+        idx = np.arange(dd.size)
+        rec = _Recursion(dd.size, idx, idx, 2.0, dd)
+        for acc in (np.full(dd.size, np.inf), np.zeros(dd.size),
+                    rng.exponential(size=dd.size),
+                    rng.uniform(0.0, 1e-12, size=dd.size)):
+            assert np.array_equal(_log_contraction(dd, acc), rec.sums(acc))
 
 
 def test_residual_on_tree_is_exact():
