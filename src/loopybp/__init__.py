@@ -25,7 +25,7 @@ from .models import (DirectedEdge, EnumerationLimitError, GraphFormatError,
                      k4_minus_edge, parse_graph_file, parse_graph_text,
                      random_tree, symmetric_binary_potential, torus_graph,
                      with_uniform_binary, write_graph_file)
-from .trees import ComputationTree, saw_tree
+from .trees import SawTree, saw_tree
 from .uniform import (FixedPointSet, error_variation_zeros, fixed_points,
                       scalar_derivative, scalar_update, true_error_variation,
                       udb_completely_uniform, uniform_belief)

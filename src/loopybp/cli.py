@@ -24,11 +24,18 @@ from .convergence import CONDITION_NAMES, critical_eta, evaluate_condition
 from .engine import run_residual_scheduled, run_synchronous
 from .models import (EnumerationLimitError, GraphFormatError, ModelError,
                      build_generator, parse_graph_file, with_uniform_binary)
-from .uniform import fixed_points, uniform_belief
+from .uniform import _MAX_K, fixed_points, uniform_belief
 
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises what argparse refuses as UsageError: exit 2, one error line."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _fmt(x) -> str:
@@ -221,13 +228,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_fixed_points(args) -> int:
-    if args.degree is None:
-        raise UsageError("--degree is required")
-    _bounded(args.degree, 2, "--degree")
-    eta = _parse_eta_single(args.eta)
+    _bounded(args.degree, 2, "--degree", _MAX_K + 1)
+    eta = _parse_eta_single(_parse_float(args.eta))
     try:
         fp = fixed_points(eta, 1.0 - eta, args.degree - 1)
-    except ValueError as exc:  # degree past the float range of x**k
+    except ValueError as exc:  # a potential entry below the normal floats
         raise UsageError(str(exc)) from None
     print(f"regime,{fp.regime}")
     print(f"slope_at_half,{_fmt(fp.slope_at_half)}")
@@ -269,7 +274,7 @@ def _add_graph_args(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="loopybp",
         description="sum-product message passing with distance bounds and "
                     "convergence certificates")
@@ -318,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = subs.add_parser("fixed-points", help="scalar fixed-point table")
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--degree", type=int,
+    p.add_argument("--eta", required=True)
+    p.add_argument("--degree", type=int, required=True,
                    help="node degree, so degree - 1 incoming messages")
     p.set_defaults(func=cmd_fixed_points)
 
@@ -336,8 +341,8 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         code = args.func(args)
         print(end="", flush=True)  # a closed stdout shows here, not at exit
         return code

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .models import (_MAX_WALKS, EnumerationLimitError, PairwiseMRF,
-                     StrengthTable, with_uniform_binary)
+                     StrengthTable, _strengths_of, with_uniform_binary)
 
 _POWER_TOL, _POWER_STEPS = 1e-10, 100000  # spectral_radius's stopping rule
 _CRITICAL_LO, _CRITICAL_HI = 0.5, 0.9999  # critical_eta's bracket
@@ -261,8 +261,9 @@ CONDITION_NAMES = ("uniform", "ihler-uniform", "walksum",
 
 def evaluate_condition(model: PairwiseMRF, condition: str, strengths=None,
                        N: Optional[int] = None) -> ConvergenceVerdict:
-    """One certificate, on ``strengths`` if given, else the model's."""
-    strengths = model.strengths if strengths is None else strengths
+    """One certificate, on ``strengths`` if given, else the model's; a
+    table measured on another model is refused with ValueError."""
+    strengths = _strengths_of(model, strengths)
     if condition == "uniform":
         return uniform_condition(strengths)
     if condition == "ihler-uniform":

@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .convergence import _bisect
-from .models import ModelError, PairwiseMRF, with_uniform_binary
+from .models import ModelError, PairwiseMRF, _strengths_of, with_uniform_binary
 
 _NEG = -1.0e30  # padded state slots in log space; finite so arithmetic stays NaN-free
 
@@ -491,15 +491,16 @@ def run_residual_scheduled(model: PairwiseMRF, max_updates=20000, tol=1e-9,
     symmetric binary potentials no such pop has been seen.
 
     Every update is ``update_message``'s arithmetic, in the same order, on
-    tables built once.
+    tables built once. ``strengths`` defaults to ``model.strengths``; a
+    table measured on another model is refused with ValueError.
 
     Returns (RunResult, ScheduleTrace).
     """
     if max_updates < 1:
         raise ValueError("max_updates must be at least 1")
+    dd = _strengths_of(model, strengths).dd
     if model.num_directed == 0:
         return _trivial_result(model), ScheduleTrace([], 0)
-    dd = (model.strengths if strengths is None else strengths).dd
     directed = model.directed_edges()
     n_dir = len(directed)
 

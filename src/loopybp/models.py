@@ -381,6 +381,15 @@ def compute_strengths(model: PairwiseMRF) -> StrengthTable:
     return StrengthTable(model)
 
 
+def _strengths_of(model: PairwiseMRF, strengths) -> StrengthTable:
+    """``strengths`` if measured on ``model``; ``model.strengths`` if None."""
+    if strengths is None:
+        return model.strengths
+    if strengths.model is not model:
+        raise ValueError("strengths were measured on another model")
+    return strengths
+
+
 # -- generators ------------------------------------------------------------
 
 

@@ -1,75 +1,57 @@
-"""Self-avoiding-walk trees rooted at a node."""
+"""Self-avoiding-walk trees rooted at a node, counted rather than built."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from .models import _MAX_WALKS, EnumerationLimitError, PairwiseMRF
 
 
-@dataclass
-class TreeNode:
-    label: int           # node id in the original model
-    parent: Optional[int]  # index into ComputationTree.nodes
+@dataclass(frozen=True)
+class SawTree:
+    """Shape of the self-avoiding-walk tree of Weitz ("Counting independent
+    sets up to the tree threshold", STOC 2006) rooted at a node: ``size``
+    walks out of it, the empty walk included, and ``depth`` steps in the
+    longest. ``len`` is the size."""
+
+    size: int
     depth: int
-    children: list = field(default_factory=list)
-
-
-class ComputationTree:
-    """Rooted tree whose nodes carry labels back into the original model.
-
-    Potentials are not copied; the tree-edge between a node and its parent
-    refers to the original edge between their labels. Children are stored in
-    ascending label order. Index 0 is the root.
-    """
-
-    def __init__(self, model: PairwiseMRF, root_label: int):
-        if not 0 <= root_label < model.num_nodes:
-            raise ValueError(f"root {root_label} out of range")
-        self.model = model
-        self.nodes = [TreeNode(root_label, None, 0)]
-
-    def add_child(self, parent_index: int, label: int) -> int:
-        idx = len(self.nodes)
-        self.nodes.append(TreeNode(label, parent_index,
-                                   self.nodes[parent_index].depth + 1))
-        self.nodes[parent_index].children.append(idx)
-        return idx
 
     def __len__(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def depth(self) -> int:
-        return max(node.depth for node in self.nodes)
+        return self.size
 
 
-def saw_tree(model: PairwiseMRF, root: int) -> ComputationTree:
-    """All self-avoiding walks out of root, as a tree.
+def saw_tree(model: PairwiseMRF, root: int) -> SawTree:
+    """Size and depth of the tree of all self-avoiding walks out of root.
 
-    Each root-to-node path visits pairwise distinct labels, so the tree is
-    finite with depth below the node count. Raises EnumerationLimitError
-    past ``_MAX_WALKS`` nodes, or on a walk deeper than the interpreter's
+    Each walk visits pairwise distinct labels, so the tree is finite with
+    depth below the node count. Raises EnumerationLimitError past
+    ``_MAX_WALKS`` walks, or on a walk deeper than the interpreter's
     recursion limit.
     """
-    tree = ComputationTree(model, root)
+    if not 0 <= root < model.num_nodes:
+        raise ValueError(f"root {root} out of range")
+    on_walk = [False] * model.num_nodes  # the nodes of the current walk
+    size = depth = 0
 
-    def grow(idx, visited):
-        label = tree.nodes[idx].label
-        for u in model.neighbors(label):
-            if u in visited:
-                continue
-            child = tree.add_child(idx, u)
-            if child >= _MAX_WALKS:
-                raise EnumerationLimitError(
-                    f"more than {_MAX_WALKS} self-avoiding walks out of "
-                    f"node {root}")
-            grow(child, visited | {u})
+    def grow(c, level):
+        nonlocal size, depth
+        size += 1
+        if size > _MAX_WALKS:
+            raise EnumerationLimitError(
+                f"more than {_MAX_WALKS} self-avoiding walks out of "
+                f"node {root}")
+        if level > depth:
+            depth = level
+        on_walk[c] = True
+        for u in model.neighbors(c):
+            if not on_walk[u]:
+                grow(u, level + 1)
+        on_walk[c] = False
 
     try:
-        grow(0, {root})
+        grow(root, 0)
     except RecursionError:
         raise EnumerationLimitError(f"a self-avoiding walk out of node "
                                     f"{root} is too long to follow") from None
-    return tree
+    return SawTree(size, depth)

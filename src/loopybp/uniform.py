@@ -21,6 +21,9 @@ GRID_POINTS = 10000
 _VARIATION_GRID = 2000  # sign-scan intervals of error_variation_zeros
 _ROOT_TOL = 1e-12
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
+# Near x = 1/2, x**k + (1-x)**k is about 2 * 0.5**k: subnormal, so
+# imprecise, past k = 1022, and 0 (a NaN ratio) from k = 1075 on.
+_MAX_K = 1022
 
 
 def _validate_abk(a, b, k):
@@ -30,10 +33,8 @@ def _validate_abk(a, b, k):
         raise ValueError(f"potential entries must be at least {_TINY!r}")
     if k < 1:
         raise ValueError("incoming count k must be at least 1")
-    # Near x = 1/2, x**k + (1-x)**k is about 2 * 0.5**k: subnormal, so
-    # imprecise, past k = 1022, and 0 (a NaN ratio) from k = 1075 on.
-    if k > 1022:
-        raise ValueError("incoming count k must be at most 1022")
+    if k > _MAX_K:
+        raise ValueError(f"incoming count k must be at most {_MAX_K}")
 
 
 def _interior(x, a, b, k) -> np.ndarray:

@@ -144,9 +144,9 @@ def count_saw_walks(adjacency, root):
 
 
 class Tree:
-    """A rooted tree of model labels with nodes in creation order, parents
-    first; the shape of loopybp's computation trees (``nodes`` with
-    ``label``, ``parent``, ``depth`` and ``children``)."""
+    """A rooted computation tree of model labels with nodes in creation
+    order, parents first (``nodes`` with ``label``, ``parent``, ``depth``
+    and ``children``)."""
 
     def __init__(self, model, kind, root):
         self.model = model
@@ -187,6 +187,23 @@ def bethe_tree(model, root, depth):
                 if u != parent:
                     grown.append(tree.add_child(idx, u))
         frontier = grown
+    return tree
+
+
+def saw_tree(model, root):
+    """All self-avoiding walks out of root, as a Tree.
+
+    Children follow ``model.neighbors`` order; each root-to-node path visits
+    pairwise distinct labels.
+    """
+    tree = Tree(model, "saw", root)
+
+    def grow(idx, visited):
+        for u in model.neighbors(tree.nodes[idx].label):
+            if u not in visited:
+                grow(tree.add_child(idx, u), visited | {u})
+
+    grow(0, {root})
     return tree
 
 

@@ -247,17 +247,19 @@ def test_fixed_points_rejects_subnormal_entries(capsys):
         assert err.startswith("error: potential entries must be at least")
 
 
+def test_fixed_points_caps_degree_by_its_flag(capsys):
+    # The library's cap on its incoming count k is read as --degree's.
+    assert main(["fixed-points", "--eta", "0.7", "--degree", "1024"]) == 2
+    assert capsys.readouterr().err == "error: --degree must be at most 1023\n"
+
+
 def main_quietly(argv):
-    """main's exit code, stdout and stderr, with RuntimeWarnings raised and
-    argparse's own usage errors read as their exit code."""
+    """main's exit code, stdout and stderr, with RuntimeWarnings raised."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
+            code = main(argv)
     err = err.getvalue()
     assert "Traceback" not in err
     if code != 0:
@@ -465,10 +467,26 @@ def test_only_bounds_takes_an_eta_sweep(tmp_path, capsys, monkeypatch):
     assert (code, out) == (2, "")
 
 
-def test_argparse_rejects_unknown_condition():
-    with pytest.raises(SystemExit):
-        main(["converge", "--generate", "torus:3x3", "--eta", "0.6",
-              "--condition", "nope"])
+def test_argparse_rejects_unknown_condition(capsys):
+    # What argparse itself refuses returns 2 from main with one error line,
+    # as the subcommands' own checks do.
+    for argv in (["converge", "--generate", "torus:3x3", "--eta", "0.6",
+                  "--condition", "nope"],
+                 ["run", "--generate", "cycle:5", "--eta", "0.6",
+                  "--max-iters", "ten"],
+                 ["run", "--generate", "cycle:5", "--eta", "0.6", "--nope"],
+                 ["fixed-points", "--eta", "abc", "--degree", "4"],
+                 ["fixed-points", "--degree", "4"],
+                 []):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error:"), argv
+        assert captured.err.count("\n") == 1, argv
+    with pytest.raises(SystemExit) as exc:
+        main(["fixed-points", "--help"])
+    assert exc.value.code == 0
+    assert "--degree" in capsys.readouterr().out
 
 
 def test_parse_failure_exit_three(tmp_path, capsys):

@@ -17,9 +17,11 @@ from loopybp import (
     chain_graph,
     complete_graph,
     compute_strengths,
+    evaluate_condition,
     format_graph_text,
     grid_graph,
     k4_minus_edge,
+    nonuniform_distance_bound,
     parse_graph_file,
     parse_graph_text,
     random_tree,
@@ -314,6 +316,27 @@ def test_each_model_builds_its_strength_table_once(monkeypatch, capsys):
         assert len(builds) == 1, argv
         builds.clear()
     capsys.readouterr()
+
+
+def test_a_strength_table_of_another_model_is_refused():
+    # Read as torus:3x3's at 0.55, eta 0.9's table gave nudb 8.759, not 0,
+    # and flipped the uniform verdict; grid:3x3's raised an IndexError.
+    m = torus_graph(3, 3, 0.55)
+    for other in (torus_graph(3, 3, 0.9), grid_graph(3, 3, 0.55),
+                  torus_graph(3, 3, 0.55)):
+        foreign = compute_strengths(other)
+        for call in (lambda: nonuniform_distance_bound(m, foreign),
+                     lambda: evaluate_condition(m, "uniform", foreign),
+                     lambda: run_residual_scheduled(m, strengths=foreign)):
+            with pytest.raises(ValueError, match="another model"):
+                call()
+    own = compute_strengths(m)
+    assert evaluate_condition(m, "uniform", own) == \
+        evaluate_condition(m, "uniform")
+    assert np.array_equal(nonuniform_distance_bound(m, own)[0],
+                          nonuniform_distance_bound(m)[0])
+    assert run_residual_scheduled(m, strengths=own)[1].entries == \
+        run_residual_scheduled(m)[1].entries
 
 
 def looped_strengths(model):

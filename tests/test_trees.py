@@ -4,6 +4,8 @@ import pytest
 import oracles
 from loopybp import (
     PairwiseMRF,
+    SawTree,
+    build_generator,
     chain_graph,
     complete_graph,
     cycle_graph,
@@ -44,20 +46,36 @@ def test_saw_tree_size_matches_walk_count():
 
 
 def test_saw_tree_k4_shape():
-    t = saw_tree(complete_graph(4, 0.7), 0)
+    t = oracles.saw_tree(complete_graph(4, 0.7), 0)
     assert len(t) == 16
     assert t.depth == 3
     assert label_counts(t) == {0: 1, 1: 5, 2: 5, 3: 5}
 
 
 def test_saw_paths_never_repeat_labels():
-    t = saw_tree(grid_graph(3, 3, 0.7), 4)
+    t = oracles.saw_tree(grid_graph(3, 3, 0.7), 4)
     for node in t.nodes:
         seen = set()
         while node is not None:
             assert node.label not in seen
             seen.add(node.label)
             node = t.nodes[node.parent] if node.parent is not None else None
+
+
+@pytest.mark.parametrize("spec", ["complete:4", "k4minus", "grid:3x3",
+                                  "torus:3x3", "grid:4x4", "tree:8:1",
+                                  "chain:6", "cycle:5", "complete:7"])
+def test_saw_tree_counts_the_reference_tree(spec):
+    m = build_generator(spec, 0.7)
+    for root in range(m.num_nodes):
+        want = oracles.saw_tree(m, root)
+        assert saw_tree(m, root) == SawTree(len(want), want.depth)
+
+
+def test_saw_tree_root_out_of_range():
+    for root in (-1, 4):
+        with pytest.raises(ValueError, match=f"root {root} out of range"):
+            saw_tree(complete_graph(4, 0.7), root)
 
 
 def test_text_dump_mentions_every_label():
@@ -78,7 +96,7 @@ def test_unwrapping_a_tree_reproduces_it():
         [list(m.node_pot[v]) for v in range(4)],
         {(i, j): [list(r) for r in m.edge_matrix(i, j)] for i, j in m.edges})
     for root in range(4):
-        for tree in (bethe_tree(m, root, 5), saw_tree(m, root)):
+        for tree in (bethe_tree(m, root, 5), oracles.saw_tree(m, root)):
             assert np.allclose(tree_marginal(tree), want[root], atol=1e-12)
 
 
