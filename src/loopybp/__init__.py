@@ -20,11 +20,8 @@ from .engine import (MessageSet, RunResult, ScheduleTrace,
                      run_residual_scheduled, run_synchronous, update_message)
 from .models import (DirectedEdge, EnumerationLimitError, GraphFormatError,
                      ModelError, PairwiseMRF, StrengthTable, build_generator,
-                     chain_graph, complete_graph, compute_strengths,
-                     cycle_graph, format_graph_text, grid_graph,
-                     k4_minus_edge, parse_graph_file, parse_graph_text,
-                     random_tree, symmetric_binary_potential, torus_graph,
-                     with_uniform_binary, write_graph_file)
+                     compute_strengths, format_graph_text, parse_graph_file,
+                     parse_graph_text, with_uniform_binary, write_graph_file)
 from .trees import SawTree, saw_tree
 from .uniform import (FixedPointSet, error_variation_zeros, fixed_points,
                       scalar_derivative, scalar_update, true_error_variation,

@@ -195,6 +195,8 @@ def cmd_converge(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.trace is not None and args.schedule != "residual":
+        raise UsageError("--trace needs --schedule residual")
     _bounded(args.max_iters, 1, "--max-iters")
     _bounded(args.max_updates, 1, "--max-updates")
     _bounded(args.seed, 0, "--seed")
@@ -206,15 +208,12 @@ def cmd_run(args) -> int:
                                  max_iters=args.max_iters,
                                  tol=args.tol if args.tol is not None else 1e-10,
                                  seed=args.seed)
-        trace = None
     else:
         result, trace = run_residual_scheduled(
             model, max_updates=args.max_updates,
             tol=args.tol if args.tol is not None else 1e-9,
             init=args.init, seed=args.seed)
     if args.trace is not None:
-        if trace is None:
-            raise UsageError("--trace needs --schedule residual")
         with open(args.trace, "w", newline="\n") as fh:
             trace.write_csv(fh)
     print("status,iterations,period")

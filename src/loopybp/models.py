@@ -393,73 +393,15 @@ def _strengths_of(model: PairwiseMRF, strengths) -> StrengthTable:
 # -- generators ------------------------------------------------------------
 
 
-def symmetric_binary_potential(eta) -> np.ndarray:
+def _uniform_binary(num_nodes, edges, eta) -> PairwiseMRF:
+    """Binary model on ``edges``, each carrying the symmetric pair potential
+    [[eta, 1 - eta], [1 - eta, eta]], with uniform node potentials."""
     eta = float(eta)
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie strictly between 0 and 1")
-    return np.array([[eta, 1.0 - eta], [1.0 - eta, eta]])
-
-
-def _uniform_binary(num_nodes, edges, eta) -> PairwiseMRF:
-    pot = symmetric_binary_potential(eta)
+    pot = np.array([[eta, 1.0 - eta], [1.0 - eta, eta]])
     return PairwiseMRF(num_nodes, edges, 2,
                        edge_potentials=dict.fromkeys(edges, pot))
-
-
-def complete_graph(n, eta) -> PairwiseMRF:
-    if n < 2:
-        raise ValueError("complete graph needs at least 2 nodes")
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return _uniform_binary(n, edges, eta)
-
-
-def k4_minus_edge(eta) -> PairwiseMRF:
-    """Complete graph on 4 nodes with the edge between nodes 2 and 3 removed."""
-    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
-    return _uniform_binary(4, edges, eta)
-
-
-def cycle_graph(n, eta) -> PairwiseMRF:
-    if n < 3:
-        raise ValueError("cycle needs at least 3 nodes")
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    return _uniform_binary(n, edges, eta)
-
-
-def chain_graph(n, eta) -> PairwiseMRF:
-    if n < 2:
-        raise ValueError("chain needs at least 2 nodes")
-    edges = [(i, i + 1) for i in range(n - 1)]
-    return _uniform_binary(n, edges, eta)
-
-
-def grid_graph(rows, cols, eta, wrap=False) -> PairwiseMRF:
-    """rows x cols lattice; with wrap=True each dimension of more than two
-    nodes closes into a ring."""
-    if rows < 1 or cols < 1 or rows * cols < 2:
-        raise ValueError("grid needs at least 2 nodes")
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols or (wrap and cols > 2):
-                edges.append((v, r * cols + (c + 1) % cols))
-            if r + 1 < rows or (wrap and rows > 2):
-                edges.append((v, (r + 1) % rows * cols + c))
-    return _uniform_binary(rows * cols, edges, eta)
-
-
-def torus_graph(rows, cols, eta) -> PairwiseMRF:
-    return grid_graph(rows, cols, eta, wrap=True)
-
-
-def random_tree(n, eta, seed=0) -> PairwiseMRF:
-    """Random tree by attaching each node to a uniformly chosen earlier node."""
-    if n < 2:
-        raise ValueError("tree needs at least 2 nodes")
-    rng = np.random.default_rng(seed)
-    edges = [(int(rng.integers(0, v)), v) for v in range(1, n)]
-    return _uniform_binary(n, edges, eta)
 
 
 def with_uniform_binary(model: PairwiseMRF, eta) -> PairwiseMRF:
@@ -473,44 +415,77 @@ def with_uniform_binary(model: PairwiseMRF, eta) -> PairwiseMRF:
 _MAX_NODES, _MAX_EDGES = 10000, 20000
 
 
-def _sized(nodes: int, edges: int) -> int:
-    """``nodes``, if a spec with that many nodes and edges is within the caps."""
-    if nodes > _MAX_NODES or edges > _MAX_EDGES:
-        raise ValueError(f"{nodes} nodes and {edges} edges: the limits are "
+def _topology(name: str, args: list) -> tuple[int, list] | None:
+    """``(num_nodes, edges)`` of the spec form ``name`` with arguments
+    ``args``, or None if no form takes them. The size is checked against
+    the caps, then against the form's fewest nodes, before any edge is
+    listed."""
+    if name == "k4minus" and not args:
+        return 4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
+    if (name not in ("complete", "cycle", "chain", "grid", "torus", "tree")
+            or len(args) != 1 and (name, len(args)) != ("tree", 2)):
+        return None
+    if name in ("grid", "torus"):
+        r, _, c = args[0].partition("x")
+        rows, cols = int(r), int(c)
+        # At most two edges a node; without a row or a column there is no
+        # grid, whatever the product.
+        n, most = rows * cols, 2 * rows * cols
+        count = n if rows > 0 and cols > 0 else 0
+    else:
+        seed = int(args[1]) if len(args) == 2 else 0
+        n = count = int(args[0])
+        # A cycle, chain or tree has at most as many edges as nodes.
+        most = n * (n - 1) // 2 if name == "complete" else n
+    if n > _MAX_NODES or most > _MAX_EDGES:
+        raise ValueError(f"{n} nodes and {most} edges: the limits are "
                          f"{_MAX_NODES} and {_MAX_EDGES}")
-    return nodes
+    least = 3 if name == "cycle" else 2
+    if count < least:
+        form = {"complete": "complete graph", "torus": "grid"}.get(name, name)
+        raise ValueError(f"{form} needs at least {least} nodes")
+    if name == "complete":
+        return n, [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if name == "cycle":
+        return n, [(i, (i + 1) % n) for i in range(n)]
+    if name == "chain":
+        return n, [(i, i + 1) for i in range(n - 1)]
+    if name == "tree":
+        rng = np.random.default_rng(seed)
+        return n, [(int(rng.integers(0, v)), v) for v in range(1, n)]
+    wrap = name == "torus"
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols or (wrap and cols > 2):
+                edges.append((v, r * cols + (c + 1) % cols))
+            if r + 1 < rows or (wrap and rows > 2):
+                edges.append((v, (r + 1) % rows * cols + c))
+    return n, edges
 
 
 def build_generator(kind: str, eta) -> PairwiseMRF:
-    """Build a named topology, e.g. ``complete:4``, ``torus:3x3``, ``k4minus``.
+    """Build a named topology, e.g. ``complete:4``, ``torus:3x3``, ``k4minus``,
+    every edge carrying the symmetric binary potential at ``eta``.
 
     Recognized forms: complete:N, cycle:N, chain:N, grid:RxC, torus:RxC,
-    k4minus, tree:N or tree:N:SEED. At most 10,000 nodes and 20,000 edges.
+    k4minus (complete:4 less the edge between nodes 2 and 3), tree:N or
+    tree:N:SEED. Grid and torus nodes are numbered row-major; a torus closes
+    each dimension of more than two nodes into a ring, so torus:2x3 wraps
+    its rows alone. A tree attaches each node v >= 1 to an earlier node
+    drawn uniformly by ``numpy.random.default_rng(SEED)`` (SEED 0 if not
+    given). At most 10,000 nodes and 20,000 edges. A bad spec raises a
+    ValueError naming it; an eta outside (0, 1) raises one naming eta.
     """
     parts = kind.strip().lower().split(":")
-    name, args = parts[0], parts[1:]
     try:
-        if name == "k4minus" and not args:
-            return k4_minus_edge(eta)
-        if name == "complete" and len(args) == 1:
-            n = int(args[0])
-            return complete_graph(_sized(n, n * (n - 1) // 2), eta)
-        # A cycle, chain or tree has at most as many edges as nodes, a
-        # grid or torus at most twice as many.
-        if name in ("cycle", "chain") and len(args) == 1:
-            n = _sized(int(args[0]), int(args[0]))
-            return (cycle_graph if name == "cycle" else chain_graph)(n, eta)
-        if name in ("grid", "torus") and len(args) == 1:
-            r, _, c = args[0].partition("x")
-            r, c = int(r), int(c)
-            _sized(r * c, 2 * r * c)
-            return grid_graph(r, c, eta, wrap=name == "torus")
-        if name == "tree" and len(args) in (1, 2):
-            seed = int(args[1]) if len(args) == 2 else 0
-            return random_tree(_sized(int(args[0]), int(args[0])), eta, seed)
+        topology = _topology(parts[0], parts[1:])
     except ValueError as exc:
         raise ValueError(f"bad generator spec {kind!r}: {exc}") from None
-    raise ValueError(f"unknown generator spec {kind!r}")
+    if topology is None:
+        raise ValueError(f"unknown generator spec {kind!r}")
+    return _uniform_binary(*topology, eta)
 
 
 # -- text format -----------------------------------------------------------

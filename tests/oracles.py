@@ -104,6 +104,26 @@ def update_once(cards, node_pots, edge_mats, adjacency, messages, t, s):
     return [x / z for x in out]
 
 
+def single_update(psi, phi, msg, err=None):
+    """One unnormalized update t -> s: out(x_s) is the sum over x_t of
+    psi[x_t][x_s] phi[x_t] msg[x_t], each term times err[x_t] if an error
+    is given. msg is the product of the messages t receives from its other
+    neighbours."""
+    if err is None:
+        err = [1.0] * len(phi)
+    return [sum(row[xs] * p * m * e for row, p, m, e in zip(psi, phi, msg, err))
+            for xs in range(len(psi[0]))]
+
+
+def update_error_ratio(psi, phi, msg, err):
+    """Max over min, over the states of s, of the update with the error
+    divided by the update without it: the squared dynamic range of the
+    outgoing error, which ``delta1`` caps."""
+    ratios = [a / b for a, b in zip(single_update(psi, phi, msg, err),
+                                    single_update(psi, phi, msg))]
+    return max(ratios) / min(ratios)
+
+
 def non_backtracking_pairs(directed):
     """Every pair (f, g) of directed-edge indices where g = (v, u) feeds
     f = (u, t) with v != t, by a double loop over all pairs of edges.

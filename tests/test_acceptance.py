@@ -20,16 +20,14 @@ from loopybp.convergence import _bisect, critical_eta
 from loopybp.engine import (MessageSet, empirical_critical_eta,
                             run_residual_scheduled, run_synchronous,
                             update_message)
-from loopybp.models import (PairwiseMRF, complete_graph, compute_strengths,
-                            grid_graph, k4_minus_edge, random_tree,
-                            symmetric_binary_potential, torus_graph)
+from loopybp.models import PairwiseMRF, build_generator, compute_strengths
 from loopybp.uniform import fixed_points, udb_completely_uniform
 
 GRAPHS = {
-    "complete4": lambda eta: complete_graph(4, eta),
-    "k4minus": k4_minus_edge,
-    "torus": lambda eta: torus_graph(3, 3, eta),
-    "grid": lambda eta: grid_graph(3, 3, eta),
+    "complete4": lambda eta: build_generator("complete:4", eta),
+    "k4minus": lambda eta: build_generator("k4minus", eta),
+    "torus": lambda eta: build_generator("torus:3x3", eta),
+    "grid": lambda eta: build_generator("grid:3x3", eta),
 }
 
 ETAS = [round(0.5 + 0.01 * i, 2) for i in range(46)]
@@ -113,7 +111,7 @@ def test_criterion_2_empirical_criticals():
 def test_criterion_3_torus_bound_values():
     """Closed-form uniform bound equals the measured fixed-point distance,
     and the improved bound lands at its reference value."""
-    model = torus_graph(3, 3, 0.7)
+    model = build_generator("torus:3x3", 0.7)
     d_pair = compute_strengths(model).pair(0, 1)
     closed = udb_completely_uniform(d_pair, 4)
     improved = float(improved_uniform_distance_bound(model)[0].max())
@@ -132,7 +130,8 @@ def test_criterion_3_torus_bound_values():
 def test_criterion_4_scalar_dynamics():
     """Stable beliefs and messages at strong coupling, the period-2 orbit at
     strong anti-correlation, and the paramagnetic window."""
-    strong = run_synchronous(torus_graph(3, 3, 0.7), init="random", seed=3)
+    strong = run_synchronous(build_generator("torus:3x3", 0.7),
+                             init="random", seed=3)
     x_star = max(fixed_points(0.7, 0.3, 3).fixed)
     belief_ok = strong.converged and all(
         abs(float(np.max(b)) - 0.9071) <= 5e-4 and
@@ -143,7 +142,8 @@ def test_criterion_4_scalar_dynamics():
             m0 = float(strong.messages.get(s, t)[0])
             msg_err = max(msg_err, min(abs(m0 - x_star),
                                        abs(m0 - (1.0 - x_star))))
-    anti = run_synchronous(torus_graph(3, 3, 0.3), init="random", seed=0)
+    anti = run_synchronous(build_generator("torus:3x3", 0.3),
+                           init="random", seed=0)
     window_ok = True
     for eta in (0.35, 0.40, 0.45, 0.50, 0.55, 0.60, 0.65):
         fp = fixed_points(eta, 1.0 - eta, 3)
@@ -163,6 +163,11 @@ def test_criterion_4_scalar_dynamics():
 # -- 5: one-step error caps ------------------------------------------------
 
 
+def symmetric(eta):
+    """The symmetric binary pair potential at eta, as generators build it."""
+    return np.array([[eta, 1 - eta], [1 - eta, eta]])
+
+
 def _symmetric_one_step_trial(rng):
     """Exact update under true and perturbed incoming messages on a random
     symmetric-coupling star; returns the per-state ratio extremes and the
@@ -170,8 +175,7 @@ def _symmetric_one_step_trial(rng):
     extra = int(rng.integers(0, 4))
     nodes = 2 + extra
     edges = [(0, 1)] + [(0, 2 + i) for i in range(extra)]
-    pots = {e: symmetric_binary_potential(float(rng.uniform(0.5, 0.95)))
-            for e in edges}
+    pots = {e: symmetric(float(rng.uniform(0.5, 0.95))) for e in edges}
     model = PairwiseMRF(nodes, edges, edge_potentials=pots)
     base = MessageSet.random(model, seed=int(rng.integers(1 << 30)))
     pert = base.copy()
@@ -228,7 +232,7 @@ def test_criterion_6_oracle_equivalence():
     trees_ok = True
     for trial in range(50):
         n = int(rng.integers(2, 13))
-        skeleton = random_tree(n, 0.6, seed=trial)
+        skeleton = build_generator(f"tree:{n}:{trial}", 0.6)
         cards = [int(c) for c in rng.integers(2, 4, size=n)]
         node_pots = [rng.uniform(0.2, 2.5, size=c) for c in cards]
         edge_pots = {e: rng.uniform(0.2, 2.5, size=(cards[e[0]], cards[e[1]]))
@@ -276,12 +280,12 @@ def test_criterion_7_condition_ordering():
             chain_violations.extend(
                 f"{name}@{eta}: {v}"
                 for v in oracles.condition_ordering_violations(build(eta)))
-    pair_ok = all((
-        oracles.partial_graph_ordering_check(k4_minus_edge(0.7),
-                                             complete_graph(4, 0.7), cond),
-        oracles.partial_graph_ordering_check(grid_graph(3, 3, 0.7),
-                                             torus_graph(3, 3, 0.7), cond),
-    ) for cond in ("nonuniform-saw", "walksum"))
+    pair_ok = all(
+        oracles.partial_graph_ordering_check(build_generator(part, 0.7),
+                                             build_generator(whole, 0.7), cond)
+        for cond in ("nonuniform-saw", "walksum")
+        for part, whole in (("k4minus", "complete:4"),
+                            ("grid:3x3", "torus:3x3")))
     ok = not chain_violations and pair_ok
     _report("criterion 7 (condition ordering)", ok,
             f"chain_violations={len(chain_violations)} pair_ok={pair_ok}"

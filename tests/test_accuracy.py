@@ -13,16 +13,13 @@ from loopybp import (
     ModelError,
     PairwiseMRF,
     accuracy_bound,
-    chain_graph,
-    complete_graph,
+    build_generator,
     exact_marginals,
-    grid_graph,
     ihler_nonuniform_distance_bound,
     nonuniform_distance_bound,
     run_synchronous,
     saw_accuracy,
     saw_tree,
-    torus_graph,
 )
 
 
@@ -58,7 +55,7 @@ def test_exact_marginals_mixed_cardinality():
 
 
 def test_enumeration_limit_guard():
-    big = chain_graph(25, 0.6)
+    big = build_generator("chain:25", 0.6)
     with pytest.raises(EnumerationLimitError):
         exact_marginals(big)
 
@@ -104,8 +101,8 @@ def test_accuracy_interval_brackets_belief(b0, delta, eps):
 
 
 def test_saw_accuracy_contains_truth_on_loopy_graphs():
-    for m in (torus_graph(3, 3, 0.6), grid_graph(3, 3, 0.62),
-              complete_graph(4, 0.65)):
+    for m in (build_generator("torus:3x3", 0.6), build_generator("grid:3x3", 0.62),
+              build_generator("complete:4", 0.65)):
         truth = exact_marginals(m)
         for node in range(m.num_nodes):
             ab = saw_accuracy(m, node)
@@ -114,7 +111,7 @@ def test_saw_accuracy_contains_truth_on_loopy_graphs():
 
 
 def test_saw_accuracy_tree_is_tight():
-    m = chain_graph(4, 0.7)
+    m = build_generator("chain:4", 0.7)
     truth = exact_marginals(m)
     for node in range(4):
         ab = saw_accuracy(m, node)
@@ -125,15 +122,15 @@ def test_saw_accuracy_tree_is_tight():
 
 
 def test_saw_accuracy_interval_shrinks_with_weaker_coupling():
-    wide = saw_accuracy(torus_graph(3, 3, 0.64), 0)
-    narrow = saw_accuracy(torus_graph(3, 3, 0.55), 0)
+    wide = saw_accuracy(build_generator("torus:3x3", 0.64), 0)
+    narrow = saw_accuracy(build_generator("torus:3x3", 0.55), 0)
     assert (narrow.upper - narrow.lower).max() < (wide.upper - wide.lower).max()
 
 
 def test_saw_accuracy_requires_convergence():
     # Biased node potentials knock the uniform start off the symmetric fixed
     # point, so the anti-ferromagnetic run really does oscillate.
-    base = torus_graph(3, 3, 0.25)
+    base = build_generator("torus:3x3", 0.25)
     m = PairwiseMRF(9, base.edges,
                     node_potentials=[[1.0, 2.0]] * 9,
                     edge_potentials={e: base.edge_matrix(*e) for e in base.edges})
@@ -144,7 +141,7 @@ def test_saw_accuracy_requires_convergence():
 def test_saw_accuracy_refuses_a_walk_tree_over_the_budget():
     # complete:10 has 986,410 self-avoiding walks out of each node, above
     # the budget of 200,000, though its run converges.
-    m = complete_graph(10, 0.52)
+    m = build_generator("complete:10", 0.52)
     assert run_synchronous(m, init="uniform").converged
     with pytest.raises(EnumerationLimitError, match="out of node 0"):
         saw_accuracy(m, 0)
@@ -162,7 +159,7 @@ def test_saw_accuracy_rejects_a_saturated_belief():
 
 
 def test_saw_accuracy_solves_its_recursion_once(monkeypatch):
-    m = torus_graph(3, 3, 0.6)
+    m = build_generator("torus:3x3", 0.6)
     depth = saw_tree(m, 0).depth
     ihler, _ = ihler_nonuniform_distance_bound(m, n=depth)
     improved, _ = nonuniform_distance_bound(m, n=depth, improved=True)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopybp import PairwiseMRF, cli, torus_graph, write_graph_file
+from loopybp import PairwiseMRF, build_generator, cli, write_graph_file
 from loopybp.bounds import BOUND_KEYS
 from loopybp.cli import main
 from loopybp.convergence import CONDITION_NAMES
@@ -79,11 +79,22 @@ def test_run_residual_budget_counts_initial_sweep(capsys):
     assert out.splitlines()[1] == "max_iters,3,"
 
 
-def test_trace_requires_residual_schedule(capsys):
-    code = main(["run", "--generate", "complete:4", "--eta", "0.6",
-                 "--trace", "unused.csv"])
-    capsys.readouterr()
+def test_trace_requires_residual_schedule(tmp_path, capsys, monkeypatch):
+    # Refused before any model is loaded: grid:40x40 used to run 1.46 s of
+    # sweeps first.
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was loaded")
+
+    monkeypatch.setattr(cli, "_load_models", no_model)
+    trace = tmp_path / "trace.csv"
+    code = main(["run", "--generate", "grid:40x40", "--eta", "0.55",
+                 "--init", "random", "--max-iters", "3000", "--tol", "1e-300",
+                 "--trace", str(trace)])
+    captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --trace needs --schedule residual\n"
+    assert not trace.exists()
 
 
 def test_bounds_sweep_row_count(capsys):
@@ -137,7 +148,7 @@ def test_bounds_output_file_and_determinism(tmp_path, capsys):
 
 def test_bounds_from_file_has_nan_eta(tmp_path, capsys):
     path = tmp_path / "torus.graph"
-    write_graph_file(torus_graph(3, 3, 0.7), path)
+    write_graph_file(build_generator("torus:3x3", 0.7), path)
     code, out = run_cli(capsys, "bounds", "--graph", str(path),
                         "--methods", "udb")
     assert code == 0
@@ -524,7 +535,7 @@ def test_model_error_exit_three(tmp_path, capsys, argv):
 def test_numeric_budget_exit_four(tmp_path, capsys):
     assert main(["accuracy", "--generate", "chain:25", "--eta", "0.6",
                  "--node", "0"]) == 4
-    base = torus_graph(3, 3, 0.25)
+    base = build_generator("torus:3x3", 0.25)
     biased = PairwiseMRF(9, base.edges,
                          node_potentials=[[1.0, 2.0]] * 9,
                          edge_potentials={e: base.edge_matrix(*e)

@@ -9,22 +9,16 @@ from loopybp import (
     EnumerationLimitError,
     PairwiseMRF,
     build_generator,
-    chain_graph,
-    complete_graph,
     compute_strengths,
     critical_eta,
     evaluate_condition,
-    grid_graph,
     ihler_uniform_condition,
     interaction_matrix,
-    k4_minus_edge,
     nonuniform_condition,
     parse_graph_file,
-    random_tree,
     rate_metric,
     saw_tree,
     spectral_radius,
-    torus_graph,
     uniform_condition,
     walk_summability,
     with_uniform_binary,
@@ -44,7 +38,7 @@ def eta_weight(eta):
 
 
 def test_uniform_condition_statistic():
-    m = complete_graph(4, 0.7)
+    m = build_generator("complete:4", 0.7)
     verdict = uniform_condition(compute_strengths(m))
     d = math.sqrt(7.0 / 3.0)
     assert verdict.statistic == pytest.approx(2 * (d - 1) / (d + 1), abs=1e-12)
@@ -54,7 +48,7 @@ def test_uniform_condition_statistic():
 
 
 def test_ihler_condition_statistic():
-    m = torus_graph(3, 3, 0.6)
+    m = build_generator("torus:3x3", 0.6)
     verdict = ihler_uniform_condition(compute_strengths(m))
     d2 = 0.6 / 0.4
     assert verdict.statistic == pytest.approx(3 * (d2 - 1) / (d2 + 1), abs=1e-12)
@@ -63,7 +57,7 @@ def test_ihler_condition_statistic():
 
 
 def test_rate_metric_definition():
-    m = complete_graph(4, 0.7)
+    m = build_generator("complete:4", 0.7)
     table = compute_strengths(m)
     edge = (0, 1)
     d2 = 7.0 / 3.0
@@ -72,13 +66,15 @@ def test_rate_metric_definition():
 
 
 def test_analytic_uniform_criticals():
-    assert critical_eta(complete_graph(4, 0.9), "uniform") == pytest.approx(
+    complete, torus = (build_generator(spec, 0.9)
+                       for spec in ("complete:4", "torus:3x3"))
+    assert critical_eta(complete, "uniform") == pytest.approx(
         25 / 34, abs=5e-4)
-    assert critical_eta(torus_graph(3, 3, 0.9), "uniform") == pytest.approx(
+    assert critical_eta(torus, "uniform") == pytest.approx(
         49 / 74, abs=5e-4)
-    assert critical_eta(complete_graph(4, 0.9), "ihler-uniform") == pytest.approx(
+    assert critical_eta(complete, "ihler-uniform") == pytest.approx(
         0.75, abs=5e-4)
-    assert critical_eta(torus_graph(3, 3, 0.9), "ihler-uniform") == pytest.approx(
+    assert critical_eta(torus, "ihler-uniform") == pytest.approx(
         2 / 3, abs=5e-4)
 
 
@@ -113,7 +109,7 @@ def test_critical_eta_matches_threshold_loop(kind):
 
 
 def test_critical_eta_rejects_tolerance_it_cannot_reach():
-    model = complete_graph(4, 0.7)
+    model = build_generator("complete:4", 0.7)
     for tol in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             critical_eta(model, "uniform", tol=tol)
@@ -127,10 +123,10 @@ def test_saw_statistic_closed_forms():
     to small polynomials in the interaction weight on the K4 family."""
     for eta in (0.6, 0.72, 0.8):
         w = eta_weight(eta)
-        got = nonuniform_condition(complete_graph(4, eta).strengths,
+        got = nonuniform_condition(build_generator("complete:4", eta).strengths,
                                    tree="saw").statistic
         assert got == pytest.approx(6 * w ** 3 + 12 * w ** 4, abs=1e-12)
-        got = nonuniform_condition(k4_minus_edge(eta).strengths,
+        got = nonuniform_condition(build_generator("k4minus", eta).strengths,
                                    tree="saw").statistic
         want = max(2 * w ** 3 + 6 * w ** 4, 4 * w ** 3 + 2 * w ** 4)
         assert got == pytest.approx(want, abs=1e-12)
@@ -201,7 +197,7 @@ def test_desk_saw_statistics_and_depths_are_unchanged(spec):
 def test_both_walk_enumerators_share_one_budget(monkeypatch):
     # torus:3x3 has 1,009 self-avoiding walks out of each node, the empty
     # walk included: both enumerators admit exactly that many.
-    m = torus_graph(3, 3, 0.6)
+    m = build_generator("torus:3x3", 0.6)
     for budget, fits in ((1009, True), (1008, False)):
         for mod in (convergence_mod, trees_mod):
             monkeypatch.setattr(mod, "_MAX_WALKS", budget)
@@ -218,27 +214,27 @@ def test_both_walk_enumerators_share_one_budget(monkeypatch):
 
 def test_walk_budget_admits_grid_5x5_and_torus_4x4_not_grid_6x6():
     # The largest SAW trees of grid:5x5 (at node 0) and torus:4x4.
-    assert len(saw_tree(grid_graph(5, 5, 0.6), 0)) == 153745
-    assert len(saw_tree(torus_graph(4, 4, 0.6), 0)) == 90677
+    assert len(saw_tree(build_generator("grid:5x5", 0.6), 0)) == 153745
+    assert len(saw_tree(build_generator("torus:4x4", 0.6), 0)) == 90677
     start = time.perf_counter()
     with pytest.raises(EnumerationLimitError):
-        _saw_statistic(grid_graph(6, 6, 0.6).strengths)
+        _saw_statistic(build_generator("grid:6x6", 0.6).strengths)
     assert time.perf_counter() - start < 30.0
 
 
 def test_saw_criticals_match_polynomial_roots():
     root_k4 = oracles.bisect_root(lambda w: 6 * w ** 3 + 12 * w ** 4 - 1, 0.1, 0.9)
-    got = critical_eta(complete_graph(4, 0.9), SAW)
+    got = critical_eta(build_generator("complete:4", 0.9), SAW)
     assert got == pytest.approx((root_k4 + 1) / 2, abs=5e-4)
     root_k4e = oracles.bisect_root(lambda w: 2 * w ** 3 + 6 * w ** 4 - 1, 0.1, 0.9)
-    got = critical_eta(k4_minus_edge(0.9), SAW)
+    got = critical_eta(build_generator("k4minus", 0.9), SAW)
     assert got == pytest.approx((root_k4e + 1) / 2, abs=5e-4)
 
 
 def test_saw_criticals_frozen_grid_torus():
-    assert critical_eta(grid_graph(3, 3, 0.9), SAW) == pytest.approx(
+    assert critical_eta(build_generator("grid:3x3", 0.9), SAW) == pytest.approx(
         0.7708870692253114, abs=5e-4)
-    assert critical_eta(torus_graph(3, 3, 0.9), SAW) == pytest.approx(
+    assert critical_eta(build_generator("torus:3x3", 0.9), SAW) == pytest.approx(
         0.6580937754631042, abs=5e-4)
 
 
@@ -247,26 +243,28 @@ def test_bethe_uniform_closed_form():
     for N in (2, 5, 9):
         for eta in (0.6, 0.7):
             w = eta_weight(eta)
-            got = nonuniform_condition(torus_graph(3, 3, eta).strengths,
+            got = nonuniform_condition(build_generator("torus:3x3", eta).strengths,
                                        tree="bethe", N=N).statistic
             assert got == pytest.approx((3 * w) ** N, rel=1e-10)
 
 
 def test_bethe_criticals_frozen():
-    assert critical_eta(k4_minus_edge(0.9), BETHE, N=8) == pytest.approx(
+    k4minus = build_generator("k4minus", 0.9)
+    grid = build_generator("grid:3x3", 0.9)
+    assert critical_eta(k4minus, BETHE, N=8) == pytest.approx(
         0.820598842716217, abs=5e-4)
-    assert critical_eta(k4_minus_edge(0.9), BETHE, N=16) == pytest.approx(
+    assert critical_eta(k4minus, BETHE, N=16) == pytest.approx(
         0.8243088473320006, abs=5e-4)
-    assert critical_eta(grid_graph(3, 3, 0.9), BETHE, N=18) == pytest.approx(
+    assert critical_eta(grid, BETHE, N=18) == pytest.approx(
         0.7810836226463316, abs=5e-4)
-    assert critical_eta(grid_graph(3, 3, 0.9), BETHE, N=36) == pytest.approx(
+    assert critical_eta(grid, BETHE, N=36) == pytest.approx(
         0.7849328358650207, abs=5e-4)
 
 
 def test_bethe_walk_sums_past_the_float_range_read_inf():
     # At depth 3000 the walk sums on complete:4 at eta 0.9 overflow, and
     # the next step would subtract inf from inf.
-    m = complete_graph(4, 0.9)
+    m = build_generator("complete:4", 0.9)
     deep = nonuniform_condition(m.strengths, tree="bethe", N=1100)
     assert deep.statistic < math.inf
     verdict = nonuniform_condition(m.strengths, tree="bethe", N=3000)
@@ -274,7 +272,7 @@ def test_bethe_walk_sums_past_the_float_range_read_inf():
 
 
 def test_interaction_matrix_structure():
-    m = torus_graph(3, 3, 0.6)
+    m = build_generator("torus:3x3", 0.6)
     mat = interaction_matrix(m.strengths)
     n_dir = m.num_directed
     assert mat.shape == (n_dir, n_dir)
@@ -302,7 +300,7 @@ def _shuffled_reversed_torus():
     # Edges listed in shuffled order, each as (hi, lo), with random
     # potentials so that the weights differ per edge.
     rng = np.random.default_rng(3)
-    edges = [(j, i) for i, j in torus_graph(4, 4, 0.6).edges]
+    edges = [(j, i) for i, j in build_generator("torus:4x4", 0.6).edges]
     edges = [edges[k] for k in rng.permutation(len(edges))]
     pots = {e: rng.uniform(0.2, 3.0, size=(2, 2)) for e in edges}
     return PairwiseMRF(16, edges, edge_potentials=pots)
@@ -313,7 +311,7 @@ def _shuffled_reversed_torus():
                                   "shuffled-reversed"])
 def test_non_backtracking_relation_matches_double_loop(kind, tmp_path):
     if kind == "tree":
-        m = random_tree(9, 0.7, seed=2)
+        m = build_generator("tree:9:2", 0.7)
     elif kind == "mixed-card-file":
         m = _mixed_card_graph_file(tmp_path / "mixed.graph")
     elif kind == "shuffled-reversed":
@@ -341,7 +339,7 @@ def test_interaction_matrix_tree_radius_is_conservative():
     # The true radius of a tree's nilpotent interaction matrix is 0; the
     # Collatz estimate may level off at an over-estimate but must stay below
     # one so the certificate still fires.
-    m = chain_graph(4, 0.8)
+    m = build_generator("chain:4", 0.8)
     rho = spectral_radius(interaction_matrix(m.strengths))
     assert 0.0 <= rho <= eta_weight(0.8) + 1e-9
     assert walk_summability(m.strengths).holds
@@ -379,7 +377,7 @@ def test_spectral_radius_handles_periodic_matrices():
 def test_walk_summability_on_grid_is_bipartite_safe():
     # The grid's non-backtracking matrix has a +/- leading pair; radius
     # sqrt(3) times the weight.
-    m = grid_graph(3, 3, 0.7)
+    m = build_generator("grid:3x3", 0.7)
     verdict = walk_summability(m.strengths)
     assert verdict.statistic == pytest.approx(math.sqrt(3.0) * eta_weight(0.7),
                                               abs=1e-8)
@@ -388,14 +386,14 @@ def test_walk_summability_on_grid_is_bipartite_safe():
 
 
 def test_walk_summability_criticals():
-    assert critical_eta(complete_graph(4, 0.9), "walksum") == pytest.approx(
-        0.75, abs=5e-4)
-    assert critical_eta(torus_graph(3, 3, 0.9), "walksum") == pytest.approx(
-        2 / 3, abs=5e-4)
-    assert critical_eta(grid_graph(3, 3, 0.9), "walksum") == pytest.approx(
+    def critical(spec):
+        return critical_eta(build_generator(spec, 0.9), "walksum")
+
+    assert critical("complete:4") == pytest.approx(0.75, abs=5e-4)
+    assert critical("torus:3x3") == pytest.approx(2 / 3, abs=5e-4)
+    assert critical("grid:3x3") == pytest.approx(
         (1 + 1 / math.sqrt(3.0)) / 2, abs=5e-4)
-    assert critical_eta(k4_minus_edge(0.9), "walksum") == pytest.approx(
-        0.8286490530691879, abs=5e-4)
+    assert critical("k4minus") == pytest.approx(0.8286490530691879, abs=5e-4)
 
 
 def test_edgeless_graph_certificates_are_zero():
@@ -408,7 +406,7 @@ def test_edgeless_graph_certificates_are_zero():
 
 
 def test_evaluate_condition_names_and_aliases():
-    m = torus_graph(3, 3, 0.6)
+    m = build_generator("torus:3x3", 0.6)
     for name in CONDITION_NAMES:
         verdict = evaluate_condition(m, name)
         assert verdict.holds
@@ -419,7 +417,7 @@ def test_evaluate_condition_names_and_aliases():
 
 
 def test_walk_deeper_than_the_recursion_limit_is_an_enumeration_limit():
-    model = chain_graph(1200, 0.6)
+    model = build_generator("chain:1200", 0.6)
     with pytest.raises(EnumerationLimitError, match="too long to follow"):
         evaluate_condition(model, SAW)
     with pytest.raises(EnumerationLimitError, match="too long to follow"):
@@ -427,27 +425,31 @@ def test_walk_deeper_than_the_recursion_limit_is_an_enumeration_limit():
 
 
 def test_condition_ordering_report_clean():
-    for m in (complete_graph(4, 0.7), torus_graph(3, 3, 0.64),
-              grid_graph(3, 3, 0.77), k4_minus_edge(0.81)):
+    for spec, eta in (("complete:4", 0.7), ("torus:3x3", 0.64),
+                      ("grid:3x3", 0.77), ("k4minus", 0.81)):
+        m = build_generator(spec, eta)
         assert oracles.condition_ordering_violations(m) == []
 
 
 def test_partial_graph_ordering():
-    check = oracles.partial_graph_ordering_check
-    assert check(k4_minus_edge(0.9), complete_graph(4, 0.9), SAW)
-    assert check(grid_graph(3, 3, 0.9), torus_graph(3, 3, 0.9), "walksum")
+    def check(part, whole, eta, condition):
+        return oracles.partial_graph_ordering_check(
+            build_generator(part, eta), build_generator(whole, eta), condition)
+
+    assert check("k4minus", "complete:4", 0.9, SAW)
+    assert check("grid:3x3", "torus:3x3", 0.9, "walksum")
     with pytest.raises(ValueError):
-        check(chain_graph(3, 0.7), complete_graph(4, 0.7), SAW)
+        check("chain:3", "complete:4", 0.7, SAW)
     with pytest.raises(ValueError):
         # Neither edge set contains the other.
-        check(chain_graph(4, 0.7), torus_graph(2, 2, 0.7), SAW)
+        check("chain:4", "torus:2x2", 0.7, SAW)
 
 
 def test_condition_strictness_at_single_eta():
     """At 0.74 on the torus: walk-summability already failed (2/3) while the
     SAW condition still fails later; both bethe levels agree with their
     premise conditions."""
-    m = with_uniform_binary(torus_graph(3, 3, 0.9), 0.65)
+    m = with_uniform_binary(build_generator("torus:3x3", 0.9), 0.65)
     assert evaluate_condition(m, "walksum").holds
     assert evaluate_condition(m, "nonuniform-bethe").holds
     assert evaluate_condition(m, "nonuniform-saw").holds

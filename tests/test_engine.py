@@ -9,18 +9,13 @@ from loopybp import (
     ModelError,
     PairwiseMRF,
     build_generator,
-    chain_graph,
-    complete_graph,
     compute_strengths,
-    cycle_graph,
     empirical_convergent,
     empirical_critical_eta,
     engine,
-    grid_graph,
     parse_graph_text,
     run_residual_scheduled,
     run_synchronous,
-    torus_graph,
     true_distance,
     update_message,
     with_uniform_binary,
@@ -56,7 +51,7 @@ def oracle_form(model):
 
 
 def test_message_set_basics():
-    m = complete_graph(3, 0.7)
+    m = build_generator("complete:3", 0.7)
     ms = MessageSet.uniform(m)
     for t, s in m.directed_edges():
         vec = ms.get(t, s)
@@ -71,7 +66,7 @@ def test_message_set_basics():
 
 
 def test_message_set_set_validates():
-    m = chain_graph(2, 0.7)
+    m = build_generator("chain:2", 0.7)
     ms = MessageSet.uniform(m)
     ms.set(0, 1, [0.2, 0.8])
     assert np.allclose(ms.get(0, 1), [0.2, 0.8])
@@ -143,7 +138,7 @@ def test_uniform_messages_leave_node_potentials():
 def test_uniform_init_stays_paramagnetic():
     # The symmetric point is an exact fixed point, so a uniform start never
     # leaves it even when mirror points exist.
-    result = run_synchronous(torus_graph(3, 3, 0.7))
+    result = run_synchronous(build_generator("torus:3x3", 0.7))
     assert result.status == "converged"
     assert result.iterations == 1
     for v in range(9):
@@ -151,7 +146,8 @@ def test_uniform_init_stays_paramagnetic():
 
 
 def test_random_init_finds_mirror_point():
-    result = run_synchronous(torus_graph(3, 3, 0.7), init="random", seed=0)
+    result = run_synchronous(build_generator("torus:3x3", 0.7),
+                             init="random", seed=0)
     assert result.status == "converged"
     for v in range(9):
         assert np.allclose(sorted(result.beliefs[v]),
@@ -159,13 +155,14 @@ def test_random_init_finds_mirror_point():
 
 
 def test_antiferromagnetic_oscillation():
-    result = run_synchronous(torus_graph(3, 3, 0.3), init="random", seed=0)
+    result = run_synchronous(build_generator("torus:3x3", 0.3),
+                             init="random", seed=0)
     assert result.status == "oscillating"
     assert result.period == 2
 
 
 def test_budget_exhaustion_status():
-    result = run_synchronous(complete_graph(4, 0.9), init="random",
+    result = run_synchronous(build_generator("complete:4", 0.9), init="random",
                              seed=1, max_iters=3)
     assert result.status == "max_iters"
     assert result.iterations == 3
@@ -173,25 +170,26 @@ def test_budget_exhaustion_status():
 
 
 def test_convergence_is_monotone_tracked():
-    result = run_synchronous(complete_graph(4, 0.6), init="random", seed=4)
+    result = run_synchronous(build_generator("complete:4", 0.6),
+                             init="random", seed=4)
     assert result.status == "converged"
     assert len(result.max_changes) == result.iterations
     assert result.max_changes[-1] < 1e-10
 
 
 def test_empirical_convergent_flips_with_eta():
-    topo = complete_graph(4, 0.9)
+    topo = build_generator("complete:4", 0.9)
     assert empirical_convergent(with_uniform_binary(topo, 0.6))
     assert not empirical_convergent(with_uniform_binary(topo, 0.9))
 
 
 def test_empirical_critical_eta_rejects_zero_tolerance():
     with pytest.raises(ValueError):
-        empirical_critical_eta(complete_graph(4, 0.7), tol=0.0)
+        empirical_critical_eta(build_generator("complete:4", 0.7), tol=0.0)
 
 
 def test_residual_matches_synchronous():
-    m = torus_graph(3, 3, 0.64)
+    m = build_generator("torus:3x3", 0.64)
     sync = run_synchronous(m)
     sched, trace = run_residual_scheduled(m)
     assert sched.status == "converged"
@@ -201,7 +199,7 @@ def test_residual_matches_synchronous():
 
 
 def test_residual_priorities_dominate_residuals():
-    m = complete_graph(4, 0.82)
+    m = build_generator("complete:4", 0.82)
     result, trace = run_residual_scheduled(m, init="random", seed=7)
     assert result.status == "converged"
     assert len(trace.entries) > 0
@@ -210,7 +208,7 @@ def test_residual_priorities_dominate_residuals():
 
 
 def test_residual_trace_csv(tmp_path):
-    m = chain_graph(3, 0.7)
+    m = build_generator("chain:3", 0.7)
     _, trace = run_residual_scheduled(m)
     out = tmp_path / "trace.csv"
     with open(out, "w") as fh:
@@ -224,7 +222,7 @@ def test_residual_trace_csv(tmp_path):
 
 def test_residual_priority_endpoints():
     # A saturated accumulator gives the cap 2*log(d * d_star); none, zero.
-    dd = compute_strengths(complete_graph(4, 0.7)).dd
+    dd = compute_strengths(build_generator("complete:4", 0.7)).dd
     assert _log_contraction(dd, np.inf) == pytest.approx(2.0 * np.log(dd),
                                                           abs=1e-12)
     assert _log_contraction(dd, 0.0) == pytest.approx(np.zeros_like(dd),
@@ -261,7 +259,7 @@ def test_residual_on_tree_is_exact():
 
 
 def test_grid_random_inits_share_one_point_below_threshold():
-    m = grid_graph(3, 3, 0.6)
+    m = build_generator("grid:3x3", 0.6)
     runs = [run_synchronous(m, init="random", seed=s, tol=1e-12) for s in range(4)]
     assert all(r.status == "converged" for r in runs)
     base = runs[0].beliefs
@@ -271,7 +269,7 @@ def test_grid_random_inits_share_one_point_below_threshold():
 
 
 def test_residual_budget_includes_initial_sweep():
-    m = cycle_graph(5, 0.6)
+    m = build_generator("cycle:5", 0.6)
     result, trace = run_residual_scheduled(m, max_updates=3)
     assert result.status == "max_iters"
     assert result.iterations == 3
@@ -591,7 +589,7 @@ def test_multistart_rejects_models_of_another_topology():
     lambda m: empirical_critical_eta(m, max_iters=0),
 ])
 def test_restart_probes_reject_empty_budgets(call):
-    for m in (complete_graph(4, 0.7), PairwiseMRF(2, [])):
+    for m in (build_generator("complete:4", 0.7), PairwiseMRF(2, [])):
         with pytest.raises(ValueError, match="must be at least 1"):
             call(m)
 
@@ -748,7 +746,7 @@ RESIDUAL_CASES = {
     # the lowest index wins every pop.
     "torus-tol0": (lambda: build_generator("torus:3x3", 0.7),
                    dict(init="uniform", tol=0.0, max_updates=120)),
-    "chain-tol0": (lambda: chain_graph(4, 0.7),
+    "chain-tol0": (lambda: build_generator("chain:4", 0.7),
                    dict(init="random", seed=1, tol=0.0, max_updates=60)),
     # The budget ends inside the initial sweep.
     "inside-sweep": (lambda: _mixed_card_grid(6, 6, seed=21),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loopybp
 import oracles
 from loopybp import models as models_mod
 from loopybp import (
@@ -14,20 +15,13 @@ from loopybp import (
     PairwiseMRF,
     bound_report,
     build_generator,
-    chain_graph,
-    complete_graph,
     compute_strengths,
     evaluate_condition,
     format_graph_text,
-    grid_graph,
-    k4_minus_edge,
     nonuniform_distance_bound,
     parse_graph_file,
     parse_graph_text,
-    random_tree,
     run_residual_scheduled,
-    symmetric_binary_potential,
-    torus_graph,
     with_uniform_binary,
     write_graph_file,
 )
@@ -46,30 +40,113 @@ def square_mats(side):
 
 
 def test_generator_shapes():
-    assert len(complete_graph(4, 0.7).edges) == 6
-    assert len(k4_minus_edge(0.7).edges) == 5
-    assert len(grid_graph(3, 3, 0.7).edges) == 12
-    assert len(torus_graph(3, 3, 0.7).edges) == 18
-    t = random_tree(9, 0.7, seed=3)
+    assert len(build_generator("complete:4", 0.7).edges) == 6
+    assert len(build_generator("k4minus", 0.7).edges) == 5
+    assert len(build_generator("grid:3x3", 0.7).edges) == 12
+    assert len(build_generator("torus:3x3", 0.7).edges) == 18
+    t = build_generator("tree:9:3", 0.7)
     assert len(t.edges) == 8
 
 
+# Every form's (num_nodes, edges), in the order the generators list them:
+# the edge order fixes the directed-edge order, and with it every output.
+# A torus closes only a dimension of more than two nodes, so torus:2x3
+# wraps its rows alone and torus:1x5 is cycle:5.
+GENERATED = {
+    "k4minus": (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+    "complete:4": (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+    "cycle:5": (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+    "chain:4": (4, [(0, 1), (1, 2), (2, 3)]),
+    "grid:2x3": (6, [(0, 1), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (4, 5)]),
+    "torus:3x3": (9, [(0, 1), (0, 3), (1, 2), (1, 4), (0, 2), (2, 5), (3, 4),
+                      (3, 6), (4, 5), (4, 7), (3, 5), (5, 8), (6, 7), (0, 6),
+                      (7, 8), (1, 7), (6, 8), (2, 8)]),
+    "torus:2x3": (6, [(0, 1), (0, 3), (1, 2), (1, 4), (0, 2), (2, 5), (3, 4),
+                      (4, 5), (3, 5)]),
+    "torus:1x5": (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+    "tree:8:1": (8, [(0, 1), (0, 2), (1, 3), (3, 4), (4, 5), (0, 6), (1, 7)]),
+}
+
+
+@pytest.mark.parametrize("spec", list(GENERATED))
+def test_generated_topologies_are_pinned(spec):
+    m = build_generator(spec, 0.7)
+    assert (m.num_nodes, m.edges) == GENERATED[spec]
+    pot = np.array([[0.7, 1 - 0.7], [1 - 0.7, 0.7]])
+    assert all(np.array_equal(mat, pot) for mat in m.edge_pot)
+
+
+# complete:200 has 19,900 edges and lies within the caps; complete:201 not.
+@pytest.mark.parametrize("spec, message", [
+    ("complete:1", "complete graph needs at least 2 nodes"),
+    ("cycle:2", "cycle needs at least 3 nodes"),
+    ("chain:1", "chain needs at least 2 nodes"),
+    ("grid:0x5", "grid needs at least 2 nodes"),
+    ("grid:1x1", "grid needs at least 2 nodes"),
+    ("torus:1x1", "grid needs at least 2 nodes"),
+    ("tree:1", "tree needs at least 2 nodes"),
+    ("grid:3x", "invalid literal for int() with base 10: ''"),
+    ("complete:201",
+     "201 nodes and 20100 edges: the limits are 10000 and 20000"),
+    ("grid:200x200",
+     "40000 nodes and 80000 edges: the limits are 10000 and 20000"),
+    ("tree:5:-1", "expected non-negative integer"),
+    ("grid:-3x-3", "grid needs at least 2 nodes"),
+    ("grid:-101x-101",
+     "10201 nodes and 20402 edges: the limits are 10000 and 20000"),
+    ("complete:-5", "complete graph needs at least 2 nodes"),
+])
+def test_bad_generator_specs_name_their_fault(spec, message):
+    with pytest.raises(ValueError) as info:
+        build_generator(spec, 0.7)
+    assert str(info.value) == f"bad generator spec {spec!r}: {message}"
+
+
+@pytest.mark.parametrize("spec", ["foo:3", "k4minus:4", "complete", "tree:5:1:2"])
+def test_unknown_generator_specs_are_refused(spec):
+    with pytest.raises(ValueError) as info:
+        build_generator(spec, 0.7)
+    assert str(info.value) == f"unknown generator spec {spec!r}"
+
+
+@pytest.mark.parametrize("eta", [1.5, 1.0, 0.0, -0.2, float("nan")])
+def test_a_bad_eta_is_an_eta_error(eta):
+    with pytest.raises(ValueError) as info:
+        build_generator("k4minus", eta)
+    assert str(info.value) == "eta must lie strictly between 0 and 1"
+    # The spec is read first: a bad spec names itself whatever the eta.
+    with pytest.raises(ValueError, match="^bad generator spec 'cycle:2'"):
+        build_generator("cycle:2", eta)
+
+
+def test_no_public_route_builds_past_the_caps():
+    # grid_graph(200, 200, 0.6) built 40,000 nodes past the spec caps; the
+    # spec is now the one route to a named topology.
+    for name in ("complete_graph", "k4_minus_edge", "cycle_graph",
+                 "chain_graph", "grid_graph", "torus_graph", "random_tree",
+                 "symmetric_binary_potential"):
+        assert not hasattr(models_mod, name), name
+        assert not hasattr(loopybp, name), name
+    with pytest.raises(ValueError, match="the limits are 10000 and 20000"):
+        build_generator("grid:200x200", 0.6)
+
+
 def test_torus_is_uniform_degree_four():
-    m = torus_graph(3, 3, 0.6)
+    m = build_generator("torus:3x3", 0.6)
     assert all(len(m.neighbors(v)) == 4 for v in range(m.num_nodes))
 
 
 def test_grid_degree_profile():
-    m = grid_graph(3, 3, 0.6)
+    m = build_generator("grid:3x3", 0.6)
     degs = sorted(len(m.neighbors(v)) for v in range(9))
     assert degs == [2, 2, 2, 2, 3, 3, 3, 3, 4]
 
 
 def test_symmetric_binary_potential_values():
-    mat = symmetric_binary_potential(0.7)
+    mat = build_generator("chain:2", 0.7).edge_pot[0]
     assert np.allclose(mat, [[0.7, 0.3], [0.3, 0.7]])
     with pytest.raises(ValueError):
-        symmetric_binary_potential(1.0)
+        build_generator("chain:2", 1.0)
 
 
 def test_model_validation():
@@ -165,7 +242,7 @@ def test_edge_matrix_orientation():
 
 
 def test_directed_edge_ends_follow_canonical_order():
-    for m in (grid_graph(3, 3, 0.9), PairwiseMRF(2, [])):
+    for m in (build_generator("grid:3x3", 0.9), PairwiseMRF(2, [])):
         directed = m.directed_edges()
         assert m.directed_src.tolist() == [e.src for e in directed]
         assert m.directed_dst.tolist() == [e.dst for e in directed]
@@ -176,10 +253,10 @@ def test_directed_edge_ends_follow_canonical_order():
 
 
 def test_with_uniform_binary_replaces_potentials():
-    base = grid_graph(3, 3, 0.9)
+    base = build_generator("grid:3x3", 0.9)
     redone = with_uniform_binary(base, 0.55)
     assert redone.edges == base.edges
-    assert np.allclose(redone.edge_matrix(0, 1), symmetric_binary_potential(0.55))
+    assert np.allclose(redone.edge_matrix(0, 1), [[0.55, 0.45], [0.45, 0.55]])
 
 
 def one_edge(mat):
@@ -201,7 +278,7 @@ def test_strength_frozen_values():
 
 
 def test_symmetric_binary_strengths():
-    table = one_edge(symmetric_binary_potential(0.7))
+    table = build_generator("chain:2", 0.7).strengths
     assert table.d_pair[0] == pytest.approx(math.sqrt(7 / 3), abs=1e-12)
     assert table.d_star_row[0] == pytest.approx(1.0, abs=1e-14)
     assert table.n_strength[0] == pytest.approx(0.4, abs=1e-12)
@@ -244,7 +321,7 @@ def test_marginal_strength_never_exceeds_plain(mat):
 
 
 def test_strength_table_directed_views():
-    m = complete_graph(3, 0.7)
+    m = build_generator("complete:3", 0.7)
     table = compute_strengths(m)
     d = math.sqrt(7 / 3)
     assert table.pair(0, 1) == pytest.approx(d, abs=1e-12)
@@ -321,9 +398,10 @@ def test_each_model_builds_its_strength_table_once(monkeypatch, capsys):
 def test_a_strength_table_of_another_model_is_refused():
     # Read as torus:3x3's at 0.55, eta 0.9's table gave nudb 8.759, not 0,
     # and flipped the uniform verdict; grid:3x3's raised an IndexError.
-    m = torus_graph(3, 3, 0.55)
-    for other in (torus_graph(3, 3, 0.9), grid_graph(3, 3, 0.55),
-                  torus_graph(3, 3, 0.55)):
+    m = build_generator("torus:3x3", 0.55)
+    for other in (build_generator("torus:3x3", 0.9),
+                  build_generator("grid:3x3", 0.55),
+                  build_generator("torus:3x3", 0.55)):
         foreign = compute_strengths(other)
         for call in (lambda: nonuniform_distance_bound(m, foreign),
                      lambda: evaluate_condition(m, "uniform", foreign),
@@ -379,7 +457,7 @@ def _mixed_shape_model():
 @pytest.mark.parametrize("build", [
     _mixed_shape_model,
     lambda: PairwiseMRF(3, []),
-    lambda: torus_graph(3, 3, 0.8),
+    lambda: build_generator("torus:3x3", 0.8),
 ])
 def test_strength_table_matches_per_edge_loop(build):
     m = build()
@@ -448,7 +526,7 @@ def test_graph_text_roundtrip():
 
 
 def test_graph_file_roundtrip(tmp_path):
-    m = torus_graph(3, 3, 0.65)
+    m = build_generator("torus:3x3", 0.65)
     path = tmp_path / "torus.graph"
     write_graph_file(m, path)
     back = parse_graph_file(path)

@@ -6,11 +6,6 @@ from loopybp import (
     PairwiseMRF,
     SawTree,
     build_generator,
-    chain_graph,
-    complete_graph,
-    cycle_graph,
-    grid_graph,
-    k4_minus_edge,
     run_synchronous,
     saw_tree,
 )
@@ -22,14 +17,14 @@ def adjacency_of(model):
 
 
 def test_bethe_tree_counts():
-    assert len(bethe_tree(cycle_graph(3, 0.7), 0, 2)) == 5
+    assert len(bethe_tree(build_generator("cycle:3", 0.7), 0, 2)) == 5
     # Non-backtracking branching on K4: 1 + 3 + 6 + 12.
-    assert len(bethe_tree(complete_graph(4, 0.7), 0, 3)) == 22
-    assert len(bethe_tree(complete_graph(4, 0.7), 0, 0)) == 1
+    assert len(bethe_tree(build_generator("complete:4", 0.7), 0, 3)) == 22
+    assert len(bethe_tree(build_generator("complete:4", 0.7), 0, 0)) == 1
 
 
 def test_bethe_tree_respects_depth():
-    t = bethe_tree(grid_graph(3, 3, 0.7), 4, 2)
+    t = bethe_tree(build_generator("grid:3x3", 0.7), 4, 2)
     assert t.depth == 2
     assert all(node.depth <= 2 for node in t.nodes)
     assert t.nodes[0].label == 4
@@ -37,23 +32,23 @@ def test_bethe_tree_respects_depth():
 
 
 def test_saw_tree_size_matches_walk_count():
-    for model, root in [(complete_graph(4, 0.7), 0),
-                        (k4_minus_edge(0.7), 2),
-                        (cycle_graph(5, 0.7), 1),
-                        (grid_graph(3, 3, 0.7), 0)]:
+    for model, root in [(build_generator("complete:4", 0.7), 0),
+                        (build_generator("k4minus", 0.7), 2),
+                        (build_generator("cycle:5", 0.7), 1),
+                        (build_generator("grid:3x3", 0.7), 0)]:
         t = saw_tree(model, root)
         assert len(t) == oracles.count_saw_walks(adjacency_of(model), root)
 
 
 def test_saw_tree_k4_shape():
-    t = oracles.saw_tree(complete_graph(4, 0.7), 0)
+    t = oracles.saw_tree(build_generator("complete:4", 0.7), 0)
     assert len(t) == 16
     assert t.depth == 3
     assert label_counts(t) == {0: 1, 1: 5, 2: 5, 3: 5}
 
 
 def test_saw_paths_never_repeat_labels():
-    t = oracles.saw_tree(grid_graph(3, 3, 0.7), 4)
+    t = oracles.saw_tree(build_generator("grid:3x3", 0.7), 4)
     for node in t.nodes:
         seen = set()
         while node is not None:
@@ -75,11 +70,11 @@ def test_saw_tree_counts_the_reference_tree(spec):
 def test_saw_tree_root_out_of_range():
     for root in (-1, 4):
         with pytest.raises(ValueError, match=f"root {root} out of range"):
-            saw_tree(complete_graph(4, 0.7), root)
+            saw_tree(build_generator("complete:4", 0.7), root)
 
 
 def test_text_dump_mentions_every_label():
-    t = bethe_tree(cycle_graph(3, 0.7), 0, 2)
+    t = bethe_tree(build_generator("cycle:3", 0.7), 0, 2)
     dump = text_dump(t)
     assert dump.splitlines()[0] == "0"
     assert sum(label_counts(t).values()) == len(t)
@@ -104,7 +99,7 @@ def test_unwrapping_a_tree_reproduces_it():
 def test_bethe_marginal_equals_iterated_sweeps(steps):
     """Root marginal of the depth-n unwrapping = beliefs after n synchronous
     sweeps from a uniform start."""
-    m = grid_graph(3, 3, 0.8)
+    m = build_generator("grid:3x3", 0.8)
     root = 4
     if steps == 0:
         got = m.node_pot[root] / m.node_pot[root].sum()
@@ -115,7 +110,7 @@ def test_bethe_marginal_equals_iterated_sweeps(steps):
 
 
 def test_chain_saw_tree_is_the_chain():
-    m = chain_graph(5, 0.7)
+    m = build_generator("chain:5", 0.7)
     t = saw_tree(m, 0)
     assert len(t) == 5
     assert t.depth == 4

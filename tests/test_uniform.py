@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 import oracles
 from loopybp import (
-    complete_graph,
+    build_generator,
     compute_strengths,
     error_variation_zeros,
     fixed_points,
     ihler_uniform_distance_bound,
     scalar_derivative,
     scalar_update,
-    torus_graph,
     true_error_variation,
     udb_completely_uniform,
     uniform_belief,
@@ -227,12 +226,12 @@ def test_completely_uniform_bound_matches_graph_route():
     # squared strength, so they agree bit for bit. The last three catch a
     # scalar route with arithmetic of its own: it differs there in the last
     # bit.
-    for degree, model in ((3, complete_graph(4, 0.8)),
-                          (4, torus_graph(3, 3, 0.7)),
-                          (5, complete_graph(6, 0.7)),
-                          (4, torus_graph(3, 3, 0.67)),
-                          (4, torus_graph(3, 3, 0.69)),
-                          (5, complete_graph(6, 0.63))):
+    for degree, model in ((3, build_generator("complete:4", 0.8)),
+                          (4, build_generator("torus:3x3", 0.7)),
+                          (5, build_generator("complete:6", 0.7)),
+                          (4, build_generator("torus:3x3", 0.67)),
+                          (4, build_generator("torus:3x3", 0.69)),
+                          (5, build_generator("complete:6", 0.63))):
         d = compute_strengths(model).pair(0, 1)
         graph, _ = ihler_uniform_distance_bound(model)
         scalar = udb_completely_uniform(d, degree)
