@@ -4,7 +4,7 @@ intervals around converged beliefs."""
 
 from .accuracy import (AccuracyBound, ConvergenceFailure, accuracy_bound,
                        exact_marginals, saw_accuracy)
-from .bounds import (BoundReport, bound_report, bound_variation, delta1,
+from .bounds import (BoundReport, bound_report, delta1,
                      ihler_nonuniform_distance_bound,
                      ihler_uniform_distance_bound,
                      improved_uniform_distance_bound,
@@ -13,8 +13,7 @@ from .bounds import (BoundReport, bound_report, bound_variation, delta1,
 from .convergence import (ConvergenceVerdict, critical_eta,
                           evaluate_condition, ihler_uniform_condition,
                           interaction_matrix, nonuniform_condition,
-                          rate_metric, spectral_radius, uniform_condition,
-                          walk_summability)
+                          spectral_radius, uniform_condition, walk_summability)
 from .engine import (MessageSet, RunResult, ScheduleTrace,
                      empirical_convergent, empirical_critical_eta,
                      run_residual_scheduled, run_synchronous, update_message)
@@ -23,8 +22,6 @@ from .models import (DirectedEdge, EnumerationLimitError, GraphFormatError,
                      compute_strengths, format_graph_text, parse_graph_file,
                      parse_graph_text, with_uniform_binary, write_graph_file)
 from .trees import SawTree, saw_tree
-from .uniform import (FixedPointSet, error_variation_zeros, fixed_points,
-                      scalar_derivative, scalar_update, true_error_variation,
-                      udb_completely_uniform, uniform_belief)
+from .uniform import FixedPointSet, fixed_points, uniform_belief
 
 __version__ = "0.1.0"

@@ -40,36 +40,6 @@ def delta1(d_pair: float, d_star: float, dE: float) -> float:
     return root * root
 
 
-_VARIATION_KINDS = {
-    # kind -> (use d_pair*d_star, log coefficient); G_O plain, G_II improved
-    "G_O": (True, 2.0),
-    "G_I": (False, 2.0),
-    "G_II": (False, 1.0),
-}
-
-
-def bound_variation(kind: str, strengths, log_eps: float) -> float:
-    """Net change of the error recursion at a node, as a function of log eps.
-
-    ``strengths`` lists (d_pair, d_star) per incoming edge excluding the
-    target. Zero at log_eps = 0 for every kind; eventually decreasing with
-    slope -1, so the largest root is the recursion's stable fixed point.
-    """
-    try:
-        use_star, coeff = _VARIATION_KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown kind {kind!r}") from None
-    if log_eps < 0.0:
-        raise ValueError("log_eps must be non-negative")
-    pairs = np.asarray(strengths, dtype=float).reshape(-1, 2)
-    if np.any(pairs < 1.0):
-        raise ValueError("strengths must be at least 1")
-    v = pairs[:, 0] * (pairs[:, 1] if use_star else pairs[:, 0])
-    one_segment = np.zeros(len(v), dtype=int)
-    rec = _Recursion(1, one_segment, one_segment, coeff, v)
-    return float(rec.sums(float(log_eps))[0]) - log_eps
-
-
 # -- recursion plumbing ----------------------------------------------------
 
 
@@ -118,8 +88,7 @@ def _recursion(strengths: StrengthTable, improved: bool) -> _Recursion:
     relation: segment seg[i] receives a term driven by edge feed[i]."""
     model = strengths.model
     seg, feed = model.non_backtracking_pairs
-    use_star, coeff = _VARIATION_KINDS["G_II" if improved else "G_O"]
-    strength = strengths.dd if use_star else strengths.d2
+    strength, coeff = (strengths.d2, 1.0) if improved else (strengths.dd, 2.0)
     return _Recursion(model.num_directed, seg, feed, coeff, strength[feed])
 
 

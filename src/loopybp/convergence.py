@@ -74,14 +74,6 @@ def ihler_uniform_condition(strengths: StrengthTable) -> ConvergenceVerdict:
     return ConvergenceVerdict("ihler-uniform", stat, 1.0, witness)
 
 
-def rate_metric(strengths: StrengthTable, edge) -> float:
-    """Distance of the ihler-uniform edge sum from its threshold; the
-    derivative magnitude of the error recursion at zero, a proxy for how
-    fast messages along (s, p) settle."""
-    at = strengths.model.directed_index(*edge)
-    return abs(float(_edge_sums(strengths, strengths.d2)[at]) - 1.0)
-
-
 # -- walk-sum conditions ---------------------------------------------------
 
 

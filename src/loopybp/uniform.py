@@ -2,9 +2,11 @@
 
 When every node has the same degree, a uniform node potential, and the same
 symmetric pairwise potential, all messages share one value and the whole
-update collapses to a scalar map F on (0, 1). This module finds its fixed
-and quasi-fixed points, classifies the regime, and evaluates the exact
-error-variation curve those fixed points induce.
+update collapses to a scalar map F on (0, 1). In the log ratio
+h = atanh(2x - 1) it reads tanh h' = tanh J tanh(k h), with
+tanh J = (a - b)/(a + b), so its fixed and quasi-fixed points are known in
+closed form (Mooij & Kappen, JSTAT 2005). This module counts and locates
+them and classifies the regime.
 """
 
 from __future__ import annotations
@@ -15,10 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .bounds import _Recursion, _solve_uniform
-
-GRID_POINTS = 10000
-_VARIATION_GRID = 2000  # sign-scan intervals of error_variation_zeros
+GRID_POINTS = 10000  # interior points of the grid whose cells bracket roots
 _ROOT_TOL = 1e-12
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
 # Near x = 1/2, x**k + (1-x)**k is about 2 * 0.5**k: subnormal, so
@@ -37,27 +36,6 @@ def _validate_abk(a, b, k):
         raise ValueError(f"incoming count k must be at most {_MAX_K}")
 
 
-def _interior(x, a, b, k) -> np.ndarray:
-    """Checked inputs of the scalar map: x as an array inside (0, 1)."""
-    _validate_abk(a, b, k)
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0) or np.any(x >= 1.0):
-        raise ValueError("x must lie in (0, 1)")
-    return x
-
-
-def scalar_update(x, a, b, k):
-    """One message update: y = (a x^k + b (1-x)^k) / ((a+b)(x^k + (1-x)^k)).
-
-    Accepts scalars or arrays; x must lie strictly inside (0, 1).
-    """
-    x = _interior(x, a, b, k)
-    xk = x ** k
-    yk = (1.0 - x) ** k
-    out = (a * xk + b * yk) / ((a + b) * (xk + yk))
-    return float(out) if out.ndim == 0 else out
-
-
 def _scaled_powers(x, k):
     """x^(k-1) and (1-x)^(k-1), both divided by the power of two of the
     larger: exact, and it keeps what is built from them off the subnormal
@@ -68,17 +46,19 @@ def _scaled_powers(x, k):
     return np.ldexp(xk1, -scale), np.ldexp(yk1, -scale)
 
 
-def scalar_derivative(x, a, b, k):
+def _scalar_derivative(x, a, b, k):
     """Analytic F'(x) by the quotient rule on scaled powers, which the
-    quotient cancels; the scaling keeps den * den from underflowing."""
-    x = _interior(x, a, b, k)
+    quotient cancels; the scaling keeps den * den from underflowing. x is
+    taken as a numpy float: a Python float's powers can differ in the last
+    bit, which near |F'| = 1 can flip a stability flag."""
+    x = np.asarray(x, dtype=float)
     xk1, yk1 = _scaled_powers(x, k)
     num = a * x * xk1 + b * (1.0 - x) * yk1
     den = (a + b) * (x * xk1 + (1.0 - x) * yk1)
     dnum = k * (a * xk1 - b * yk1)
     dden = (a + b) * k * (xk1 - yk1)
     out = (dnum * den - num * dden) / (den * den)
-    return float(out) if out.ndim == 0 else out
+    return float(out)
 
 
 def uniform_belief(x, degree) -> float:
@@ -91,41 +71,16 @@ def uniform_belief(x, degree) -> float:
 
 @dataclass
 class FixedPointSet:
-    """Roots of x = F(x), roots of 1 - x = F(x) that are not fixed points,
-    stability flags (|F'| < 1), and the regime read off F'(1/2)."""
+    """Roots of x = F(x), roots of 1 - x = F(x) that are not fixed points
+    (the two ends of the period-2 orbit), each list ascending; stability
+    flags (|F'| < 1) of the fixed points, and the regime read off
+    F'(1/2)."""
 
     fixed: list
     stability: list
     quasi: list
     regime: str
     slope_at_half: float
-
-
-def _sign_roots(g, xs, vals) -> list:
-    """Roots of g from its values ``vals`` on the ascending grid ``xs``:
-    exact zeros on the grid, then a bisection of each sign change down to
-    _ROOT_TOL; roots closer than 1e-9 are merged."""
-    roots = [float(xs[i]) for i in np.nonzero(vals == 0.0)[0]]
-    for i in np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]:
-        lo, hi = float(xs[i]), float(xs[i + 1])
-        glo = float(vals[i])
-        while hi - lo > _ROOT_TOL:
-            mid = 0.5 * (lo + hi)
-            gmid = float(g(mid))
-            if gmid == 0.0:
-                lo = hi = mid
-                break
-            if (glo < 0.0) == (gmid < 0.0):
-                lo, glo = mid, gmid
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if not merged or r - merged[-1] > 1e-9:
-            merged.append(r)
-    return merged
 
 
 def _root_function(c, c2, k, x):
@@ -138,23 +93,96 @@ def _root_function(c, c2, k, x):
     return c * (x * x * xk1 - y * y * yk1) + c2 * x * y * (yk1 - xk1)
 
 
-def fixed_points(a, b, k) -> FixedPointSet:
-    """Locate all fixed and quasi-fixed points of F on (0, 1).
 
-    Dense grid plus bisection, so any k works; tangent (double) roots off
-    the symmetry point are outside what a sign scan can see.
+
+def _bisect(g, lo, hi, glo) -> float:
+    """A root of g on [lo, hi], where g has the sign of glo just above lo
+    and the other sign at hi: bisection down to _ROOT_TOL, stopped by an
+    exact zero."""
+    while hi - lo > _ROOT_TOL:
+        mid = 0.5 * (lo + hi)
+        gmid = float(g(mid))
+        if gmid == 0.0:
+            return mid
+        if (glo < 0.0) == (gmid < 0.0):
+            lo, glo = mid, gmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _refine(g, x) -> float:
+    """The root of g near x, bisected in the cell of the grid that holds x.
+
+    The grid is the one a sign scan read at GRID_POINTS interior points,
+    with its ends 0 and 1, and g has the shape of both root functions in a
+    regime with a pair: negative at 0, positive between the lower member
+    and 1/2, negative between 1/2 and the upper member, positive at 1. A
+    cell that holds the root 1/2 is cut there, to x's side. A grid point
+    where g is exactly zero is the root. If the cell of x shows no sign
+    change, its neighbours on x's side of 1/2 are tried, as the root may
+    lie across a grid point from x; if none shows one either, x is
+    returned.
+    """
+    grid = np.linspace(0.0, 1.0, GRID_POINTS + 2)
+    i = min(int(np.searchsorted(grid, x, side="right")) - 1, GRID_POINTS)
+    for c in (i, i - 1, i + 1):
+        if not 0 <= c <= GRID_POINTS:
+            continue
+        lo, hi = float(grid[c]), float(grid[c + 1])
+        glo, ghi = g(grid[c:c + 2])
+        if lo < 0.5 < hi:
+            if x < 0.5:
+                hi, ghi = 0.5, 1.0
+            else:
+                lo, glo = 0.5, -1.0
+        elif (lo < 0.5) != (x < 0.5):  # across 1/2 from x
+            continue
+        if glo == 0.0 or ghi == 0.0:
+            return lo if glo == 0.0 else hi
+        if glo * ghi < 0.0:
+            return _bisect(g, lo, hi, glo)
+    return x
+
+
+def _pair_log_ratio(t, k) -> float:
+    """The h > 0 with tanh h = t tanh(k h), for 1/k < t < 1: bisection on
+    [0, 20], where tanh h - t tanh(k h) is negative below the root and not
+    negative above it. Past h = 20, x = 1/(1 + e^(-2h)) rounds to 1."""
+    lo, hi = 0.0, 20.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if math.tanh(mid) < t * math.tanh(k * mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def fixed_points(a, b, k) -> FixedPointSet:
+    """All fixed and quasi-fixed points of F on (0, 1), from the theorem.
+
+    With tanh J = (a - b)/(a + b), the slope at 1/2 is k tanh J, and 1/2
+    is always a fixed point. Past slope 1 there is one more pair of fixed
+    points, below slope -1 one pair of quasi points, and otherwise none. A
+    pair is x and 1 - x with x = 1/(1 + e^(-2h)), where h > 0 solves
+    tanh h = |tanh J| tanh(k h); each member is then refined by bisection.
     """
     _validate_abk(a, b, k)
-    xs = np.linspace(0.0, 1.0, GRID_POINTS + 2)[1:-1]
-    fixed, quasi_all = (
-        _sign_roots(g, xs, g(xs))
-        for g in (partial(_root_function, b, a, k),
-                  partial(_root_function, a, b, k)))
-    quasi = [q for q in quasi_all
-             if all(abs(q - f) > 1e-9 for f in fixed)]
-    stability = [bool(abs(scalar_derivative(f, a, b, k)) < 1.0)
-                 for f in fixed]
     slope = k * (a - b) / (a + b)
+    fixed, quasi = [0.5], []
+    if abs(slope) > 1.0:
+        h = _pair_log_ratio(abs(a - b) / (a + b), k)
+        # Kept above 1/2, so that the members take opposite sides of it.
+        x = max(1.0 / (1.0 + math.exp(-2.0 * h)), math.nextafter(0.5, 1.0))
+        g = partial(_root_function, *((b, a) if slope > 0.0 else (a, b)), k)
+        low, high = _refine(g, 1.0 - x), _refine(g, x)
+        if slope > 0.0:
+            fixed = [low, 0.5, high]
+        else:
+            quasi = [low, high]
+    stability = [bool(abs(_scalar_derivative(f, a, b, k)) < 1.0)
+                 for f in fixed]
     if slope > 1.0:
         regime = "ferromagnetic"
     elif slope < -1.0:
@@ -162,47 +190,3 @@ def fixed_points(a, b, k) -> FixedPointSet:
     else:
         regime = "paramagnetic"
     return FixedPointSet(fixed, stability, quasi, regime, slope)
-
-
-def true_error_variation(a, b, k, M, log_E) -> float:
-    """Exact error-variation value G(log E) for a fixed-point product M.
-
-    Defined for a > b on 0 <= log E < log(1/M); zero at log E = 0.
-    """
-    _validate_abk(a, b, k)
-    if a <= b:
-        raise ValueError("requires a > b")
-    if not 0.0 < M < 1.0:
-        raise ValueError("M must lie in (0, 1)")
-    if log_E < 0.0 or log_E >= math.log(1.0 / M):
-        raise ValueError("log_E must lie in [0, log(1/M))")
-    me = M * math.exp(log_E)
-    u = a * me + b * (1.0 - me)
-    v = b * me + a * (1.0 - me)
-    u0 = a * M + b * (1.0 - M)
-    v0 = b * M + a * (1.0 - M)
-    return (k * (math.log(u) - math.log(u0))
-            - (math.log(u ** k + v ** k) - math.log(u0 ** k + v0 ** k))
-            - log_E)
-
-
-def error_variation_zeros(a, b, k, M) -> list:
-    """Nonzero crossings of G(log E) inside its domain, by sign scan."""
-    g = partial(true_error_variation, a, b, k, M)
-    ls = np.linspace(0.0, math.log(1.0 / M), _VARIATION_GRID + 1)[1:-1]
-    return _sign_roots(g, ls, np.array([g(l) for l in ls]))
-
-
-def udb_completely_uniform(d_pair, degree) -> float:
-    """Belief-level distance bound of one strength and one degree: half of
-    ``ihler_uniform_distance_bound`` at a node of such a graph, bit for bit,
-    by its recursion on one segment of degree-1 equal terms, assembled over
-    the full degree."""
-    if d_pair < 1.0:
-        raise ValueError("strength must be at least 1")
-    if degree < 2:
-        raise ValueError("degree must be at least 2")
-    # Squared as StrengthTable.d2 squares; one segment, one term per edge.
-    seg, v = np.zeros(degree, dtype=int), np.full(degree, float(d_pair) ** 2)
-    z = _solve_uniform(_Recursion(1, seg[1:], seg[1:], 1.0, v[1:]))
-    return float(_Recursion(1, seg, seg, 1.0, v).sums(z)[0]) if z else 0.0

@@ -21,7 +21,8 @@ from loopybp.engine import (MessageSet, empirical_critical_eta,
                             run_residual_scheduled, run_synchronous,
                             update_message)
 from loopybp.models import PairwiseMRF, build_generator, compute_strengths
-from loopybp.uniform import fixed_points, udb_completely_uniform
+from loopybp.uniform import fixed_points
+from test_uniform import udb_completely_uniform
 
 GRAPHS = {
     "complete4": lambda eta: build_generator("complete:4", eta),

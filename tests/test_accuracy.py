@@ -17,6 +17,7 @@ from loopybp import (
     exact_marginals,
     ihler_nonuniform_distance_bound,
     nonuniform_distance_bound,
+    parse_graph_text,
     run_synchronous,
     saw_accuracy,
     saw_tree,
@@ -180,3 +181,41 @@ def test_saw_accuracy_solves_its_recursion_once(monkeypatch):
     assert len(calls) == 1
     assert ab.delta == float(np.exp(0.5 * ihler[0]))
     assert ab.epsilon == float(np.exp(improved[0]))
+
+
+# A binary grid:3x3 with asymmetric potentials and fields.
+ASYMMETRIC_GRID = """nodes 9
+node 0 0.8080105601336406 0.913733147254314
+node 1 0.8177542220497654 0.9956934103037216
+node 2 1.2186427845001393 0.8870879953304835
+node 3 0.8841362701201357 0.669836281835328
+node 4 0.8204312021340529 0.6558041618706104
+node 5 1.19709119995311 1.3296566242232641
+node 6 0.8061801731548042 0.7026484143463706
+node 7 1.6866043783249827 1.3867058069580223
+node 8 0.7423979670939822 1.3137709311366916
+edge 0 1 1.4871364114187848 0.761893754876503 0.9622473726383018 0.7208947345580919
+edge 0 3 0.521686442221195 0.6514693123632891 1.1556518952687356 0.26635796627602965
+edge 1 2 0.44507689247770554 0.7439097928313603 0.5390918451808706 1.175002087665771
+edge 1 4 1.7290626523604795 1.1129831148447569 1.0720722718650793 1.4239592159140133
+edge 2 5 1.9368896460910867 0.5316848698344632 0.6524803626768712 1.6681920169193811
+edge 3 4 2.742271807274549 0.5415600720259713 1.1203364746897246 1.6345199691088919
+edge 3 6 2.865968077308412 0.7217694911665099 1.3333021963953091 2.9355121494794094
+edge 4 5 0.7063124904224531 0.9622467198607094 2.0925392493746564 0.6705322685160311
+edge 4 7 0.7173901017853782 2.3249151507048484 0.8671618040352864 0.6459818895742444
+edge 5 8 0.49306113400118345 1.2776796824894656 1.4951625734035412 0.45164123192331357
+edge 6 7 0.48882089007116 0.763644345832175 0.662395716369158 0.8017307806036845
+edge 7 8 2.6567376991605545 0.4041866249047237 0.9400653970262773 2.344179298704673
+"""
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 16: the recursion runs from saturation as if every pinned "
+    "leaf of the walk tree sat at its deepest level"))
+def test_saw_accuracy_contains_the_exact_marginal_off_the_symmetric_family():
+    m = parse_graph_text(ASYMMETRIC_GRID)
+    bound = saw_accuracy(m, 4)
+    # The belief is 0.81051 and the interval [0.80665, 0.81432]; the exact
+    # marginal, 0.82200, lies above it.
+    exact = float(exact_marginals(m)[4][0])
+    assert bound.lower[0] <= exact <= bound.upper[0]

@@ -11,7 +11,6 @@ from loopybp import (
     ModelError,
     PairwiseMRF,
     bound_report,
-    bound_variation,
     build_generator,
     compute_strengths,
     delta1,
@@ -29,7 +28,7 @@ from loopybp import (
 )
 from loopybp import bounds as bounds_mod
 from loopybp import engine as engine_mod
-from loopybp.bounds import BOUND_KEYS
+from loopybp.bounds import BOUND_KEYS, _Recursion
 from loopybp.convergence import CONDITION_NAMES
 
 D73 = math.sqrt(7.0 / 3.0)
@@ -152,6 +151,36 @@ def test_one_step_containment_plain_strength():
         cap = delta1(d_pair, d_row, max(dE, 1.0))
         assert ratio.max() <= cap * (1 + 1e-9)
         assert ratio.min() >= 1.0 / cap * (1 - 1e-9)
+
+
+_VARIATION_KINDS = {
+    # kind -> (use d_pair*d_star, log coefficient); G_O plain, G_II improved
+    "G_O": (True, 2.0),
+    "G_I": (False, 2.0),
+    "G_II": (False, 1.0),
+}
+
+
+def bound_variation(kind: str, strengths, log_eps: float) -> float:
+    """Net change of the error recursion at a node, as a function of log eps.
+
+    ``strengths`` lists (d_pair, d_star) per incoming edge excluding the
+    target. Zero at log_eps = 0 for every kind; eventually decreasing with
+    slope -1, so the largest root is the recursion's stable fixed point.
+    """
+    try:
+        use_star, coeff = _VARIATION_KINDS[kind]
+    except KeyError:
+        raise ValueError(f"unknown kind {kind!r}") from None
+    if log_eps < 0.0:
+        raise ValueError("log_eps must be non-negative")
+    pairs = np.asarray(strengths, dtype=float).reshape(-1, 2)
+    if np.any(pairs < 1.0):
+        raise ValueError("strengths must be at least 1")
+    v = pairs[:, 0] * (pairs[:, 1] if use_star else pairs[:, 0])
+    one_segment = np.zeros(len(v), dtype=int)
+    rec = _Recursion(1, one_segment, one_segment, coeff, v)
+    return float(rec.sums(float(log_eps))[0]) - log_eps
 
 
 def test_bound_variation_zero_at_origin():

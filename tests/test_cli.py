@@ -251,6 +251,21 @@ def test_fixed_points_at_extreme_eta(capsys, eta, rows):
     assert out.strip().splitlines()[3:] == rows
 
 
+@pytest.mark.parametrize("eta, kinds", [
+    # A 10,000-point sign scan printed only the 0.5 row here: at the
+    # critical slopes the pair shared the grid cell of 0.5, and at strong
+    # coupling it lay outside the grid.
+    ("0.66666667", ["fixed", "fixed", "fixed"]),
+    ("0.99995", ["fixed", "fixed", "fixed"]),
+    ("0.33333333", ["fixed", "quasi", "quasi"]),
+    ("1e-6", ["fixed", "quasi", "quasi"]),
+])
+def test_fixed_points_prints_every_row_of_the_theorem(capsys, eta, kinds):
+    code, out = run_cli(capsys, "fixed-points", "--eta", eta, "--degree", "4")
+    assert code == 0
+    assert [ln.split(",")[0] for ln in out.strip().splitlines()[3:]] == kinds
+
+
 def test_fixed_points_rejects_subnormal_entries(capsys):
     for eta in ("5e-324", "1e-310"):
         assert main(["fixed-points", "--eta", eta, "--degree", "2"]) == 2

@@ -16,7 +16,6 @@ from loopybp import (
     interaction_matrix,
     nonuniform_condition,
     parse_graph_file,
-    rate_metric,
     saw_tree,
     spectral_radius,
     uniform_condition,
@@ -25,7 +24,8 @@ from loopybp import (
 )
 from loopybp import convergence as convergence_mod
 from loopybp import trees as trees_mod
-from loopybp.convergence import CONDITION_NAMES, _saw_statistic
+from loopybp.convergence import (CONDITION_NAMES, _edge_sums,
+                                 _saw_statistic)
 from test_engine import _mixed_card_grid
 
 
@@ -54,6 +54,14 @@ def test_ihler_condition_statistic():
     assert verdict.statistic == pytest.approx(3 * (d2 - 1) / (d2 + 1), abs=1e-12)
     assert verdict.threshold == 1.0
     assert verdict.holds
+
+
+def rate_metric(strengths, edge) -> float:
+    """Distance of the ihler-uniform edge sum from its threshold; the
+    derivative magnitude of the error recursion at zero, a proxy for how
+    fast messages along (s, p) settle."""
+    at = strengths.model.directed_index(*edge)
+    return abs(float(_edge_sums(strengths, strengths.d2)[at]) - 1.0)
 
 
 def test_rate_metric_definition():
@@ -383,6 +391,19 @@ def test_walk_summability_on_grid_is_bipartite_safe():
                                               abs=1e-8)
     assert verdict.threshold == 1.0
     assert verdict.holds
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 5: two equal Collatz ratios stop the power iteration "
+    "at the max row sum, not at the spectral radius"))
+def test_spectral_radius_on_a_grid_matches_the_eigenvalues():
+    mat = interaction_matrix(build_generator("grid:5x5", 0.6).strengths)
+    # The largest eigenvalue modulus is 0.4735; the iteration reads 0.6.
+    assert spectral_radius(mat) == pytest.approx(
+        max(abs(np.linalg.eigvals(mat))), abs=1e-6)
+    # Where that modulus reaches 1; the iteration's bound gives 0.66668.
+    assert critical_eta(build_generator("grid:5x5", 0.6),
+                        "walksum") == pytest.approx(0.71118, abs=1e-3)
 
 
 def test_walk_summability_criticals():

@@ -1,4 +1,6 @@
 import math
+import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,20 +11,85 @@ import oracles
 from loopybp import (
     build_generator,
     compute_strengths,
-    error_variation_zeros,
     fixed_points,
     ihler_uniform_distance_bound,
-    scalar_derivative,
-    scalar_update,
-    true_error_variation,
-    udb_completely_uniform,
     uniform_belief,
 )
+from loopybp.bounds import _Recursion, _solve_uniform
+from loopybp.uniform import (_TINY, _root_function, _scalar_derivative,
+                             _validate_abk)
 
 # One-dimensional anchors at eta=0.7 with three incoming edges.
 X_STAR = 0.6386750490563071
 BELIEF_DEG4 = 0.9070783698104501
 M3 = 0.8466876226407679
+
+
+# -- scalar routes that only these tests call ----------------------------
+
+
+def scalar_update(x, a, b, k):
+    """One message update: y = (a x^k + b (1-x)^k) / ((a+b)(x^k + (1-x)^k)).
+
+    Accepts scalars or arrays; x must lie strictly inside (0, 1).
+    """
+    _validate_abk(a, b, k)
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0.0) or np.any(x >= 1.0):
+        raise ValueError("x must lie in (0, 1)")
+    xk = x ** k
+    yk = (1.0 - x) ** k
+    out = (a * xk + b * yk) / ((a + b) * (xk + yk))
+    return float(out) if out.ndim == 0 else out
+
+
+def true_error_variation(a, b, k, M, log_E) -> float:
+    """Exact error-variation value G(log E) for a fixed-point product M.
+
+    Defined for a > b on 0 <= log E < log(1/M); zero at log E = 0.
+    """
+    _validate_abk(a, b, k)
+    if a <= b:
+        raise ValueError("requires a > b")
+    if not 0.0 < M < 1.0:
+        raise ValueError("M must lie in (0, 1)")
+    if log_E < 0.0 or log_E >= math.log(1.0 / M):
+        raise ValueError("log_E must lie in [0, log(1/M))")
+    me = M * math.exp(log_E)
+    u = a * me + b * (1.0 - me)
+    v = b * me + a * (1.0 - me)
+    u0 = a * M + b * (1.0 - M)
+    v0 = b * M + a * (1.0 - M)
+    return (k * (math.log(u) - math.log(u0))
+            - (math.log(u ** k + v ** k) - math.log(u0 ** k + v0 ** k))
+            - log_E)
+
+
+def error_variation_zeros(a, b, k, M) -> list:
+    """Nonzero crossings of G(log E) inside its domain, by a 2,000-interval
+    sign scan; crossings closer than 1e-9 are merged."""
+    g = partial(true_error_variation, a, b, k, M)
+    ls = np.linspace(0.0, math.log(1.0 / M), 2001)[1:-1]
+    return _old_bisect_roots(g, ls, np.array([g(l) for l in ls]), 1e-12,
+                             merge=True)
+
+
+def udb_completely_uniform(d_pair, degree) -> float:
+    """Belief-level distance bound of one strength and one degree: half of
+    ``ihler_uniform_distance_bound`` at a node of such a graph, bit for bit,
+    by its recursion on one segment of degree-1 equal terms, assembled over
+    the full degree."""
+    if d_pair < 1.0:
+        raise ValueError("strength must be at least 1")
+    if degree < 2:
+        raise ValueError("degree must be at least 2")
+    # Squared as StrengthTable.d2 squares; one segment, one term per edge.
+    seg, v = np.zeros(degree, dtype=int), np.full(degree, float(d_pair) ** 2)
+    z = _solve_uniform(_Recursion(1, seg[1:], seg[1:], 1.0, v[1:]))
+    return float(_Recursion(1, seg, seg, 1.0, v).sums(z)[0]) if z else 0.0
+
+
+# -- the scalar map and its fixed points -----------------------------------
 
 
 def test_scalar_update_matches_oracle():
@@ -56,13 +123,13 @@ def test_scalar_derivative_matches_finite_difference(x, a, k):
     hi = min(x + h, 1 - 1e-9)
     numeric = (oracles.scalar_map(hi, a, b, k)
                - oracles.scalar_map(lo, a, b, k)) / (hi - lo)
-    assert scalar_derivative(x, a, b, k) == pytest.approx(numeric, abs=5e-5)
+    assert _scalar_derivative(x, a, b, k) == pytest.approx(numeric, abs=5e-5)
 
 
 def test_slope_at_half_closed_form():
-    assert scalar_derivative(0.5, 0.7, 0.3, 3) == pytest.approx(1.2, abs=1e-12)
-    assert scalar_derivative(0.5, 0.6, 0.4, 3) == pytest.approx(0.6, abs=1e-12)
-    assert scalar_derivative(0.5, 0.3, 0.7, 3) == pytest.approx(-1.2, abs=1e-12)
+    for a, b, want in ((0.7, 0.3, 1.2), (0.6, 0.4, 0.6), (0.3, 0.7, -1.2)):
+        assert _scalar_derivative(0.5, a, b, 3) == pytest.approx(want,
+                                                                 abs=1e-12)
 
 
 def test_ferromagnetic_fixed_points():
@@ -180,16 +247,31 @@ def _old_bisect_roots(g, xs, vals, tol, merge):
     return merged
 
 
-def _old_fixed_points(a, b, k, tol=1e-12):
+def _scan_rows(fixed_g, quasi_g):
+    """Fixed and quasi rows of the 10,000-point sign scan, from a function
+    whose roots are the fixed points and one whose roots are those and the
+    quasi points."""
     xs = np.linspace(0.0, 1.0, 10002)[1:-1]
 
     def roots(g):
-        return _old_bisect_roots(g, xs, g(xs), tol, merge=True)
+        return _old_bisect_roots(g, xs, g(xs), 1e-12, merge=True)
 
-    fixed = roots(lambda x: x - scalar_update(x, a, b, k))
-    quasi = [q for q in roots(lambda x: 1.0 - x - scalar_update(x, a, b, k))
+    fixed = roots(fixed_g)
+    quasi = [q for q in roots(quasi_g)
              if all(abs(q - f) > 1e-9 for f in fixed)]
     return fixed, quasi
+
+
+def _old_fixed_points(a, b, k):
+    return _scan_rows(lambda x: x - scalar_update(x, a, b, k),
+                      lambda x: 1.0 - x - scalar_update(x, a, b, k))
+
+
+def _scan_fixed_points(a, b, k):
+    """The scan on the root functions ``fixed_points`` factors to keep off
+    exact zeros: the reference for its rows wherever the count is right."""
+    return _scan_rows(partial(_root_function, b, a, k),
+                      partial(_root_function, a, b, k))
 
 
 def _old_error_variation_zeros(a, b, k, M, grid=2000, tol=1e-12):
@@ -205,6 +287,71 @@ def test_fixed_points_match_old_root_finder(k):
         eta = float(eta)
         fp = fixed_points(eta, 1.0 - eta, k)
         assert (fp.fixed, fp.quasi) == _old_fixed_points(eta, 1.0 - eta, k)
+
+
+def _eta_with_fixed_point_at(x, k):
+    """The eta whose map F(x) = (eta x^k + (1-eta) (1-x)^k) / (x^k + (1-x)^k)
+    fixes x, to rounding."""
+    xk, yk = x ** k, (1.0 - x) ** k
+    ratio = (yk - x * (xk + yk)) / (x * (xk + yk) - xk)
+    return ratio / (1.0 + ratio)
+
+
+def test_fixed_points_match_the_scan_where_its_count_is_right():
+    # The grid of etas covers the benchmark's fixed-points calls, eta 0.3,
+    # 0.6 and 0.8 at degrees 2 to 6. A fixed point put on a grid point
+    # makes its sign change, or an exact zero, fall in a cell next to the
+    # closed form's; at k = 35 the one next to the cell of 1/2.
+    rng = random.Random(0)
+    pairs = [(i / 100, k) for i in range(1, 100)
+             for k in (1, 2, 3, 4, 5, 7, 19, 99, 1022)]
+    pairs += [(rng.random(), rng.randint(1, 1022)) for _ in range(200)]
+    grid = np.linspace(0.0, 1.0, 10002)
+    pairs += [(_eta_with_fixed_point_at(float(grid[j]), k), k)
+              for k in (2, 3, 35) for j in range(5001, 10001, 100)]
+    compared = 0
+    for eta, k in pairs:
+        fp = fixed_points(eta, 1.0 - eta, k)
+        fixed, quasi = _scan_fixed_points(eta, 1.0 - eta, k)
+        if (len(fixed), len(quasi)) == (len(fp.fixed), len(fp.quasi)):
+            assert (fp.fixed, fp.quasi) == (fixed, quasi), (eta, k)
+            compared += 1
+    assert compared >= 1000
+
+
+@pytest.mark.parametrize("eta, fixed, quasi", [
+    # Both members of the pair shared the scan cell of 1/2 ...
+    (0.66666667, [0.4999566987121854, 0.5, 0.5000433012878144], []),
+    (0.33333333, [0.5], [0.4999566987121854, 0.5000433012878144]),
+    # ... or lay outside the scan grid [1/10001, 10000/10001].
+    (1e-6, [0.5], [1.0000000016926028e-06, 0.9999989999999982])])
+def test_fixed_points_the_scan_dropped(eta, fixed, quasi):
+    assert _scan_fixed_points(eta, 1.0 - eta, 3) == ([0.5], [])
+    fp = fixed_points(eta, 1.0 - eta, 3)
+    assert (fp.fixed, fp.quasi) == (fixed, quasi)
+    if quasi:
+        assert fp.stability == [False]
+    else:
+        assert fp.stability == [True, False, True]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=_TINY, max_value=1.0, exclude_max=True),
+       st.integers(min_value=2, max_value=1023))
+def test_fixed_point_rows_follow_the_theorem(eta, degree):
+    """In h = atanh(2x - 1), F reads tanh h' = tanh J tanh(k h). Beside
+    h = 0 there is one pair of fixed points when k tanh J > 1, one
+    period-2 orbit when k tanh J < -1, and nothing else (Mooij & Kappen,
+    JSTAT 2005)."""
+    a, b, k = eta, 1.0 - eta, degree - 1
+    fp = fixed_points(a, b, k)
+    assert len(fp.fixed) == (3 if fp.slope_at_half > 1.0 else 1)
+    assert len(fp.quasi) == (2 if fp.slope_at_half < -1.0 else 0)
+    assert 0.5 in fp.fixed
+    for rows, target in ((fp.fixed, lambda x: x), (fp.quasi, lambda x: 1 - x)):
+        assert all(0.0 < x < y < 1.0 for x, y in zip(rows, rows[1:]))
+        for x in rows:
+            assert abs(oracles.scalar_map(x, a, b, k) - target(x)) <= 1e-9
 
 
 @pytest.mark.parametrize("a, b, k, M", [
