@@ -154,13 +154,18 @@ def cmd_bounds(args) -> int:
                 else:
                     cells.append(_fmt(report.node_bounds[c][v]))
             lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", newline="\n") as fh:
-            fh.write(text)
+    _write_csv(lines, args.output)
     return 0
+
+
+def _write_csv(lines, path=None) -> None:
+    """The rows as one text, written at once to ``path`` or stdout."""
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        print(text, end="")  # nothing if stdout was closed at start
+    else:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
 
 
 def _fmt_witness(witness) -> str:
@@ -216,13 +221,12 @@ def cmd_run(args) -> int:
     if args.trace is not None:
         with open(args.trace, "w", newline="\n") as fh:
             trace.write_csv(fh)
-    print("status,iterations,period")
-    print(f"{result.status},{result.iterations},"
-          f"{'' if result.period is None else result.period}")
-    print("node,state,belief")
-    for v, belief in enumerate(result.beliefs):
-        for x, p in enumerate(belief):
-            print(f"{v},{x},{_fmt(p)}")
+    period = "" if result.period is None else result.period
+    _write_csv(["status,iterations,period",
+                f"{result.status},{result.iterations},{period}",
+                "node,state,belief"]
+               + [f"{v},{x},{_fmt(p)}" for v, belief in enumerate(result.beliefs)
+                  for x, p in enumerate(belief.tolist())])
     return 0
 
 
@@ -251,11 +255,11 @@ def cmd_accuracy(args) -> int:
     exact = exact_marginals(model)
     nodes = [args.node] if args.node is not None else range(model.num_nodes)
     bounds = [saw_accuracy(model, s) for s in nodes]  # any failure first
-    print("node,state,belief,exact,lower,upper")
-    for s, bound in zip(nodes, bounds):
-        for x in range(model.cards[s]):
-            print(f"{s},{x},{_fmt(bound.belief[x])},{_fmt(exact[s][x])},"
-                  f"{_fmt(bound.lower[x])},{_fmt(bound.upper[x])}")
+    _write_csv(["node,state,belief,exact,lower,upper"]
+               + [f"{s},{x},{_fmt(bound.belief[x])},{_fmt(exact[s][x])},"
+                  f"{_fmt(bound.lower[x])},{_fmt(bound.upper[x])}"
+                  for s, bound in zip(nodes, bounds)
+                  for x in range(model.cards[s])])
     return 0
 
 

@@ -4,28 +4,29 @@ Synchronous sweeps run all directed edges against a snapshot of the previous
 iteration; the residual scheduler recomputes one message at a time, ordered by
 a contraction cap on each pending message's next change.
 
-Messages live in one padded log array: (n_dir, kmax) in a ``MessageSet``,
-(runs, n_dir, kmax) in a batch, with ``_NEG`` in the state slots past an
-edge target's cardinality. Synchronous runs, restart batches and the
-multi-start probe go through one batch kernel, which gathers each node's
-incoming messages through a padded in-edge table, so a sweep over a whole
-batch of runs costs a few dozen array operations whatever the graph's size.
-A restart batch may hold several models of one topology, such as one graph
-at a sweep of edge weights, with one row of potentials per run. A restart
-that converges, or whose iterate repeats an earlier one bit for bit, leaves
-the batch, so later sweeps cost only the runs still going; no run's
-arithmetic depends on which others share it. Every run, whatever its
-schedule, reads its beliefs off one batch routine, ``_beliefs_batch``.
+Messages live in one padded log array, (n_dir, kmax) in a ``MessageSet``,
+with ``_NEG`` in the state slots past an edge target's cardinality.
+Synchronous runs, restart batches and the multi-start probe go through one
+batch kernel on edge-minor (runs, kmax, n_dir + 1) iterates, converted once
+when a run starts and once when it ends: each of a sweep's few dozen array
+operations runs over whole rows of n_dir edges, and the padding index of
+the in-edge tables gathers the all-zero last column. A restart batch may
+hold several models of one topology, such as one graph at a sweep of edge
+weights, with one row of potentials per run. A restart that converges, or
+whose iterate repeats an earlier one bit for bit, leaves the batch, so
+later sweeps cost only the runs still going; no run's arithmetic depends on
+which others share it. Every run, whatever its schedule, reads its beliefs
+off one batch routine, ``_beliefs_batch``.
 
 The kernel and the residual scheduler read a model's potentials through one
-padded, sender-major (kmax, n_dir, kmax) table of log psi + log phi_sender,
-built with a few array operations per shape stack of the model
-(``_log_weight_table``): the kernel's sender rows are its rows.
+padded (sender state, target state, edge) table of log psi + log phi_sender,
+built per shape stack (``_log_weight_table``); a batch with potentials per
+run stacks them as (sender state, run, target state, edge).
 
 The residual scheduler does not update through the kernel: the kernel
 normalizes in log space, while a scheduled update must be
 ``update_message``'s linear-space arithmetic so that its pop log does not
-depend on the route. It slices each edge's log weights out of the table,
+depend on the route. It copies each edge's log weights out of the table,
 reads its in-edge lists and dependents off the model's in-edge table and
 non-backtracking relation, updates the stored logs in place through
 per-edge views, and keeps the priorities in one array, so a pop costs an
@@ -49,9 +50,9 @@ _NEG = -1.0e30  # padded state slots in log space; finite so arithmetic stays Na
 class MessageSet:
     """One normalized positive vector per directed edge, stored as logs.
 
-    Row e of the (n_dir, kmax) array ``logm``, the batch kernel's layout, is
-    the log of the message along edge e of ``model.directed_edges()`` over
-    its target's states, padded with ``_NEG``.
+    Row e of the (n_dir, kmax) array ``logm``, which the batch kernel reads
+    transposed, is the log of the message along edge e of
+    ``model.directed_edges()`` over its target's states, padded with _NEG.
     """
 
     def __init__(self, model: PairwiseMRF, vectors):
@@ -101,10 +102,11 @@ def _target_mask(model: PairwiseMRF) -> np.ndarray:
 
 
 def _row_sums(lin: np.ndarray) -> np.ndarray:
-    """Sums over the last axis in ascending state order, as numpy's below 8."""
-    total = lin[..., 0]
-    for j in range(1, lin.shape[-1]):
-        total = total + lin[..., j]
+    """Sums over the last axis, of at least two states, in ascending state
+    order, as numpy's below 8."""
+    total = lin[..., 0] + lin[..., 1]
+    for j in range(2, lin.shape[-1]):
+        total += lin[..., j]
     return total
 
 
@@ -179,12 +181,12 @@ class ScheduleTrace:
 class _Layout:
     """A model in the padded log-space form the batch kernel works on.
 
-    A batch of runs holds its messages in one (runs, n_dir, kmax) array.
-    State slots past an edge target's cardinality hold ``_NEG``, so a run's
-    padded slots never change. ``in_edges`` (index order, which sweeps add
-    a node's incoming log-messages in) and ``belief_edges`` (neighbour
-    order, for beliefs) are ``model.in_edge_tables``; their padding index
-    n_dir gathers an all-zero slot.
+    A batch of runs holds its messages in one (runs, kmax, n_dir + 1)
+    iterate, state-major, whose last column is the all-zero slot that the
+    padding index n_dir of ``in_edges`` (index order, which sweeps add a
+    node's incoming log-messages in) and ``belief_edges`` (neighbour order,
+    for beliefs), ``model.in_edge_tables``, gathers. State slots past an
+    edge target's cardinality (``pad``) hold ``_NEG`` and never change.
     """
 
     def __init__(self, model: PairwiseMRF):
@@ -197,28 +199,26 @@ class _Layout:
         self.log_node = _log_node(model, kmax)
         self.table = _log_weight_table(model, self.log_node)
         self.mask = _target_mask(model)
-        self.padded = not bool(self.mask.all())
+        self.pad = ~self.mask.T if not self.mask.all() else None
         self.node_mask = np.arange(kmax) < np.array(model.cards)[:, None]
-
         self.in_edges, self.belief_edges = model.in_edge_tables
-        self.in_padded = bool((self.in_edges == n_dir).any())
 
 
 def _log_weight_table(model: PairwiseMRF, log_node: np.ndarray) -> np.ndarray:
     """log psi_ts + log phi_t of every directed edge e = (t, s), computed
-    per shape stack from the (V, kmax) ``_log_node``: a sender-major
-    (kmax, n_dir, kmax) table whose block [:, e, :], rows the sender's
-    states, is ``_log_weights(model, t, s)`` bit for bit, with _NEG in the
-    other slots."""
+    per shape stack from the (V, kmax) ``_log_node``: a (kmax, kmax, n_dir)
+    table, axes the sender's state, the target's state and the edge, whose
+    block [:, :, e] is ``_log_weights(model, t, s)`` bit for bit, with _NEG
+    in the other slots."""
     kmax, src = log_node.shape[1], model.directed_src
-    table = np.full((kmax, model.num_directed, kmax), _NEG)
+    table = np.full((kmax, kmax, model.num_directed), _NEG)
     for (a, b), (members, stack) in model.edge_stacks.items():
         logs = np.log(stack)
         fwd, back = 2 * members, 2 * members + 1  # lo -> hi, hi -> lo
-        table[:a, fwd, :b] = (logs + log_node[src[fwd], :a, None]
-                              ).transpose(1, 0, 2)
-        table[:b, back, :a] = (logs.transpose(0, 2, 1)
-                               + log_node[src[back], :b, None]).transpose(1, 0, 2)
+        table[:a, :b, fwd] = (logs + log_node[src[fwd], :a, None]
+                              ).transpose(1, 2, 0)
+        table[:b, :a, back] = (logs.transpose(0, 2, 1)
+                               + log_node[src[back], :b, None]).transpose(1, 2, 0)
     return table
 
 
@@ -239,61 +239,71 @@ def _random_logm(mask: np.ndarray, seeds) -> np.ndarray:
     return _masked_log(raw / raw.sum(axis=2, keepdims=True), mask)
 
 
-def _node_sums(layout: _Layout, logm: np.ndarray, table: np.ndarray,
-               start=None) -> np.ndarray:
-    """(runs, V, kmax) sums of each node's incoming log-messages, added in
+def _edge_minor(logm: np.ndarray) -> np.ndarray:
+    """(runs, n_dir, kmax) messages as a kernel iterate."""
+    zero = np.zeros((len(logm), 1, logm.shape[2]))
+    return np.concatenate((logm, zero), axis=1).transpose(0, 2, 1).copy()
+
+
+def _edge_major(it: np.ndarray) -> np.ndarray:
+    """A kernel iterate as (runs, n_dir, kmax) messages."""
+    return it[:, :, :-1].transpose(0, 2, 1).copy()
+
+
+def _node_sums(it: np.ndarray, table: np.ndarray, start=None) -> np.ndarray:
+    """(runs, kmax, V) sums of each node's incoming log-messages, added in
     the column order of ``table`` to ``start`` if given."""
-    if layout.in_padded:
-        zero = np.zeros((logm.shape[0], 1, layout.kmax))
-        logm = np.concatenate((logm, zero), axis=1)
-    cols = table.T
-    total = logm[:, cols[0]] if start is None else start + logm[:, cols[0]]
-    for col in cols[1:]:
-        total += logm[:, col]
+    cols = it[:, :, table.T]
+    total = cols[:, :, 0].copy() if start is None else start + cols[:, :, 0]
+    for j in range(1, cols.shape[2]):
+        total += cols[:, :, j]
     return total
 
 
-def _sweep_batch(layout: _Layout, logm: np.ndarray, table) -> np.ndarray:
+def _sweep_batch(layout: _Layout, it: np.ndarray, table) -> np.ndarray:
     """One synchronous update of every directed edge, for a whole batch.
 
-    ``table`` is a sender-major log-weight table: the layout's
-    (kmax, n_dir, kmax) one, shared by every run, or a (kmax, runs, n_dir,
-    kmax) one for a batch whose runs have their own potentials.
-
-    The reductions over sender and target states are written out one state
-    at a time: on arrays this small a ufunc call costs far less than a
-    numpy reduction over one axis of a 3-D or 4-D array. The sums add states
-    in ascending order, which is also numpy's order below eight states.
+    ``table`` is a log-weight table: the layout's (kmax, kmax, n_dir) one,
+    shared by every run, or a (kmax, runs, kmax, n_dir) one for a batch
+    whose runs have their own potentials. Every operation runs over whole
+    rows of n_dir edges; the sums over states are ``_row_sums``.
     """
-    at_node = _node_sums(layout, logm, layout.in_edges)
-    excl = at_node[:, layout.src] - logm[:, layout.rev]
-    terms = [row + excl[:, :, i, None] for i, row in enumerate(table)]
-    peak = terms[0]
-    for term in terms[1:]:
-        peak = np.maximum(peak, term)
-    total = np.exp(terms[0] - peak)
-    for term in terms[1:]:
-        total += np.exp(term - peak)
-    new = peak + np.log(total)
-    if layout.padded:
-        new = np.where(layout.mask[None], new, _NEG)
-    peak = new[:, :, 0]
-    for j in range(1, layout.kmax):
-        peak = np.maximum(peak, new[:, :, j])
-    new -= (peak + np.log(_row_sums(np.exp(new - peak[:, :, None]))))[:, :, None]
-    if layout.padded:
-        new = np.where(layout.mask[None], new, _NEG)
-    return new
+    excl = _node_sums(it, layout.in_edges)[:, :, layout.src]
+    excl -= it[:, :, layout.rev]
+    # (sender state, run, target state, edge)
+    terms = (table if table.ndim == 4 else table[:, None]) \
+        + excl.swapaxes(0, 1)[:, :, None]
+    peak = np.maximum.reduce(terms)
+    terms -= peak
+    np.exp(terms, out=terms)
+    total = _row_sums(terms.transpose(1, 2, 3, 0))
+    out = np.zeros(it.shape)
+    new = out[:, :, :layout.n_dir]
+    np.log(total, out=new)
+    new += peak
+    if layout.pad is not None:
+        np.copyto(new, _NEG, where=layout.pad)
+    peak = np.maximum.reduce(new, axis=1)
+    lin = new - peak[:, None]
+    total = _row_sums(np.exp(lin, out=lin).transpose(0, 2, 1))
+    np.log(total, out=total)
+    total += peak
+    new -= total[:, None]
+    if layout.pad is not None:
+        np.copyto(new, _NEG, where=layout.pad)
+    return out
 
 
 def _beliefs_batch(layout: _Layout, logm: np.ndarray,
                    log_node: np.ndarray) -> np.ndarray:
-    """Beliefs of every run; ``log_node`` holds the log node potentials,
-    (V, kmax) shared by every run or (runs, V, kmax) per run. A node's log
-    belief is its log node potential plus its incoming log-messages in
-    ``model.neighbors`` order, normalized in linear space: below eight
-    states, bit for bit a per-node loop in that order."""
-    total = _node_sums(layout, logm, layout.belief_edges, log_node)
+    """Beliefs of every run from its (n_dir, kmax) messages; ``log_node``
+    holds the log node potentials, (V, kmax) shared by every run or (runs,
+    V, kmax) per run. A node's log belief is its log node potential plus
+    its incoming log-messages in ``model.neighbors`` order, normalized in
+    linear space: below eight states, bit for bit a per-node loop in that
+    order."""
+    total = _node_sums(_edge_minor(logm), layout.belief_edges,
+                       log_node.swapaxes(-1, -2)).transpose(0, 2, 1).copy()
     logb = np.where(layout.node_mask[None], total, _NEG)
     peak = logb.max(axis=2, keepdims=True)
     probs = np.exp(logb - peak)
@@ -308,25 +318,26 @@ def _node_beliefs(layout: _Layout, logm: np.ndarray) -> list:
 
 
 def _run_one(layout: _Layout, logm: np.ndarray, max_iters: int, tol: float):
-    """Sweep one run, a (1, n_dir, kmax) iterate, until convergence, period-2
-    oscillation, or budget.
+    """Sweep one run, given as (1, n_dir, kmax) messages, until convergence,
+    period-2 oscillation, or budget.
 
     Convergence compares against the previous iterate, oscillation against
     the one before that; the smaller lag wins when both match. Padded slots
     hold _NEG in every iterate, so their differences are 0. Returns the
     status (1 converged, 2 oscillating, 3 budget), the sweeps run, the last
-    iterate and the largest change of every sweep.
+    messages and the largest change of every sweep.
     """
-    prev2, changes = None, []
+    cur, prev2, changes = _edge_minor(logm), None, []
     for it in range(1, max_iters + 1):
-        new = _sweep_batch(layout, logm, layout.table)
-        changes.append(float(np.abs(new - logm).max()))
+        new = _sweep_batch(layout, cur, layout.table)
+        changes.append(float(np.maximum.reduce(np.abs(new - cur), None)))
         if changes[-1] < tol:
-            return 1, it, new, changes
-        if prev2 is not None and np.abs(new - prev2).max() < tol:
-            return 2, it, new, changes
-        prev2, logm = logm, new
-    return 3, max_iters, logm, changes
+            return 1, it, _edge_major(new), changes
+        if (prev2 is not None
+                and np.maximum.reduce(np.abs(new - prev2), None) < tol):
+            return 2, it, _edge_major(new), changes
+        prev2, cur = cur, new
+    return 3, max_iters, _edge_major(cur), changes
 
 
 _CYCLE = 64  # sweeps between a restart batch's exact-repeat checks
@@ -334,9 +345,10 @@ _CYCLE = 64  # sweeps between a restart batch's exact-repeat checks
 
 def _run_restarts(layout: _Layout, logm0: np.ndarray, table: np.ndarray,
                   max_iters: int, tol: float):
-    """Advance a batch of runs until each converges or its budget runs out.
+    """Advance a batch of runs, given as (runs, n_dir, kmax) messages, until
+    each converges or its budget runs out.
 
-    ``table`` is the (kmax, runs, n_dir, kmax) per-run log-weight table of
+    ``table`` is the (kmax, runs, kmax, n_dir) per-run log-weight table of
     ``_sweep_batch``. A run that converges is snapshotted and leaves the
     batch: its rows are dropped from the iterates and from ``table``, so
     later sweeps cost only the runs still going. Each run's arithmetic does
@@ -353,17 +365,17 @@ def _run_restarts(layout: _Layout, logm0: np.ndarray, table: np.ndarray,
     the run can never converge, and its iterate at the budget is the
     current one: it leaves with status 3, the outcome of the full budget.
 
-    Returns each run's status (1 converged, 3 budget) and last iterate.
+    Returns each run's status (1 converged, 3 budget) and last messages.
     """
     status = np.full(logm0.shape[0], 3)
-    snap = logm0.copy()
+    cur = _edge_minor(logm0)
+    snap = np.empty_like(cur)
     live = np.arange(logm0.shape[0])  # the runs still going, in batch order
-    cur = logm0
     # The live runs' iterates at the last exact-repeat check, as bits.
-    ref = logm0.view(np.uint64) if max_iters % _CYCLE == 0 else None
+    ref = cur.view(np.uint64) if max_iters % _CYCLE == 0 else None
     for it in range(1, max_iters + 1):
         new = _sweep_batch(layout, cur, table)
-        done = np.abs(new - cur).reshape(live.size, -1).max(axis=1) < tol
+        done = np.maximum.reduce(np.abs(new - cur), axis=(1, 2)) < tol
         status[live[done]] = 1
         check = (max_iters - it) % _CYCLE == 0
         if check and ref is not None:
@@ -373,7 +385,7 @@ def _run_restarts(layout: _Layout, logm0: np.ndarray, table: np.ndarray,
             stay = ~done
             live = live[stay]
             if not live.size:
-                return status, snap
+                return status, _edge_major(snap)
             new = new[stay]
             if ref is not None:
                 ref = ref[stay]
@@ -382,7 +394,7 @@ def _run_restarts(layout: _Layout, logm0: np.ndarray, table: np.ndarray,
             ref = new.view(np.uint64)
         cur = new
     snap[live] = cur
-    return status, snap
+    return status, _edge_major(snap)
 
 
 _STATUS_NAMES = {1: "converged", 2: "oscillating", 3: "max_iters"}
@@ -522,8 +534,8 @@ def run_residual_scheduled(model: PairwiseMRF, max_updates=20000, tol=1e-9,
     seg, feed = model.non_backtracking_pairs
     deps = np.split(seg[np.argsort(feed, kind="stable")],
                     np.cumsum(np.bincount(feed, minlength=n_dir))[:-1])
-    # Copied once: strided views of the sender-major table cost more per pop.
-    base = [layout.table[:model.cards[t], e, :model.cards[s]].copy()
+    # Copied once: strided views of the table cost more per pop.
+    base = [layout.table[:model.cards[t], :model.cards[s], e].copy()
             for e, (t, s) in enumerate(directed)]
     # logs[e]: the stored message e, a column view into msgs.logm.
     logs = [msgs.logm[e, :model.cards[s], None]

@@ -51,23 +51,16 @@ def _faulty(stack) -> np.ndarray:
     return ~ok.reshape(len(stack), -1).all(axis=1)
 
 
-def _positive(arr) -> bool:
-    return arr.size > 0 and not _faulty(arr[None])[0]
-
-
-def _stacks(shapes, arrays, bad_entries, bad_shape):
-    """Items grouped by shape: {shape: (members, stack)} in order of first
-    use, and each item's view into its stack.
-
-    ``arrays[i]`` is item i's given array, or None for all ones. Every stack
-    is checked in one pass, a wrong-shaped array on its own; the first item
-    at fault raises the ModelError ``bad_entries(i)`` for entries that are
-    not strictly positive and finite, else ``bad_shape(i)``.
+def _stacks(shapes, arrays, what, names, bad_shape):
+    """Items grouped by shape, {shape: (members, stack)} in order of first
+    use, checked by ``_check_stacks``. ``arrays[i]`` is item i's given
+    array, or None for all ones; an array of another shape is stacked as
+    ones and reported as ``bad_shape(i)`` unless its entries are at fault.
     """
     groups: dict = {}
     for i, shape in enumerate(shapes):
         groups.setdefault(shape, []).append(i)
-    stacks, views = {}, [None] * len(shapes)
+    stacks = {}
     fault = np.zeros(len(shapes), dtype=np.int8)  # 1: entries, 2: shape
     for shape, members in groups.items():
         ones = np.ones(shape)
@@ -75,20 +68,27 @@ def _stacks(shapes, arrays, bad_entries, bad_shape):
         for i in members:
             arr = arrays[i]
             if arr is not None and arr.shape != shape:
-                fault[i] = 2 if _positive(arr) else 1
+                fault[i] = 1 if not arr.size or _faulty(arr[None])[0] else 2
                 arr = None
             fill.append(ones if arr is None else arr)
-        stack = np.array(fill)
+        stacks[shape] = (np.array(members, dtype=np.intp), np.array(fill))
+    _check_stacks(stacks, what, names, fault, bad_shape)
+    return stacks
+
+
+def _check_stacks(stacks, what, names, fault=None, bad_shape=None):
+    """Freeze each stack and raise the ModelError of the first item at
+    fault: entries not strictly positive and finite, found in one pass per
+    stack, before a wrong shape (``fault`` 2)."""
+    fault = np.zeros(len(names), dtype=np.int8) if fault is None else fault
+    for members, stack in stacks.values():
         stack.flags.writeable = False  # a model's derived tables read it
-        members = np.array(members, dtype=np.intp)
         fault[members[_faulty(stack)]] = 1
-        stacks[shape] = (members, stack)
-        for i, view in zip(members.tolist(), stack):
-            views[i] = view
     if fault.any():
         i = int(np.argmax(fault != 0))
-        raise ModelError(bad_entries(i) if fault[i] == 1 else bad_shape(i))
-    return stacks, views
+        raise ModelError(f"{what} potential {names[i]} must be strictly "
+                         "positive and finite" if fault[i] == 1
+                         else bad_shape(i))
 
 
 class PairwiseMRF:
@@ -116,51 +116,41 @@ class PairwiseMRF:
                  edge_potentials=None):
         if num_nodes < 1:
             raise ModelError("need at least one node")
-        self.num_nodes = int(num_nodes)
+        n = int(num_nodes)
 
         if isinstance(cardinality, (int, np.integer)):
-            cards = [int(cardinality)] * self.num_nodes
+            cards = [int(cardinality)] * n
         else:
             cards = [int(c) for c in cardinality]
-            if len(cards) != self.num_nodes:
+            if len(cards) != n:
                 raise ModelError("cardinality list length mismatch")
         _check_cards(cards)
-        self.cards = cards
 
-        self.edges: list[tuple[int, int]] = []
-        self.edge_index: dict[tuple[int, int], int] = {}
+        edge_index: dict[tuple[int, int], int] = {}
         for pair in edges:
             i, j = int(pair[0]), int(pair[1])
             if i == j:
                 raise ModelError(f"self loop on node {i}")
-            if not (0 <= i < self.num_nodes and 0 <= j < self.num_nodes):
+            if not (0 <= i < n and 0 <= j < n):
                 raise ModelError(f"edge ({i}, {j}) references a missing node")
             key = (min(i, j), max(i, j))
-            if key in self.edge_index:
+            if key in edge_index:
                 raise ModelError(f"duplicate edge {key}")
-            self.edge_index[key] = len(self.edges)
-            self.edges.append(key)
-        # Read-only ends of directed_edges(): edge e ^ 1 is the reverse of e.
-        ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
-        self.directed_src = ends.ravel()
-        self.directed_dst = ends[:, ::-1].ravel()
-        self.directed_src.flags.writeable = False
-        self.directed_dst.flags.writeable = False
+            edge_index[key] = len(edge_index)
 
         if node_potentials is None:
-            node_given = [None] * self.num_nodes
+            node_given = [None] * n
         else:
-            if len(node_potentials) != self.num_nodes:
+            if len(node_potentials) != n:
                 raise ModelError("node potential count mismatch")
             node_given = [np.asarray(p, dtype=float) for p in node_potentials]
-        self.node_stacks, self.node_pot = _stacks(
-            [(c,) for c in cards], node_given,
-            lambda v: f"node potential {v} must be strictly positive and finite",
-            lambda v: f"node potential {v} has wrong length")
+        node_stacks = _stacks([(c,) for c in cards], node_given, "node",
+                              range(n), lambda v: f"node potential {v} has "
+                                                  "wrong length")
 
         supplied = dict(edge_potentials) if edge_potentials else {}
         given, keys = [], []  # per edge: its array as stored, the key given
-        for lo, hi in self.edges:
+        for lo, hi in edge_index:
             key = (lo, hi) if (lo, hi) in supplied else (hi, lo)
             if key in supplied:
                 mat = np.asarray(supplied.pop(key), dtype=float)
@@ -168,15 +158,37 @@ class PairwiseMRF:
             else:
                 given.append(None)
             keys.append(key)
-        shapes = [(cards[lo], cards[hi]) for lo, hi in self.edges]
-        self.edge_stacks, self.edge_pot = _stacks(
-            shapes, given,
-            lambda m: f"edge potential {keys[m]} must be strictly positive "
-                      "and finite",
-            lambda m: f"edge potential {self.edges[m]} has shape "
+        shapes = [(cards[lo], cards[hi]) for lo, hi in edge_index]
+        edge_stacks = _stacks(
+            shapes, given, "edge", keys,
+            lambda m: f"edge potential {list(edge_index)[m]} has shape "
                       f"{given[m].shape}, expected {shapes[m]}")
         if supplied:
             raise ModelError(f"edge potentials given for missing edges: {sorted(supplied)}")
+        self._adopt(n, cards, edge_index, node_stacks, edge_stacks)
+
+    def _adopt(self, num_nodes, cards, edge_index, node_stacks,
+               edge_stacks) -> None:
+        """Set every field from checked parts: ``edge_index`` maps each
+        (lo, hi) edge to its index, in index order, and the frozen stacks
+        hold the potentials. Every constructor ends here."""
+        self.num_nodes, self.cards = num_nodes, cards
+        self.edges: list[tuple[int, int]] = list(edge_index)
+        self.edge_index = edge_index
+        # Read-only ends of directed_edges(): edge e ^ 1 is the reverse of e.
+        ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        self.directed_src = ends.ravel()
+        self.directed_dst = ends[:, ::-1].ravel()
+        self.directed_src.flags.writeable = False
+        self.directed_dst.flags.writeable = False
+        self.node_stacks, self.edge_stacks = node_stacks, edge_stacks
+        self.node_pot = [None] * num_nodes
+        self.edge_pot = [None] * len(self.edges)
+        for stacks, views in ((node_stacks, self.node_pot),
+                              (edge_stacks, self.edge_pot)):
+            for members, stack in stacks.values():
+                for i, view in zip(members.tolist(), stack):
+                    views[i] = view
 
         self._adj: list[list[int]] = [[] for _ in range(self.num_nodes)]
         for lo, hi in self.edges:
@@ -260,13 +272,10 @@ class PairwiseMRF:
         return mat if t == lo else mat.T
 
     def copy(self) -> "PairwiseMRF":
-        return PairwiseMRF(
-            self.num_nodes,
-            list(self.edges),
-            list(self.cards),
-            self.node_pot,
-            dict(zip(self.edges, self.edge_pot)),
-        )
+        out = PairwiseMRF.__new__(PairwiseMRF)  # shares the frozen stacks
+        out._adopt(self.num_nodes, list(self.cards), dict(self.edge_index),
+                   dict(self.node_stacks), dict(self.edge_stacks))
+        return out
 
     def __repr__(self):
         return (f"PairwiseMRF(num_nodes={self.num_nodes}, "
@@ -496,137 +505,152 @@ def build_generator(kind: str, eta) -> PairwiseMRF:
 _MAX_CARD, _CROSS_SLICE = 32, 1 << 20
 
 
+class _LineFault(Exception):
+    """A fault of the graph line being read; the parser adds its number."""
+
+
 def parse_graph_text(text: str) -> PairwiseMRF:
     """Parse the line-oriented graph format.
 
     Lines: ``nodes N``, ``card i k``, ``node i v0 v1 ...``,
     ``edge i j m00 m01 ...`` (row major, rows indexed by the state of i).
     '#' starts a comment; blank lines are ignored. ``nodes`` must come first,
-    and a node has at most one ``card`` and one ``node`` line.
+    and a node has at most one ``card`` and one ``node`` line. The values
+    go straight into the model's shape stacks, in edge and node order.
     """
     num = None
     cards: dict[int, int] = {}
     node_lines: dict[int, tuple[int, list[float]]] = {}
     edge_lines: list[tuple[int, int, int, list[float]]] = []
+    edge_index: dict[tuple[int, int], int] = {}
+    edge_flat: dict = {}  # per shape: members, values in stored order
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            if "#" in raw:
+                raw = raw[:raw.index("#")]
+            tokens = raw.split()
+            if not tokens:
+                continue
+            kw = tokens[0].lower()
+            if kw == "nodes":
+                if num is not None:
+                    raise _LineFault("duplicate nodes line")
+                if len(tokens) != 2:
+                    raise _LineFault("expected: nodes N")
+                try:
+                    num = int(tokens[1])
+                except ValueError:
+                    raise _LineFault(f"bad node count {tokens[1]!r}") from None
+                if num < 1:
+                    raise _LineFault("node count must be positive")
+                if num > _MAX_NODES:
+                    raise _LineFault(f"node count {num} is above the limit "
+                                     f"of {_MAX_NODES}")
+                continue
+            if num is None:
+                raise _LineFault("the nodes line must come first")
+            if kw == "card":
+                if len(tokens) != 3:
+                    raise _LineFault("expected: card i k")
+                try:
+                    i, k = int(tokens[1]), int(tokens[2])
+                except ValueError:
+                    raise _LineFault("card takes two integers") from None
+                if not 0 <= i < num:
+                    raise _LineFault(f"node {i} out of range")
+                if k > _MAX_CARD:
+                    raise _LineFault(f"cardinality {k} is above the limit "
+                                     f"of {_MAX_CARD}")
+                if i in cards:
+                    raise _LineFault(f"duplicate card line for node {i}")
+                if i in node_lines:
+                    raise _LineFault(f"card for node {i} must precede its "
+                                     "node line")
+                cards[i] = k
+            elif kw == "node":
+                if len(tokens) < 3:
+                    raise _LineFault("expected: node i v0 v1 ...")
+                try:
+                    i = int(tokens[1])
+                    vals = list(map(float, tokens[2:]))
+                except ValueError:
+                    raise _LineFault("bad number in node line") from None
+                if not 0 <= i < num:
+                    raise _LineFault(f"node {i} out of range")
+                if i in node_lines:
+                    raise _LineFault(f"duplicate node line for node {i}")
+                node_lines[i] = (lineno, vals)
+            elif kw == "edge":
+                if len(tokens) < 4:
+                    raise _LineFault("expected: edge i j m00 m01 ...")
+                try:
+                    i, j = int(tokens[1]), int(tokens[2])
+                    vals = list(map(float, tokens[3:]))
+                except ValueError:
+                    raise _LineFault("bad number in edge line") from None
+                edge_lines.append((lineno, i, j, vals))
+            else:
+                raise _LineFault(f"unknown keyword {tokens[0]!r}")
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        kw = tokens[0].lower()
-
-        def bad(msg):
-            return GraphFormatError(f"line {lineno}: {msg}")
-
-        if kw == "nodes":
-            if num is not None:
-                raise bad("duplicate nodes line")
-            if len(tokens) != 2:
-                raise bad("expected: nodes N")
-            try:
-                num = int(tokens[1])
-            except ValueError:
-                raise bad(f"bad node count {tokens[1]!r}") from None
-            if num < 1:
-                raise bad("node count must be positive")
-            if num > _MAX_NODES:
-                raise bad(f"node count {num} is above the limit of "
-                          f"{_MAX_NODES}")
-            continue
         if num is None:
-            raise bad("the nodes line must come first")
-        if kw == "card":
-            if len(tokens) != 3:
-                raise bad("expected: card i k")
-            try:
-                i, k = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise bad("card takes two integers") from None
-            if not 0 <= i < num:
-                raise bad(f"node {i} out of range")
-            if k > _MAX_CARD:
-                raise bad(f"cardinality {k} is above the limit of {_MAX_CARD}")
-            if i in cards:
-                raise bad(f"duplicate card line for node {i}")
-            if i in node_lines:
-                raise bad(f"card for node {i} must precede its node line")
-            cards[i] = k
-        elif kw == "node":
-            if len(tokens) < 3:
-                raise bad("expected: node i v0 v1 ...")
-            try:
-                i = int(tokens[1])
-                vals = list(map(float, tokens[2:]))
-            except ValueError:
-                raise bad("bad number in node line") from None
-            if not 0 <= i < num:
-                raise bad(f"node {i} out of range")
-            if i in node_lines:
-                raise bad(f"duplicate node line for node {i}")
-            node_lines[i] = (lineno, vals)
-        elif kw == "edge":
-            if len(tokens) < 4:
-                raise bad("expected: edge i j m00 m01 ...")
-            try:
-                i, j = int(tokens[1]), int(tokens[2])
-                vals = list(map(float, tokens[3:]))
-            except ValueError:
-                raise bad("bad number in edge line") from None
-            edge_lines.append((lineno, i, j, vals))
-        else:
-            raise bad(f"unknown keyword {tokens[0]!r}")
+            raise GraphFormatError("missing nodes line")
+        card_list = [cards.get(i, 2) for i in range(num)]
+        for i, (lineno, vals) in node_lines.items():
+            if len(vals) != card_list[i]:
+                raise _LineFault(f"node {i} has {len(vals)} values, "
+                                 f"expected {card_list[i]}")
+        for lineno, i, j, vals in edge_lines:
+            if not (0 <= i < num and 0 <= j < num):
+                raise _LineFault(f"edge ({i}, {j}) out of range")
+            if i == j:
+                raise _LineFault(f"self loop on node {i}")
+            ki, kj = card_list[i], card_list[j]
+            if len(vals) != ki * kj:
+                raise _LineFault(f"edge ({i}, {j}) has {len(vals)} values, "
+                                 f"expected {ki * kj}")
+            key = (i, j) if i < j else (j, i)
+            if key in edge_index:
+                raise _LineFault(f"duplicate edge {key}")
+            members, flat = edge_flat.setdefault(
+                (ki, kj) if i < j else (kj, ki), ([], []))
+            members.append(len(edge_index))
+            edge_index[key] = len(edge_index)
+            # A line from the higher node gives its rows first: transpose.
+            flat.extend(vals if i < j else
+                        [x for row in range(kj) for x in vals[row::kj]])
+    except _LineFault as exc:
+        raise GraphFormatError(f"line {lineno}: {exc}") from None
 
-    if num is None:
-        raise GraphFormatError("missing nodes line")
-
-    card_list = [cards.get(i, 2) for i in range(num)]
-    for i, (lineno, vals) in node_lines.items():
-        if len(vals) != card_list[i]:
-            raise GraphFormatError(
-                f"line {lineno}: node {i} has {len(vals)} values, "
-                f"expected {card_list[i]}")
-
-    edges = []
-    seen = set()
-    # Edge values are gathered per shape and orientation and converted to
-    # one stack each; the model gets views into those stacks.
-    edge_groups: dict = {}
-    for lineno, i, j, vals in edge_lines:
-        if not (0 <= i < num and 0 <= j < num):
-            raise GraphFormatError(f"line {lineno}: edge ({i}, {j}) out of range")
-        if i == j:
-            raise GraphFormatError(f"line {lineno}: self loop on node {i}")
-        ki, kj = card_list[i], card_list[j]
-        if len(vals) != ki * kj:
-            raise GraphFormatError(
-                f"line {lineno}: edge ({i}, {j}) has {len(vals)} values, "
-                f"expected {ki * kj}")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise GraphFormatError(f"line {lineno}: duplicate edge {key}")
-        seen.add(key)
-        edges.append(key)
-        keys, flat = edge_groups.setdefault((ki, kj, i > j), ([], []))
-        keys.append(key)
-        flat.extend(vals)
-
+    node_flat: dict = {}
+    for v, k in enumerate(card_list):
+        members, flat = node_flat.setdefault((k,), ([], []))
+        members.append(v)
+        flat.extend(node_lines[v][1] if v in node_lines else [1.0] * k)
     try:
         _check_cards(card_list)  # as the model would, before any reshape
-        edge_pots = {}
-        for (ki, kj, transposed), (keys, flat) in edge_groups.items():
-            stack = np.array(flat).reshape(len(keys), ki, kj)
-            edge_pots.update(zip(keys, stack.transpose(0, 2, 1)
-                                 if transposed else stack))
-        node_pots = [node_lines[i][1] if i in node_lines else [1.0] * k
-                     for i, k in enumerate(card_list)]
-        return PairwiseMRF(num, edges, card_list, node_pots, edge_pots)
+        node_stacks, edge_stacks = (
+            {shape: (np.array(members, dtype=np.intp),
+                     np.array(flat).reshape((len(members),) + shape))
+             for shape, (members, flat) in groups.items()}
+            for groups in (node_flat, edge_flat))
+        _check_stacks(node_stacks, "node", range(num))
+        _check_stacks(edge_stacks, "edge", list(edge_index))
     except ModelError as exc:
         raise GraphFormatError(str(exc)) from None
+    model = PairwiseMRF.__new__(PairwiseMRF)
+    model._adopt(num, card_list, edge_index, node_stacks, edge_stacks)
+    return model
 
 
 def parse_graph_file(path) -> PairwiseMRF:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph_text(fh.read())
+    """Parse a graph file, UTF-8 with or without a byte-order mark."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path}: not UTF-8 text ({exc.reason} at "
+                               f"byte {exc.start})") from None
+    return parse_graph_text(text)
 
 
 def format_graph_text(model: PairwiseMRF) -> str:

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopybp import PairwiseMRF, build_generator, cli, write_graph_file
+from loopybp import (PairwiseMRF, build_generator, cli, parse_graph_file,
+                     write_graph_file)
 from loopybp.bounds import BOUND_KEYS
 from loopybp.cli import main
 from loopybp.convergence import CONDITION_NAMES
@@ -524,6 +525,35 @@ def test_parse_failure_exit_three(tmp_path, capsys):
         assert main(["run", "--graph", str(bad)]) == 3
     assert main(["run", "--graph", str(tmp_path / "missing.graph")]) == 3
     capsys.readouterr()
+
+
+def test_graph_file_encodings(tmp_path, capsys):
+    text = "nodes 3\ncard 1 3\nnode 0 0.5 2.0\nedge 0 1 1 2 3 4 5 6\n" \
+        "edge 2 1 0.5 1 2 4 1.5 3\n"
+    plain = tmp_path / "plain.graph"
+    plain.write_text(text, encoding="utf-8")
+    # Not UTF-8: one error line naming the file, exit 3, no traceback.
+    for name, data in (("utf16.graph", text.encode("utf-16")),
+                       ("ff.graph", b"\xff")):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["run", "--graph", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: not UTF-8 text")
+        assert captured.err.count("\n") == 1
+    # A UTF-8 byte-order mark is read past: the same model and output.
+    bom = tmp_path / "bom.graph"
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    outputs = []
+    for path in (plain, bom):
+        assert main(["run", "--graph", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and outputs[0].startswith("status,")
+    got, want = parse_graph_file(bom), parse_graph_file(plain)
+    assert (got.cards, got.edges) == (want.cards, want.edges)
+    for a, b in zip(got.node_pot + got.edge_pot, want.node_pot + want.edge_pot):
+        assert a.tobytes() == b.tobytes()
 
 
 # A numpy warning on the way to the error would reach stderr before it.

@@ -21,10 +21,11 @@ from loopybp import (
     with_uniform_binary,
 )
 from loopybp.bounds import _Recursion
-from loopybp.engine import (_NEG, _beliefs_batch, _initial_logm, _Layout,
-                            _log_contraction, _log_node, _log_weight_table,
-                            _log_weights, _multistart, _random_logm,
-                            _run_one, _run_restarts, _sweep_batch)
+from loopybp.engine import (_NEG, _beliefs_batch, _edge_major, _edge_minor,
+                            _initial_logm, _Layout, _log_contraction,
+                            _log_node, _log_weight_table, _log_weights,
+                            _multistart, _random_logm, _run_one,
+                            _run_restarts, _sweep_batch)
 from loopybp.models import _measures
 
 # Paramagnetic-regime fixed point of the 4-regular torus at eta=0.7,
@@ -303,7 +304,7 @@ def _incidence(layout):
 def dense_sweep(layout, logm):
     at_node = np.einsum("ve,rek->rvk", _incidence(layout), logm)
     excl = at_node[:, layout.src, :] - logm[:, layout.rev, :]
-    combined = layout.table.transpose(1, 0, 2)
+    combined = layout.table.transpose(2, 0, 1)
     stacked = combined[None] + excl[:, :, :, None]
     peak = stacked.max(axis=2)
     new = peak + np.log(np.exp(stacked - peak[:, :, None, :]).sum(axis=2))
@@ -439,11 +440,12 @@ def test_sweep_and_beliefs_match_dense_kernel(kind):
     m = KERNEL_MODELS[kind]()
     layout = _Layout(m)
     if kind == "mixed-card":
-        assert layout.kmax == 3 and layout.padded
+        assert layout.kmax == 3 and layout.pad is not None
     logm = _random_logm(layout.mask, range(4))
-    ref = logm.copy()
+    ref, it = logm.copy(), _edge_minor(logm)
     for _ in range(300):
-        logm = _sweep_batch(layout, logm, layout.table)
+        it = _sweep_batch(layout, it, layout.table)
+        logm = _edge_major(it)
         ref = dense_sweep(layout, ref)
         assert np.array_equal(logm, ref)
         # Beliefs follow the per-node loop's order, not the dense form's.
@@ -492,6 +494,49 @@ def test_beliefs_match_the_per_node_loop(batch):
                 log_node[r, v, :pot.size] = np.log(pot)
     assert np.array_equal(_beliefs_batch(layout, logm, log_node),
                           looped_beliefs(model, logm, node_pots))
+
+
+# -- the edge-minor kernel layout ------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(belief_batches())
+def test_edge_minor_sweep_matches_the_dense_form(batch):
+    # A shared (sender, target, edge) table and a (sender, run, target,
+    # edge) one with other potentials per run; the zero column stays zero.
+    model, layout, logm, _ = batch
+    runs = len(logm)
+    got = _sweep_batch(layout, _edge_minor(logm), layout.table)
+    assert not got[:, :, -1].any()
+    assert _edge_major(got).tobytes() == dense_sweep(layout, logm).tobytes()
+    models = [model] + [_redrawn(model, r) for r in range(1, runs)]
+    layouts = [layout] + [_Layout(m) for m in models[1:]]
+    table = np.stack([lay.table for lay in layouts], axis=1)
+    got = _sweep_batch(layout, _edge_minor(logm), table)
+    assert not got[:, :, -1].any()
+    for r, lay in enumerate(layouts):
+        assert _edge_major(got[r:r + 1]).tobytes() == \
+            dense_sweep(lay, logm[r:r + 1]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(belief_batches(), st.sampled_from([40, 64, 65]))
+def test_restart_batch_matches_one_run_batches(batch, budget):
+    # The first run's model has all-ones potentials and converges within
+    # two sweeps, so it leaves the batch while the others go on; budget 64
+    # also runs the exact-repeat check. Each run must end as it does alone.
+    model, layout, _, _ = batch
+    flat = PairwiseMRF(model.num_nodes, model.edges, model.cards)
+    models = [flat] + [_redrawn(model, r) for r in range(1, 5)]
+    table = np.stack([_Layout(m).table for m in models], axis=1)
+    logm0 = _random_logm(layout.mask, range(len(models)))
+    status, snap = _run_restarts(layout, logm0, table, budget, 1e-9)
+    for r in range(len(models)):
+        alone = _run_restarts(layout, logm0[r:r + 1], table[:, r:r + 1],
+                              budget, 1e-9)
+        assert (status[r], snap[r].tobytes()) == \
+            (alone[0][0], alone[1][0].tobytes())
+    assert status[0] == 1
 
 
 def test_uniform_starts_agree_on_seven_states():
@@ -818,11 +863,11 @@ def test_shape_stacked_tables_match_one_edge_at_a_time(model):
     kmax = max(model.cards)
     table = _log_weight_table(model, _log_node(model, kmax))
     for e, (t, s) in enumerate(model.directed_edges()):
-        block = table[:model.cards[t], e, :model.cards[s]]
+        block = table[:model.cards[t], :model.cards[s], e]
         assert block.tobytes() == _log_weights(model, t, s).tobytes()
         pad = np.ones((kmax, kmax), dtype=bool)
         pad[:model.cards[t], :model.cards[s]] = False
-        assert np.all(table[:, e][pad] == _NEG)
+        assert np.all(table[:, :, e][pad] == _NEG)
     strengths = compute_strengths(model)
     got = np.stack([strengths.d_pair, strengths.d_plain, strengths.d_star_row,
                     strengths.d_star_col, strengths.sigma,

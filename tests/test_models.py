@@ -563,6 +563,76 @@ def test_graph_text_roundtrips_exactly(data):
         assert np.array_equal(got, want)
 
 
+def assert_same_model(got, want):
+    """Field by field: the stacks' key order, members, bytes and flags, the
+    potential views, the edges and their index, and the neighbours."""
+    assert (got.num_nodes, got.cards) == (want.num_nodes, want.cards)
+    assert got.edges == want.edges
+    assert list(got.edge_index.items()) == list(want.edge_index.items())
+    for name in ("node_stacks", "edge_stacks"):
+        ours, theirs = getattr(got, name), getattr(want, name)
+        assert list(ours) == list(theirs)
+        for (members, stack), (w_members, w_stack) in zip(ours.values(),
+                                                          theirs.values()):
+            for a, b in ((members, w_members), (stack, w_stack)):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes()
+                assert a.flags.writeable == b.flags.writeable
+            assert not stack.flags.writeable
+    for views, w_views in ((got.node_pot, want.node_pot),
+                           (got.edge_pot, want.edge_pot)):
+        assert len(views) == len(w_views)
+        for a, b in zip(views, w_views):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+    for v in range(want.num_nodes):
+        assert got.neighbors(v) == want.neighbors(v)
+    assert got.directed_src.tolist() == want.directed_src.tolist()
+    assert got.directed_dst.tolist() == want.directed_dst.tolist()
+
+
+@st.composite
+def rewritten_graph_texts(draw):
+    """A mixed-card model with its edges in drawn order, and its
+    ``format_graph_text`` rewritten every way the format allows without
+    changing the model: edges given from the higher node (rows transposed),
+    comments, blank lines, upper-case keywords and CRLF line ends."""
+    n = draw(st.integers(1, 6))
+    cards = draw(st.lists(st.sampled_from([2, 3, 4, 7]), min_size=n,
+                          max_size=n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    node_pots = [rng.lognormal(0.0, 1.0, size=c) if draw(st.booleans())
+                 else np.ones(c) for c in cards]
+    model = PairwiseMRF(n, edges, cards, node_pots, {
+        (i, j): rng.lognormal(0.0, 1.0, size=(cards[i], cards[j]))
+        for i, j in edges})
+    lines = []
+    for line in format_graph_text(model).splitlines():
+        words = line.split()
+        if words[0] == "edge" and draw(st.booleans()):
+            lo, hi = int(words[1]), int(words[2])
+            line = f"edge {hi} {lo} " + " ".join(
+                repr(float(x)) for x in model.edge_matrix(hi, lo).ravel())
+        if draw(st.booleans()):
+            line = line.replace(words[0], words[0].upper(), 1)
+        if draw(st.booleans()):
+            line += "  # a comment"
+        lines.append(line)
+        lines += draw(st.sampled_from([[], [""], ["   "], ["# note"]]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return model, end.join(lines) + end
+
+
+@settings(max_examples=150, deadline=None)
+@given(rewritten_graph_texts())
+def test_parsed_text_equals_the_constructed_model(case):
+    model, text = case
+    assert_same_model(parse_graph_text(text), model)
+    assert_same_model(model.copy(), model)
+
+
 def test_graph_file_keeps_a_node_potential_near_one(tmp_path):
     m = PairwiseMRF(2, [(0, 1)], node_potentials=[[1.0, 1.000001], [1, 1]])
     path = tmp_path / "near_one.graph"
